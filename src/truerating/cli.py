@@ -38,7 +38,6 @@ from .graph import RatingGraph, RatingScale
 from .ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
-    IngestError,
     ingest_ground_truth,
     ingest_ratings,
     write_ratings_csv,
@@ -59,10 +58,10 @@ class RunManifest:
     same output files byte for byte; only the timing fields differ.
     """
 
-    command: str
-    outdir: str
     inputs: dict
     params: dict
+    command: str = ""
+    outdir: str = ""
     version: str = __version__
     outputs: list[str] = field(default_factory=list)
     results: dict = field(default_factory=dict)
@@ -105,6 +104,24 @@ def _finish(manifest: RunManifest, outdir: Path, started: float) -> None:
     _write_json(outdir / "manifest.json", manifest.to_dict())
 
 
+def _run(args) -> int:
+    """Run one ``cmd_*`` and write its manifest; returns the exit code.
+
+    The command returns its exit code and a manifest holding its own inputs,
+    params, outputs and results; timing, command name and output directory
+    are filled in here. A command that raises writes no manifest.
+    """
+    started = time.monotonic()
+    started_at = _now_iso()
+    code, manifest = args.func(args)
+    outdir = Path(args.out)
+    manifest.command = args.command
+    manifest.outdir = str(outdir)
+    manifest.started_at = started_at
+    _finish(manifest, outdir, started)
+    return code
+
+
 def _parse_scale(text: str) -> RatingScale:
     lo, _, hi = text.partition(":")
     try:
@@ -123,6 +140,17 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         raise ValueError(f"bad {what} {text!r}; expected lo:hi") from None
 
 
+def _user_values(path: str, graph: RatingGraph, what: str) -> dict[int, float]:
+    """Read a ``user_id,value`` file as {dense user index: value}."""
+    table = ingest_ground_truth(path)
+    unknown = table.unmatched(graph.user_ids)
+    if unknown:
+        raise ValueError(
+            f"{what} file names users absent from the graph: {unknown[:5]}"
+        )
+    return {graph.user_index[uid]: value for uid, value in table.values.items()}
+
+
 def _seed_bias(spec: str, graph: RatingGraph):
     if spec == "zeros":
         return None
@@ -133,16 +161,10 @@ def _seed_bias(spec: str, graph: RatingGraph):
             raise ValueError(f"bad --seed-bias {spec!r}") from None
         return np.full(graph.num_users, value, dtype=np.float64)
     if spec.startswith("file:"):
-        seeds = ingest_ground_truth(spec.removeprefix("file:"))
-        unknown = seeds.unmatched(graph.user_ids)
-        if unknown:
-            raise ValueError(
-                f"seed bias file names users absent from the graph: "
-                f"{unknown[:5]}"
-            )
+        seeds = _user_values(spec.removeprefix("file:"), graph, "seed bias")
         vector = np.zeros(graph.num_users, dtype=np.float64)
-        for user_id, value in seeds.values.items():
-            vector[graph.user_index[user_id]] = value
+        for user, value in seeds.items():
+            vector[user] = value
         return vector
     raise ValueError(
         f"bad --seed-bias {spec!r}; expected zeros, const:<c>, or file:<path>"
@@ -152,14 +174,7 @@ def _seed_bias(spec: str, graph: RatingGraph):
 def _alpha_overrides(path: str | None, graph: RatingGraph) -> dict[int, float] | None:
     if path is None:
         return None
-    table = ingest_ground_truth(path)
-    unknown = table.unmatched(graph.user_ids)
-    if unknown:
-        raise ValueError(
-            f"alpha override file names users absent from the graph: "
-            f"{unknown[:5]}"
-        )
-    return {graph.user_index[uid]: value for uid, value in table.values.items()}
+    return _user_values(path, graph, "alpha override")
 
 
 def _ingest(args) -> RatingGraph:
@@ -198,9 +213,7 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:g}"
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
-    started_at = _now_iso()
+def cmd_solve(args) -> tuple[int, RunManifest]:
     # Validate parameters and read inputs before creating any output.
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
@@ -232,9 +245,12 @@ def cmd_solve(args) -> int:
     _write_json(outdir / "trace.json", _trace_json(result))
 
     code = 0 if result.converged else 2
-    manifest = RunManifest(
-        command="solve",
-        outdir=str(outdir),
+    if not result.converged:
+        print(
+            f"did not converge within {config.max_iterations} iterations",
+            file=sys.stderr,
+        )
+    return code, RunManifest(
         inputs={
             "ratings": str(args.ratings),
             "alpha_overrides": args.alpha_overrides,
@@ -259,20 +275,10 @@ def cmd_solve(args) -> int:
             "edges": graph.num_edges,
             "exit_code": code,
         },
-        started_at=started_at,
     )
-    _finish(manifest, outdir, started)
-    if not result.converged:
-        print(
-            f"did not converge within {config.max_iterations} iterations",
-            file=sys.stderr,
-        )
-    return code
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
-    started_at = _now_iso()
+def cmd_eval(args) -> tuple[int, RunManifest]:
     alphas = args.alpha if args.alpha else [0.99]
     configs = [
         SolverConfig(alpha=a, epsilon=args.epsilon, max_iterations=args.max_iters)
@@ -333,9 +339,7 @@ def cmd_eval(args) -> int:
     _write_json(outdir / "report.json", payload)
     outputs.append("report.json")
 
-    manifest = RunManifest(
-        command="eval",
-        outdir=str(outdir),
+    return 0, RunManifest(
         inputs={"ratings": str(args.ratings), "truth": str(args.truth)},
         params={
             "alphas": alphas,
@@ -349,15 +353,10 @@ def cmd_eval(args) -> int:
         },
         outputs=outputs,
         results={"solves": convergence, "common_items": methods[0][0].common_items},
-        started_at=started_at,
     )
-    _finish(manifest, outdir, started)
-    return 0
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
-    started_at = _now_iso()
+def cmd_synth(args) -> tuple[int, RunManifest]:
     instance = generate_planted(
         args.users,
         args.items,
@@ -380,9 +379,7 @@ def cmd_synth(args) -> int:
         ("user_id", "bias"),
         zip(instance.graph.user_ids, instance.true_bias),
     )
-    manifest = RunManifest(
-        command="synth",
-        outdir=str(outdir),
+    return 0, RunManifest(
         inputs={},
         params={
             "users": args.users,
@@ -395,15 +392,10 @@ def cmd_synth(args) -> int:
         },
         outputs=["ratings.csv", "truth.csv", "planted_bias.csv"],
         results={"edges": instance.graph.num_edges},
-        started_at=started_at,
     )
-    _finish(manifest, outdir, started)
-    return 0
 
 
-def cmd_oracle_check(args) -> int:
-    started = time.monotonic()
-    started_at = _now_iso()
+def cmd_oracle_check(args) -> tuple[int, RunManifest]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     graph = _ingest(args)
@@ -448,9 +440,9 @@ def cmd_oracle_check(args) -> int:
             "clamped": result.clamped,
         },
     )
-    manifest = RunManifest(
-        command="oracle-check",
-        outdir=str(outdir),
+    if status != "ok":
+        print(f"oracle check: {status}", file=sys.stderr)
+    return code, RunManifest(
         inputs={"ratings": str(args.ratings)},
         params={
             "alpha": args.alpha,
@@ -463,12 +455,7 @@ def cmd_oracle_check(args) -> int:
         },
         outputs=["oracle.json"],
         results={"status": status, "exit_code": code},
-        started_at=started_at,
     )
-    _finish(manifest, outdir, started)
-    if status != "ok":
-        print(f"oracle check: {status}", file=sys.stderr)
-    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -596,11 +583,8 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        return args.func(args)
-    except (IngestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return _run(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,12 +42,10 @@ def mse(
     truth: Mapping[str, float] | GroundTruth,
 ) -> float:
     """Mean squared difference over the ids present in both score maps."""
-    pred = _as_values(predicted)
-    ref = _as_values(truth)
-    common = set(pred) & set(ref)
+    common, squared, _ = _item_errors(predicted, truth)
     if not common:
         raise ValueError("no common items between predicted and truth scores")
-    return float(np.mean([(pred[k] - ref[k]) ** 2 for k in common]))
+    return float(np.mean(list(squared.values())))
 
 
 def _rank(scores: Mapping[str, float], keys: list[str]) -> dict[str, int]:
@@ -65,17 +63,34 @@ def rank_error(
     Both maps are ranked descending over the intersection only, so the
     result depends on score order alone, never on score magnitude.
     """
-    pred = _as_values(predicted)
-    ref = _as_values(truth)
-    common = sorted(set(pred) & set(ref))
-    if len(common) < 2:
+    common, _, distance = _item_errors(predicted, truth)
+    if distance is None:
         raise ValueError(
             f"need at least 2 common items to compare rankings, "
             f"got {len(common)}"
         )
-    pred_rank = _rank(pred, common)
-    ref_rank = _rank(ref, common)
-    return float(np.mean([abs(pred_rank[k] - ref_rank[k]) for k in common]))
+    return float(np.mean(list(distance.values())))
+
+
+def _item_errors(
+    predicted: Mapping[str, float] | GroundTruth,
+    truth: Mapping[str, float] | GroundTruth,
+) -> tuple[list[str], dict[str, float], dict[str, float] | None]:
+    """Per-item errors over the ids both maps score, in ascending id order.
+
+    Returns the common ids, each one's squared error, and each one's
+    footrule rank distance (None with fewer than 2 common ids).
+    """
+    pred = _as_values(predicted)
+    ref = _as_values(truth)
+    common = sorted(set(pred) & set(ref))
+    squared = {k: (pred[k] - ref[k]) ** 2 for k in common}
+    distance = None
+    if len(common) >= 2:
+        pred_rank = _rank(pred, common)
+        ref_rank = _rank(ref, common)
+        distance = {k: float(abs(pred_rank[k] - ref_rank[k])) for k in common}
+    return common, squared, distance
 
 
 def _deviation_by_bin(
@@ -226,21 +241,14 @@ def build_report(
     rank_bins: dict[int, float] = {}
     common: list[str] = []
     if truth is not None:
-        ref = _as_values(truth)
-        common = sorted(set(pred_map) & set(ref))
+        common, squared, distance = _item_errors(pred_map, truth)
         if not common:
             raise ValueError("ground truth shares no items with the graph")
         item_bins = degree_bins(graph.item_degrees)
         bins_of = {k: int(item_bins[graph.item_index[k]]) for k in common}
-        squared = {k: (pred_map[k] - ref[k]) ** 2 for k in common}
         mse_overall = float(np.mean(list(squared.values())))
         mse_bins = _per_bin_mean(squared, bins_of)
-        if len(common) >= 2:
-            pred_rank = _rank(pred_map, common)
-            ref_rank = _rank(ref, common)
-            distance = {
-                k: float(abs(pred_rank[k] - ref_rank[k])) for k in common
-            }
+        if distance is not None:
             rank_overall = float(np.mean(list(distance.values())))
             rank_bins = _per_bin_mean(distance, bins_of)
 

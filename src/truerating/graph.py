@@ -108,9 +108,11 @@ class RatingGraph:
         CSR-style slice pointers: user i's edges are
         ``edge_*[user_ptr[i]:user_ptr[i+1]]``; item j's edges are
         ``by_item_*[item_ptr[j]:item_ptr[j+1]]`` in the item-major view.
-    by_item_user, by_item_item, by_item_weight : np.ndarray
+    by_item_user, by_item_weight : np.ndarray
         The same edge multiset sorted item-major (user-ascending within
-        an item, i.e. the stable restriction of the canonical order).
+        an item, i.e. the stable restriction of the canonical order). The
+        item of each item-major edge is not stored; it is
+        ``np.repeat(np.arange(num_items), item_degrees)``.
     """
 
     __slots__ = (
@@ -124,7 +126,6 @@ class RatingGraph:
         "user_ptr",
         "item_ptr",
         "by_item_user",
-        "by_item_item",
         "by_item_weight",
     )
 
@@ -190,7 +191,6 @@ class RatingGraph:
         self.user_ptr = np.concatenate(([0], np.cumsum(user_deg))).astype(np.int64)
         self.item_ptr = np.concatenate(([0], np.cumsum(item_deg))).astype(np.int64)
         self.by_item_user = u[by_item]
-        self.by_item_item = v[by_item]
         self.by_item_weight = w[by_item]
         for name in (
             "edge_user",
@@ -199,44 +199,26 @@ class RatingGraph:
             "user_ptr",
             "item_ptr",
             "by_item_user",
-            "by_item_item",
             "by_item_weight",
         ):
             getattr(self, name).flags.writeable = False
 
     @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str, float]],
-        *,
-        duplicate_policy: str = "strict",
-    ) -> "RatingGraph":
+    def from_edges(cls, edges: Iterable[tuple[str, str, float]]) -> "RatingGraph":
         """Build a graph from (user id, item id, weight) triples.
 
-        Dense indices are assigned in first-appearance order. Under the
-        ``strict`` policy a repeated (user, item) pair is an error; under
-        ``keep_first`` later occurrences are dropped.
+        Dense indices are assigned in first-appearance order. A repeated
+        (user, item) pair is always an error; the ``keep_first`` policy that
+        drops repeats applies to rating files (`ingest_ratings`).
         """
-        if duplicate_policy not in ("strict", "keep_first"):
-            raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
         user_index: dict[str, int] = {}
         item_index: dict[str, int] = {}
-        seen: set[tuple[int, int]] = set()
         us: list[int] = []
         vs: list[int] = []
         ws: list[float] = []
         for user_id, item_id, weight in edges:
-            ui = user_index.setdefault(str(user_id), len(user_index))
-            vi = item_index.setdefault(str(item_id), len(item_index))
-            if (ui, vi) in seen:
-                if duplicate_policy == "strict":
-                    raise ValueError(
-                        f"duplicate rating for user {user_id!r} and item {item_id!r}"
-                    )
-                continue
-            seen.add((ui, vi))
-            us.append(ui)
-            vs.append(vi)
+            us.append(user_index.setdefault(str(user_id), len(user_index)))
+            vs.append(item_index.setdefault(str(item_id), len(item_index)))
             ws.append(float(weight))
         return cls(
             list(user_index),
@@ -277,9 +259,8 @@ class RatingGraph:
         This is the summation order the solver uses, so a fully-trusted run
         (all damping factors zero) reproduces these values bit-exactly.
         """
-        sums = np.bincount(
-            self.by_item_item, weights=self.by_item_weight, minlength=self.num_items
-        )
+        item = np.repeat(np.arange(self.num_items), self.item_degrees)
+        sums = np.bincount(item, weights=self.by_item_weight, minlength=self.num_items)
         return sums / np.maximum(self.item_degrees, 1)
 
     def __repr__(self) -> str:

@@ -14,10 +14,15 @@ the composite update is an alpha-contraction in the max norm, so iterates
 converge to the unique fixed point from any starting bias, and successive
 bias deltas shrink at least geometrically in alpha.
 
+Each sweep runs one code path: the nodes are split into contiguous chunks
+at node boundaries, each chunk sums its own edge slice with `np.bincount`,
+and the chunks are mapped over a thread pool. A serial solve is the
+one-chunk plan mapped without a pool.
+
 Determinism: every per-node mean accumulates its terms in ascending
-neighbor order (the graph's canonical slice order), and multi-threaded
-sweeps split work only at node boundaries, so results are bit-identical
-across thread counts and repeated runs.
+neighbor order (the graph's canonical slice order), and a node's terms
+never span two chunks, so results are bit-identical across thread counts
+and repeated runs.
 """
 
 from __future__ import annotations
@@ -148,6 +153,20 @@ def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
+def _plan(ptr: np.ndarray, parts: int) -> list[tuple]:
+    """Split CSR nodes into `parts` chunks ``(lo, hi, e0, e1, local)``.
+
+    Nodes lo..hi-1 own edges e0..e1-1; `local` gives each of those edges
+    its node's index relative to lo, the segment key for `np.bincount`.
+    """
+    degrees = np.diff(ptr)
+    return [
+        (lo, hi, int(ptr[lo]), int(ptr[hi]),
+         np.repeat(np.arange(hi - lo), degrees[lo:hi]))
+        for lo, hi in _chunks(len(degrees), parts)
+    ]
+
+
 class _Sweeps:
     """Precomputed gather arrays and chunk plans for one solve."""
 
@@ -159,27 +178,13 @@ class _Sweeps:
         pool: ThreadPoolExecutor | None,
     ) -> None:
         self.graph = graph
-        self.pool = pool
+        self.map = map if pool is None else pool.map
         # Damping factor of each edge's author, in item-major edge order.
         self.alpha_edge = alpha_user[graph.by_item_user]
         self.item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
         self.user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
-        if pool is None:
-            self.item_plan = None
-            self.user_plan = None
-            return
-        ptr = graph.item_ptr
-        self.item_plan = [
-            (lo, hi, int(ptr[lo]), int(ptr[hi]),
-             graph.by_item_item[ptr[lo]:ptr[hi]] - lo)
-            for lo, hi in _chunks(graph.num_items, threads)
-        ]
-        ptr = graph.user_ptr
-        self.user_plan = [
-            (lo, hi, int(ptr[lo]), int(ptr[hi]),
-             graph.edge_user[ptr[lo]:ptr[hi]] - lo)
-            for lo, hi in _chunks(graph.num_users, threads)
-        ]
+        self.item_plan = _plan(graph.item_ptr, threads)
+        self.user_plan = _plan(graph.user_ptr, threads)
 
     def _rating_chunk(self, bias, lo, hi, e0, e1, local):
         g = self.graph
@@ -193,20 +198,11 @@ class _Sweeps:
 
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""
-        g = self.graph
-        if self.item_plan is None:
-            sums, clamped = self._rating_chunk(
-                bias, 0, g.num_items, 0, g.num_edges, g.by_item_item
-            )
-            return sums / self.item_deg, clamped
-        futures = [
-            self.pool.submit(self._rating_chunk, bias, *spec)
-            for spec in self.item_plan
-        ]
-        rating = np.empty(g.num_items, dtype=np.float64)
+        chunks = self.map(lambda spec: self._rating_chunk(bias, *spec),
+                          self.item_plan)
+        rating = np.empty(self.graph.num_items, dtype=np.float64)
         clamped = False
-        for (lo, hi, *_), fut in zip(self.item_plan, futures):
-            sums, chunk_clamped = fut.result()
+        for (lo, hi, *_), (sums, chunk_clamped) in zip(self.item_plan, chunks):
             rating[lo:hi] = sums / self.item_deg[lo:hi]
             clamped |= chunk_clamped
         return rating, clamped
@@ -218,18 +214,11 @@ class _Sweeps:
 
     def bias_step(self, rating: np.ndarray) -> np.ndarray:
         """bias_i = mean over i's raw ratings of (w - rating_j)."""
-        g = self.graph
-        if self.user_plan is None:
-            sums = self._bias_chunk(rating, 0, g.num_users, 0, g.num_edges,
-                                    g.edge_user)
-            return sums / self.user_deg
-        futures = [
-            self.pool.submit(self._bias_chunk, rating, *spec)
-            for spec in self.user_plan
-        ]
-        bias = np.empty(g.num_users, dtype=np.float64)
-        for (lo, hi, *_), fut in zip(self.user_plan, futures):
-            bias[lo:hi] = fut.result() / self.user_deg[lo:hi]
+        chunks = self.map(lambda spec: self._bias_chunk(rating, *spec),
+                          self.user_plan)
+        bias = np.empty(self.graph.num_users, dtype=np.float64)
+        for (lo, hi, *_), sums in zip(self.user_plan, chunks):
+            bias[lo:hi] = sums / self.user_deg[lo:hi]
         return bias
 
 

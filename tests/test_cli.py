@@ -1,4 +1,5 @@
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -15,6 +16,45 @@ def two_user_file(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+COMMANDS = ("solve", "eval", "synth", "oracle-check")
+
+
+def command_argv(command, tmp_path, ratings) -> list:
+    """A small valid command line for `command`, without --out."""
+    if command == "synth":
+        return ["synth", "--users", "4", "--items", "3", "--density", "1"]
+    argv = [command, "--ratings", ratings]
+    if command == "eval":
+        truth = tmp_path / "truth.csv"
+        truth.write_text("item_id,score\nm1,0.5\n", encoding="utf-8")
+        argv += ["--truth", truth]
+    return argv
+
+
+class TestRunWrapper:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_fields(self, tmp_path, two_user_file, command):
+        out = tmp_path / "run"
+        assert run(*command_argv(command, tmp_path, two_user_file), "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["outdir"] == str(out)
+        started = datetime.fromisoformat(manifest["started_at"])
+        assert datetime.fromisoformat(manifest["finished_at"]) >= started
+        assert manifest["wall_seconds"] >= 0
+        assert manifest["outputs"][-1] == "manifest.json"
+        assert all((out / name).exists() for name in manifest["outputs"])
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
+    def test_malformed_ratings_writes_no_manifest(self, tmp_path, command, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text("u1::m1::5\nu2::m1\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(*command_argv(command, tmp_path, bad), "--out", out) == 1
+        assert not (out / "manifest.json").exists()
+        assert "bad.dat:2:" in capsys.readouterr().err
 
 
 class TestSolveCommand:

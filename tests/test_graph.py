@@ -94,15 +94,10 @@ class TestRatingGraphConstruction:
         assert triples == sorted(triples, key=lambda e: (g.user_index[e[0]], g.item_index[e[1]]))
 
     def test_duplicate_strict_raises(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(
+            ValueError, match="duplicate rating for user 'u1' and item 'm1'"
+        ):
             RatingGraph.from_edges([("u1", "m1", 0.2), ("u1", "m1", 0.8)])
-
-    def test_duplicate_keep_first(self):
-        g = RatingGraph.from_edges(
-            [("u1", "m1", 0.2), ("u1", "m1", 0.8)], duplicate_policy="keep_first"
-        )
-        assert g.num_edges == 1
-        assert list(g.edges()) == [("u1", "m1", 0.2)]
 
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError, match="weights"):
@@ -140,7 +135,9 @@ class TestRatingGraphViews:
 
         g = make_random_graph(3)
         forward = set(zip(g.edge_user, g.edge_item, g.edge_weight))
-        by_item = set(zip(g.by_item_user, g.by_item_item, g.by_item_weight))
+        # Item-major edge e belongs to the j with item_ptr[j] <= e < item_ptr[j+1].
+        item = np.searchsorted(g.item_ptr, np.arange(g.num_edges), side="right") - 1
+        by_item = set(zip(g.by_item_user, item, g.by_item_weight))
         assert forward == by_item
 
     def test_slices_cover_neighbors(self):
