@@ -97,6 +97,18 @@ def _write_json(path: Path, payload) -> None:
     os.replace(tmp, path)
 
 
+def _output_dir(out: str) -> Path:
+    """Create the output directory and delete a manifest left there.
+
+    Commands call this just before their first write, so a run that fails
+    part-way never leaves new outputs next to an earlier run's manifest.
+    """
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    return outdir
+
+
 def _finish(manifest: RunManifest, outdir: Path, started: float) -> None:
     manifest.finished_at = _now_iso()
     manifest.wall_seconds = round(time.monotonic() - started, 6)
@@ -230,17 +242,18 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
 
     result = solve(graph, config, initial_bias=initial, threads=args.threads)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
     write_scores_csv(
         outdir / "bias.csv",
         ("user_id", "bias"),
-        zip(graph.user_ids, result.bias),
+        graph.user_ids,
+        result.bias,
     )
     write_scores_csv(
         outdir / "ratings.csv",
         ("item_id", "true_rating"),
-        zip(graph.item_ids, result.rating),
+        graph.item_ids,
+        result.rating,
     )
     _write_json(outdir / "trace.json", _trace_json(result))
 
@@ -310,14 +323,14 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
             "clamped": result.clamped,
         }
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
     for report, tag, rating, _bias in methods:
         ratings_name = f"ratings_{tag}.csv"
         write_scores_csv(
             outdir / ratings_name,
             ("item_id", "true_rating"),
-            zip(graph.item_ids, rating),
+            graph.item_ids,
+            rating,
         )
         bins_name = f"bins_{tag}.csv"
         with open(outdir / bins_name, "w", encoding="utf-8", newline="") as fh:
@@ -366,18 +379,19 @@ def cmd_synth(args) -> tuple[int, RunManifest]:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
     write_ratings_csv(instance.graph, outdir / "ratings.csv")
     write_scores_csv(
         outdir / "truth.csv",
         ("item_id", "true_rating"),
-        zip(instance.graph.item_ids, instance.true_rating),
+        instance.graph.item_ids,
+        instance.true_rating,
     )
     write_scores_csv(
         outdir / "planted_bias.csv",
         ("user_id", "bias"),
-        zip(instance.graph.user_ids, instance.true_bias),
+        instance.graph.user_ids,
+        instance.true_bias,
     )
     return 0, RunManifest(
         inputs={},
@@ -425,8 +439,7 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
         if max(max_bias_diff, max_rating_diff) > args.tolerance:
             status, code = "mismatch", 1
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
     _write_json(
         outdir / "oracle.json",
         {

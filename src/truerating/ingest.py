@@ -9,14 +9,23 @@ Two on-disk layouts are supported:
   and weights already normalized to [0, 1].
 
 `ingest_ratings` sniffs the canonical header so its own output round-trips
-without extra flags. All parse errors carry the file path and 1-based line
-number.
+without extra flags.
+
+Files are parsed as columns. The text is read once, split into lines, and
+the non-blank lines become one numpy ``StringDType`` array; the first
+fields are cut out with ``np.strings.partition`` and converted with a single
+``astype(np.float64)``, and every check (field count, empty ids, numeric,
+finite and in-scale values, weights in [0, 1], duplicates) is a reduction
+over whole columns. This path keeps no line numbers. Only when one of its
+checks fails is the file read again line by line, and that rescan raises
+an `IngestError` carrying the file path and the 1-based line number of the
+first bad record.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +48,9 @@ CANONICAL_HEADER = ("user_id", "item_id", "weight")
 
 #: Decimal places used for every weight/score this package writes.
 FLOAT_DIGITS = 9
+_FLOAT_FORMAT = f"{{:.{FLOAT_DIGITS}f}}"
+
+_STRING = np.dtypes.StringDType()
 
 
 class IngestError(ValueError):
@@ -78,23 +90,100 @@ def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
                 yield lineno, line
 
 
-def ingest_ratings(
-    path: str | Path,
-    *,
-    fmt: DelimitedFormat = MOVIELENS_FORMAT,
-    scale: RatingScale | None = None,
-    duplicate_policy: str = "strict",
-) -> RatingGraph:
-    """Parse a rating file into a `RatingGraph`.
+def _records(path: str | Path) -> tuple[np.ndarray, bool]:
+    """The non-blank lines of a file, and whether its first line is one.
 
-    If the first line is the canonical ``user_id,item_id,weight`` header the
-    file is read as canonical CSV (weights already in [0, 1], `fmt` and
-    `scale` ignored). Otherwise each line must carry at least three `fmt`
-    fields, and `scale` (when given) maps raw ratings onto [0, 1].
+    Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
+    ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
+    ``\\x1c``, ``\\u2028`` and others.
     """
-    if duplicate_policy not in ("strict", "keep_first"):
-        raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
-    edges: list[tuple[str, str, float]] = []
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        text = handle.read()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    records = np.array(list(filter(str.strip, lines)), dtype=_STRING)
+    return records, bool(lines[0].strip())
+
+
+class _Rescan(Exception):
+    """A columnar check failed; the line-by-line rescan names the line."""
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise _Rescan
+
+
+def _columns(records: np.ndarray, sep: str, count: int) -> list[np.ndarray]:
+    """The first `count` stripped `sep`-separated fields of every record."""
+    sep_array = np.array(sep, dtype=_STRING)
+    rest = records
+    columns = []
+    for k in range(count):
+        field, found, rest = np.strings.partition(rest, sep_array)
+        columns.append(np.strings.strip(field))
+        if k < count - 1:
+            _require(np.strings.str_len(found).all())
+    return columns
+
+
+def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
+    """Parse a value column, check it is finite and apply `scale`."""
+    value = raw.astype(np.float64)
+    _require(np.isfinite(value).all())
+    if scale is not None:
+        _require(((value >= scale.min_raw) & (value <= scale.max_raw)).all())
+        # The float operations of `RatingScale.normalize`, so the bits match.
+        value = (value - scale.min_raw) / scale.span
+    return value
+
+
+def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Distinct ids in first-appearance order, and each row's dense index."""
+    keys = column.tolist()
+    index = dict(zip(dict.fromkeys(keys), range(len(keys))))
+    rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    return list(index), rows
+
+
+def _rating_columns(
+    path: str | Path,
+    fmt: DelimitedFormat,
+    scale: RatingScale | None,
+    keep_first: bool,
+) -> RatingGraph:
+    """Columnar `ingest_ratings`; raises `_Rescan` or `ValueError` instead
+    of an `IngestError`."""
+    records, _ = _records(path)
+    if records.size and tuple(_CANONICAL_FORMAT.split(records[0])) == CANONICAL_HEADER:
+        records = records[1:]
+        fmt, scale = _CANONICAL_FORMAT, None
+    user, item, raw = _columns(records, fmt.delimiter, 3)
+    del records
+    _require(np.strings.str_len(user).all() and np.strings.str_len(item).all())
+    weight = _values(raw, scale)
+    # Before `keep_first` drops rows: a dropped row must be valid too.
+    _require(((weight >= 0.0) & (weight <= 1.0)).all())
+    user_ids, u = _dense_ids(user)
+    item_ids, v = _dense_ids(item)
+    if keep_first:
+        _, first = np.unique(u * len(item_ids) + v, return_index=True)
+        first.sort()
+        u, v, weight = u[first], v[first], weight[first]
+    # Under strict, the constructor's sorted-neighbour check is the one
+    # duplicate check; its error sends the file to the rescan.
+    return RatingGraph(user_ids, item_ids, u, v, weight)
+
+
+def _locate_rating_error(
+    path: str | Path,
+    fmt: DelimitedFormat,
+    scale: RatingScale | None,
+    strict: bool,
+) -> None:
+    """Read a rating file line by line; raise at its first bad record."""
     seen: dict[tuple[str, str], int] = {}
     canonical = False
     first = True
@@ -128,21 +217,38 @@ def ingest_ratings(
             raise IngestError(
                 path, lineno, f"normalized weight {value} outside [0, 1]"
             )
-        pair = (user_id, item_id)
-        if pair in seen:
-            if duplicate_policy == "strict":
+        if strict:
+            pair = (user_id, item_id)
+            if pair in seen:
                 raise IngestError(
                     path,
                     lineno,
                     f"duplicate rating for user {user_id!r} and item "
                     f"{item_id!r} (first seen at line {seen[pair]})",
                 )
-            continue
-        seen[pair] = lineno
-        edges.append((user_id, item_id, value))
+            seen[pair] = lineno
+
+
+def ingest_ratings(
+    path: str | Path,
+    *,
+    fmt: DelimitedFormat = MOVIELENS_FORMAT,
+    scale: RatingScale | None = None,
+    duplicate_policy: str = "strict",
+) -> RatingGraph:
+    """Parse a rating file into a `RatingGraph`.
+
+    If the first line is the canonical ``user_id,item_id,weight`` header the
+    file is read as canonical CSV (weights already in [0, 1], `fmt` and
+    `scale` ignored). Otherwise each line must carry at least three `fmt`
+    fields, and `scale` (when given) maps raw ratings onto [0, 1].
+    """
+    if duplicate_policy not in ("strict", "keep_first"):
+        raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
     try:
-        return RatingGraph.from_edges(edges)
-    except ValueError as exc:
+        return _rating_columns(path, fmt, scale, duplicate_policy == "keep_first")
+    except (_Rescan, ValueError) as exc:
+        _locate_rating_error(path, fmt, scale, duplicate_policy == "strict")
         raise IngestError(path, 0, str(exc)) from None
 
 
@@ -177,19 +283,31 @@ class GroundTruth:
         return sorted(key for key in self.values if key not in known)
 
 
-def ingest_ground_truth(
-    path: str | Path,
-    *,
-    fmt: DelimitedFormat = _CANONICAL_FORMAT,
-    scale: RatingScale | None = None,
+def _truth_columns(
+    path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
 ) -> GroundTruth:
-    """Parse ``id<sep>value`` reference scores.
+    """Columnar `ingest_ground_truth`; raises `_Rescan` or `ValueError`
+    instead of an `IngestError`."""
+    records, first_line_kept = _records(path)
+    key, raw = _columns(records, fmt.delimiter, 2)
+    del records
+    if first_line_kept:
+        try:
+            float(raw[0])
+        except ValueError:
+            key, raw = key[1:], raw[1:]
+    _require(np.strings.str_len(key).all())
+    keys = key.tolist()
+    values = dict(zip(keys, _values(raw, scale).tolist()))
+    _require(len(values) == len(keys))
+    return GroundTruth(values)
 
-    A first line whose value field is not numeric is treated as a header.
-    `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
-    error.
-    """
-    values: dict[str, float] = {}
+
+def _locate_truth_error(
+    path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
+) -> None:
+    """Read a truth file line by line; raise at its first bad record."""
+    seen: set[str] = set()
     for lineno, line in _lines(path):
         fields = fmt.split(line)
         if len(fields) < 2:
@@ -209,32 +327,53 @@ def ingest_ground_truth(
             raise IngestError(path, lineno, f"non-finite value {raw!r}")
         if scale is not None:
             try:
-                value = scale.normalize(value)
+                scale.normalize(value)
             except ValueError as exc:
                 raise IngestError(path, lineno, str(exc)) from None
-        if key in values:
+        if key in seen:
             raise IngestError(path, lineno, f"duplicate id {key!r}")
-        values[key] = value
-    return GroundTruth(values)
+        seen.add(key)
+
+
+def ingest_ground_truth(
+    path: str | Path,
+    *,
+    fmt: DelimitedFormat = _CANONICAL_FORMAT,
+    scale: RatingScale | None = None,
+) -> GroundTruth:
+    """Parse ``id<sep>value`` reference scores.
+
+    A first line whose value field is not numeric is treated as a header.
+    `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
+    error.
+    """
+    try:
+        return _truth_columns(path, fmt, scale)
+    except (_Rescan, ValueError) as exc:
+        _locate_truth_error(path, fmt, scale)
+        raise IngestError(path, 0, str(exc)) from None
 
 
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
     """Write the graph's edges as canonical CSV in canonical edge order."""
+    users = map(graph.user_ids.__getitem__, graph.edge_user.tolist())
+    items = map(graph.item_ids.__getitem__, graph.edge_item.tolist())
+    weights = map(_FLOAT_FORMAT.format, graph.edge_weight.tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CANONICAL_HEADER)
-        for user_id, item_id, weight in graph.edges():
-            writer.writerow((user_id, item_id, f"{weight:.{FLOAT_DIGITS}f}"))
+        writer.writerows(zip(users, items, weights))
 
 
 def write_scores_csv(
     path: str | Path,
     header: tuple[str, str],
-    rows: Iterable[tuple[str, float]],
+    ids: Sequence[str],
+    values: np.ndarray,
 ) -> None:
     """Write ``id,value`` rows (bias or rating scores) with a fixed header."""
+    formatted = map(_FLOAT_FORMAT.format, np.asarray(values, np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for key, value in rows:
-            writer.writerow((key, f"{value:.{FLOAT_DIGITS}f}"))
+        writer.writerows(zip(ids, formatted))

@@ -1,0 +1,113 @@
+"""Line-by-line reference parser: the per-line `ingest_ratings` and
+`ingest_ground_truth` that the columnar parser replaced.
+
+Tests compare the columnar parser against it: for any file the two must
+return bit-identical graphs and truth values, or raise the same
+`IngestError` (path, line and message).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from truerating import GroundTruth, IngestError, RatingGraph, RatingScale
+from truerating.ingest import (
+    _CANONICAL_FORMAT,
+    CANONICAL_HEADER,
+    MOVIELENS_FORMAT,
+    DelimitedFormat,
+    _lines,
+)
+
+
+def ingest_ratings(
+    path: str | Path,
+    *,
+    fmt: DelimitedFormat = MOVIELENS_FORMAT,
+    scale: RatingScale | None = None,
+    duplicate_policy: str = "strict",
+) -> RatingGraph:
+    edges: list[tuple[str, str, float]] = []
+    seen: dict[tuple[str, str], int] = {}
+    canonical = False
+    first = True
+    for lineno, line in _lines(path):
+        if first:
+            first = False
+            if tuple(_CANONICAL_FORMAT.split(line)) == CANONICAL_HEADER:
+                canonical = True
+                continue
+        use_fmt = _CANONICAL_FORMAT if canonical else fmt
+        fields = use_fmt.split(line)
+        if len(fields) < 3:
+            raise IngestError(
+                path, lineno, f"expected at least 3 fields, got {len(fields)}"
+            )
+        user_id, item_id, raw = fields[0], fields[1], fields[2]
+        if not user_id or not item_id:
+            raise IngestError(path, lineno, "empty user or item id")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise IngestError(path, lineno, f"bad rating value {raw!r}") from None
+        if not np.isfinite(value):
+            raise IngestError(path, lineno, f"non-finite rating value {raw!r}")
+        if not canonical and scale is not None:
+            try:
+                value = scale.normalize(value)
+            except ValueError as exc:
+                raise IngestError(path, lineno, str(exc)) from None
+        if not 0.0 <= value <= 1.0:
+            raise IngestError(
+                path, lineno, f"normalized weight {value} outside [0, 1]"
+            )
+        pair = (user_id, item_id)
+        if pair in seen:
+            if duplicate_policy == "strict":
+                raise IngestError(
+                    path,
+                    lineno,
+                    f"duplicate rating for user {user_id!r} and item "
+                    f"{item_id!r} (first seen at line {seen[pair]})",
+                )
+            continue
+        seen[pair] = lineno
+        edges.append((user_id, item_id, value))
+    return RatingGraph.from_edges(edges)
+
+
+def ingest_ground_truth(
+    path: str | Path,
+    *,
+    fmt: DelimitedFormat = _CANONICAL_FORMAT,
+    scale: RatingScale | None = None,
+) -> GroundTruth:
+    values: dict[str, float] = {}
+    for lineno, line in _lines(path):
+        fields = fmt.split(line)
+        if len(fields) < 2:
+            raise IngestError(
+                path, lineno, f"expected at least 2 fields, got {len(fields)}"
+            )
+        key, raw = fields[0], fields[1]
+        try:
+            value = float(raw)
+        except ValueError:
+            if lineno == 1:
+                continue
+            raise IngestError(path, lineno, f"bad value {raw!r}") from None
+        if not key:
+            raise IngestError(path, lineno, "empty id")
+        if not np.isfinite(value):
+            raise IngestError(path, lineno, f"non-finite value {raw!r}")
+        if scale is not None:
+            try:
+                value = scale.normalize(value)
+            except ValueError as exc:
+                raise IngestError(path, lineno, str(exc)) from None
+        if key in values:
+            raise IngestError(path, lineno, f"duplicate id {key!r}")
+        values[key] = value
+    return GroundTruth(values)

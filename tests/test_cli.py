@@ -56,6 +56,22 @@ class TestRunWrapper:
         assert not (out / "manifest.json").exists()
         assert "bad.dat:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("solve", "ratings.csv"), ("eval", "bins_mean.csv"),
+         ("synth", "truth.csv"), ("oracle-check", "oracle.json")],
+    )
+    def test_failed_write_leaves_no_stale_manifest(
+        self, tmp_path, two_user_file, command, blocked
+    ):
+        argv = command_argv(command, tmp_path, two_user_file)
+        out = tmp_path / "run"
+        assert run(*argv, "--out", out) == 0
+        (out / blocked).unlink()
+        (out / blocked).mkdir()  # writing this output now raises
+        assert run(*argv, "--out", out) == 1
+        assert not (out / "manifest.json").exists()
+
 
 class TestSolveCommand:
     def test_two_user_run(self, tmp_path, two_user_file):

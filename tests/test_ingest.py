@@ -150,12 +150,12 @@ class TestGroundTruth:
 class TestScoresCsv:
     def test_format(self, tmp_path):
         path = tmp_path / "bias.csv"
-        write_scores_csv(path, ("user_id", "bias"), [("u1", 0.5), ("u2", -0.5)])
+        write_scores_csv(path, ("user_id", "bias"), ["u1", "u2"], [0.5, -0.5])
         assert path.read_text() == "user_id,bias\nu1,0.500000000\nu2,-0.500000000\n"
 
     def test_round_trips_through_truth_reader(self, tmp_path):
         path = tmp_path / "scores.csv"
-        write_scores_csv(path, ("item_id", "true_rating"), [("m1", 0.123456789)])
+        write_scores_csv(path, ("item_id", "true_rating"), ["m1"], [0.123456789])
         truth = ingest_ground_truth(path)
         assert truth["m1"] == pytest.approx(0.123456789)
 
