@@ -214,13 +214,6 @@ class TestMatchesReference:
             reference.ingest_ground_truth, path
         )
 
-    def test_duplicate_names_both_lines(self, tmp_path):
-        path = write(tmp_path / "r.dat", "u1::m1::5\r\nu2::m1::3\ru1:: m1 ::4\n")
-        with pytest.raises(IngestError) as info:
-            ingest_ratings(path, scale=RatingScale(1, 5))
-        assert info.value.line == 3
-        assert "first seen at line 1" in str(info.value)
-
     def test_only_listed_breaks_split_lines(self, tmp_path):
         # A form feed inside a line leaves it one record; the reference's
         # `_lines` must agree, or the two parsers would number lines apart.
