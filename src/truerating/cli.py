@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,11 +58,11 @@ class RunManifest:
     same output files byte for byte; only the timing fields differ.
     """
 
-    inputs: dict
-    params: dict
     command: str = ""
-    outdir: str = ""
     version: str = __version__
+    outdir: str = ""
+    inputs: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     results: dict = field(default_factory=dict)
     started_at: str = ""
@@ -70,18 +70,8 @@ class RunManifest:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "outdir": self.outdir,
-            "inputs": self.inputs,
-            "params": self.params,
-            "outputs": self.outputs,
-            "results": self.results,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "wall_seconds": self.wall_seconds,
-        }
+        """JSON-ready form; keys follow the field order."""
+        return asdict(self)
 
 
 def _now_iso() -> str:
@@ -152,15 +142,16 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         raise ValueError(f"bad {what} {text!r}; expected lo:hi") from None
 
 
-def _user_values(path: str, graph: RatingGraph, what: str) -> dict[int, float]:
-    """Read a ``user_id,value`` file as {dense user index: value}."""
+def _user_values(path: str, graph: RatingGraph, what: str) -> np.ndarray:
+    """Read a ``user_id,value`` file as a per-user vector, NaN where the
+    file gives a user no value."""
     table = ingest_ground_truth(path)
     unknown = table.unmatched(graph.user_ids)
     if unknown:
         raise ValueError(
             f"{what} file names users absent from the graph: {unknown[:5]}"
         )
-    return {graph.user_index[uid]: value for uid, value in table.values.items()}
+    return table.aligned(graph.user_ids)
 
 
 def _seed_bias(spec: str, graph: RatingGraph):
@@ -174,10 +165,7 @@ def _seed_bias(spec: str, graph: RatingGraph):
         return np.full(graph.num_users, value, dtype=np.float64)
     if spec.startswith("file:"):
         seeds = _user_values(spec.removeprefix("file:"), graph, "seed bias")
-        vector = np.zeros(graph.num_users, dtype=np.float64)
-        for user, value in seeds.items():
-            vector[user] = value
-        return vector
+        return np.where(np.isnan(seeds), 0.0, seeds)
     raise ValueError(
         f"bad --seed-bias {spec!r}; expected zeros, const:<c>, or file:<path>"
     )
@@ -186,7 +174,9 @@ def _seed_bias(spec: str, graph: RatingGraph):
 def _alpha_overrides(path: str | None, graph: RatingGraph) -> dict[int, float] | None:
     if path is None:
         return None
-    return _user_values(path, graph, "alpha override")
+    values = _user_values(path, graph, "alpha override")
+    given = np.flatnonzero(~np.isnan(values))
+    return dict(zip(given.tolist(), values[given].tolist()))
 
 
 def _ingest(args) -> RatingGraph:
@@ -232,12 +222,7 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
     )
     graph = _ingest(args)
     overrides = _alpha_overrides(args.alpha_overrides, graph)
-    config = SolverConfig(
-        alpha=base.alpha,
-        epsilon=base.epsilon,
-        max_iterations=base.max_iterations,
-        alpha_overrides=overrides,
-    )
+    config = replace(base, alpha_overrides=overrides)
     initial = _seed_bias(args.seed_bias, graph)
 
     result = solve(graph, config, initial_bias=initial, threads=args.threads)

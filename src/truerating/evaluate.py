@@ -6,12 +6,19 @@ measures (per-bin absolute and relative deviation of true ratings from
 plain item means, binned by rating count), and fixed-width histograms of
 the bias and rating distributions. Everything here is a pure function of
 immutable inputs.
+
+Accuracy metrics run on dense float64 arrays that hold the common items'
+scores in ascending external-id order; ids are read only to find those
+items and that order. The order is kept for two reasons: it breaks ranking
+ties (equal scores rank by ascending id), and it is the summation order of
+every accuracy mean, overall and per bin, so each figure keeps its last
+bit however the graph numbered its items.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +44,50 @@ def _as_values(scores: Mapping[str, float] | GroundTruth) -> Mapping[str, float]
     return scores
 
 
+def _take(scores: Mapping[str, float], keys: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(scores.__getitem__, keys), np.float64, len(keys))
+
+
+def _aligned(
+    predicted: Mapping[str, float] | GroundTruth,
+    truth: Mapping[str, float] | GroundTruth,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both maps' scores over the ids they share, in ascending id order."""
+    pred = _as_values(predicted)
+    ref = _as_values(truth)
+    common = sorted(set(pred) & set(ref))
+    return _take(pred, common), _take(ref, common)
+
+
+def _ranks(scores: np.ndarray) -> np.ndarray:
+    # Position in descending score order; the stable sort breaks ties by
+    # array order, which is ascending id.
+    return np.argsort(np.argsort(-scores, kind="stable"))
+
+
+def _errors(
+    predicted: np.ndarray, truth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-item squared error and footrule rank distance (None below 2
+    items) of two score arrays over the same items in ascending id order."""
+    # `float_power` goes through the C library's `pow`, as Python's `x ** 2`
+    # does; `np.square` (x * x) can round the last bit the other way.
+    squared = np.float_power(predicted - truth, 2)
+    if predicted.size < 2:
+        return squared, None
+    distance = np.abs(_ranks(predicted) - _ranks(truth)).astype(np.float64)
+    return squared, distance
+
+
 def mse(
     predicted: Mapping[str, float] | GroundTruth,
     truth: Mapping[str, float] | GroundTruth,
 ) -> float:
     """Mean squared difference over the ids present in both score maps."""
-    common, squared, _ = _item_errors(predicted, truth)
-    if not common:
+    squared, _ = _errors(*_aligned(predicted, truth))
+    if not squared.size:
         raise ValueError("no common items between predicted and truth scores")
-    return float(np.mean(list(squared.values())))
-
-
-def _rank(scores: Mapping[str, float], keys: list[str]) -> dict[str, int]:
-    # Rank 1 = highest score; ties broken by ascending external id.
-    order = sorted(keys, key=lambda k: (-scores[k], k))
-    return {key: position for position, key in enumerate(order, start=1)}
+    return float(squared.mean())
 
 
 def rank_error(
@@ -63,56 +99,39 @@ def rank_error(
     Both maps are ranked descending over the intersection only, so the
     result depends on score order alone, never on score magnitude.
     """
-    common, _, distance = _item_errors(predicted, truth)
+    squared, distance = _errors(*_aligned(predicted, truth))
     if distance is None:
         raise ValueError(
             f"need at least 2 common items to compare rankings, "
-            f"got {len(common)}"
+            f"got {squared.size}"
         )
-    return float(np.mean(list(distance.values())))
+    return float(distance.mean())
 
 
-def _item_errors(
-    predicted: Mapping[str, float] | GroundTruth,
-    truth: Mapping[str, float] | GroundTruth,
-) -> tuple[list[str], dict[str, float], dict[str, float] | None]:
-    """Per-item errors over the ids both maps score, in ascending id order.
+def _item_vector(graph: RatingGraph, rating) -> np.ndarray:
+    """`rating` as a float64 array, checked to hold one value per item."""
+    rating = np.asarray(rating, dtype=np.float64)
+    if rating.shape != (graph.num_items,):
+        raise ValueError(
+            f"rating vector of length {rating.shape} misaligned with graph "
+            f"({graph.num_items} items)"
+        )
+    return rating
 
-    Returns the common ids, each one's squared error, and each one's
-    footrule rank distance (None with fewer than 2 common ids).
-    """
-    pred = _as_values(predicted)
-    ref = _as_values(truth)
-    common = sorted(set(pred) & set(ref))
-    squared = {k: (pred[k] - ref[k]) ** 2 for k in common}
-    distance = None
-    if len(common) >= 2:
-        pred_rank = _rank(pred, common)
-        ref_rank = _rank(ref, common)
-        distance = {k: float(abs(pred_rank[k] - ref_rank[k])) for k in common}
-    return common, squared, distance
+
+def _per_bin_mean(values: np.ndarray, bins: np.ndarray) -> dict[int, float]:
+    return {int(k): float(values[bins == k].mean()) for k in np.unique(bins)}
 
 
 def _deviation_by_bin(
     graph: RatingGraph, rating: np.ndarray
 ) -> dict[int, tuple[float, float]]:
-    means = graph.item_means()
     bins = degree_bins(graph.item_degrees)
-    deviation = np.abs(rating - means)
-    out: dict[int, tuple[float, float]] = {}
-    for k in np.unique(bins):
-        members = bins == k
-        dev = float(deviation[members].mean())
-        member_ratings = rating[members]
-        nonzero = member_ratings != 0.0
-        if nonzero.any():
-            rel = float(
-                (deviation[members][nonzero] / member_ratings[nonzero]).mean()
-            )
-        else:
-            rel = 0.0
-        out[int(k)] = (dev, rel)
-    return out
+    deviation = np.abs(rating - graph.item_means())
+    nonzero = rating != 0.0
+    dev = _per_bin_mean(deviation, bins)
+    rel = _per_bin_mean(deviation[nonzero] / rating[nonzero], bins[nonzero])
+    return {k: (dev[k], rel.get(k, 0.0)) for k in dev}
 
 
 def bin_deviation(
@@ -126,13 +145,7 @@ def bin_deviation(
     (zero-rating items are skipped, their count visible via `build_report`).
     Bins with no items are omitted.
     """
-    rating = np.asarray(result.rating, dtype=np.float64)
-    if rating.shape != (graph.num_items,):
-        raise ValueError(
-            f"rating vector of length {rating.shape} misaligned with graph "
-            f"({graph.num_items} items)"
-        )
-    return _deviation_by_bin(graph, rating)
+    return _deviation_by_bin(graph, _item_vector(graph, result.rating))
 
 
 def histogram(
@@ -159,13 +172,7 @@ def histogram(
 
 def rating_map(graph: RatingGraph, rating) -> dict[str, float]:
     """Per-item vector -> {external item id: score}."""
-    rating = np.asarray(rating, dtype=np.float64)
-    if rating.shape != (graph.num_items,):
-        raise ValueError(
-            f"rating vector of length {rating.shape} misaligned with graph "
-            f"({graph.num_items} items)"
-        )
-    return {item_id: float(r) for item_id, r in zip(graph.item_ids, rating)}
+    return dict(zip(graph.item_ids, _item_vector(graph, rating).tolist()))
 
 
 @dataclass(frozen=True)
@@ -207,13 +214,6 @@ class EvalReport:
         }
 
 
-def _per_bin_mean(values: dict[str, float], bins: dict[str, int]) -> dict[int, float]:
-    grouped: dict[int, list[float]] = {}
-    for key, value in values.items():
-        grouped.setdefault(bins[key], []).append(value)
-    return {k: float(np.mean(v)) for k, v in sorted(grouped.items())}
-
-
 def build_report(
     graph: RatingGraph,
     rating,
@@ -231,26 +231,30 @@ def build_report(
     yields MSE but no rank error). `bias` is the method's per-user vector,
     absent for the plain-mean baseline.
     """
-    rating = np.asarray(rating, dtype=np.float64)
-    pred_map = rating_map(graph, rating)
+    rating = _item_vector(graph, rating)
     by_bin = _deviation_by_bin(graph, rating)
 
     mse_overall = None
     rank_overall = None
     mse_bins: dict[int, float] = {}
     rank_bins: dict[int, float] = {}
-    common: list[str] = []
+    common: list[int] = []
     if truth is not None:
-        common, squared, distance = _item_errors(pred_map, truth)
+        ref = _as_values(truth)
+        ids = graph.item_ids
+        common = [j for j, key in enumerate(ids) if key in ref]
         if not common:
             raise ValueError("ground truth shares no items with the graph")
-        item_bins = degree_bins(graph.item_degrees)
-        bins_of = {k: int(item_bins[graph.item_index[k]]) for k in common}
-        mse_overall = float(np.mean(list(squared.values())))
-        mse_bins = _per_bin_mean(squared, bins_of)
+        common.sort(key=ids.__getitem__)
+        squared, distance = _errors(
+            rating[common], _take(ref, [ids[j] for j in common])
+        )
+        bins = degree_bins(graph.item_degrees)[common]
+        mse_overall = float(squared.mean())
+        mse_bins = _per_bin_mean(squared, bins)
         if distance is not None:
-            rank_overall = float(np.mean(list(distance.values())))
-            rank_bins = _per_bin_mean(distance, bins_of)
+            rank_overall = float(distance.mean())
+            rank_bins = _per_bin_mean(distance, bins)
 
     return EvalReport(
         method_label=label,

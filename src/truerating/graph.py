@@ -100,8 +100,6 @@ class RatingGraph:
     ----------
     user_ids / item_ids : tuple[str, ...]
         Dense index -> external id, in first-appearance order.
-    user_index / item_index : dict[str, int]
-        External id -> dense index.
     edge_user, edge_item, edge_weight : np.ndarray
         The edge list in canonical (user-major, item-ascending) order.
     user_ptr / item_ptr : np.ndarray
@@ -118,8 +116,6 @@ class RatingGraph:
     __slots__ = (
         "user_ids",
         "item_ids",
-        "user_index",
-        "item_index",
         "edge_user",
         "edge_item",
         "edge_weight",
@@ -183,8 +179,6 @@ class RatingGraph:
 
         self.user_ids = user_ids
         self.item_ids = item_ids
-        self.user_index = {uid: k for k, uid in enumerate(user_ids)}
-        self.item_index = {iid: k for k, iid in enumerate(item_ids)}
         self.edge_user = u
         self.edge_item = v
         self.edge_weight = w

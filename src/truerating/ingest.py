@@ -90,23 +90,6 @@ def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
                 yield lineno, line
 
 
-def _records(path: str | Path) -> tuple[np.ndarray, bool]:
-    """The non-blank lines of a file, and whether its first line is one.
-
-    Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
-    ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
-    ``\\x1c``, ``\\u2028`` and others.
-    """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        text = handle.read()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    del text
-    records = np.array(list(filter(str.strip, lines)), dtype=_STRING)
-    return records, bool(lines[0].strip())
-
-
 class _Rescan(Exception):
     """A columnar check failed; the line-by-line rescan names the line."""
 
@@ -116,17 +99,44 @@ def _require(ok) -> None:
         raise _Rescan
 
 
-def _columns(records: np.ndarray, sep: str, count: int) -> list[np.ndarray]:
-    """The first `count` stripped `sep`-separated fields of every record."""
-    sep_array = np.array(sep, dtype=_STRING)
-    rest = records
+def _columns(
+    path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool = False
+) -> tuple[list[np.ndarray], bool, bool]:
+    """The first `count` stripped `fmt` fields of each non-blank line,
+    whether the first line is non-blank, and whether the file is canonical
+    CSV: with `sniff`, a first non-blank line that is the canonical header
+    is dropped and the lines are split on ``,``.
+
+    Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
+    ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
+    ``\\x1c``, ``\\u2028`` and others. The array of whole lines lives
+    only in here, and only until the first cut.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        text = handle.read()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    first_line_kept = bool(lines[0].strip())
+    records = list(filter(str.strip, lines))
+    del lines
+    canonical = sniff and bool(records) and (
+        tuple(_CANONICAL_FORMAT.split(records[0])) == CANONICAL_HEADER
+    )
+    if canonical:
+        fmt = _CANONICAL_FORMAT
+        del records[0]
+    rest = np.array(records, dtype=_STRING)
+    del records
+    sep = np.array(fmt.delimiter, dtype=_STRING)
     columns = []
     for k in range(count):
-        field, found, rest = np.strings.partition(rest, sep_array)
+        field, found, rest = np.strings.partition(rest, sep)
         columns.append(np.strings.strip(field))
         if k < count - 1:
             _require(np.strings.str_len(found).all())
-    return columns
+    return columns, first_line_kept, canonical
 
 
 def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
@@ -156,14 +166,9 @@ def _rating_columns(
 ) -> RatingGraph:
     """Columnar `ingest_ratings`; raises `_Rescan` or `ValueError` instead
     of an `IngestError`."""
-    records, _ = _records(path)
-    if records.size and tuple(_CANONICAL_FORMAT.split(records[0])) == CANONICAL_HEADER:
-        records = records[1:]
-        fmt, scale = _CANONICAL_FORMAT, None
-    user, item, raw = _columns(records, fmt.delimiter, 3)
-    del records
+    (user, item, raw), _, canonical = _columns(path, fmt, 3, sniff=True)
     _require(np.strings.str_len(user).all() and np.strings.str_len(item).all())
-    weight = _values(raw, scale)
+    weight = _values(raw, None if canonical else scale)
     # Before `keep_first` drops rows: a dropped row must be valid too.
     _require(((weight >= 0.0) & (weight <= 1.0)).all())
     user_ids, u = _dense_ids(user)
@@ -288,9 +293,7 @@ def _truth_columns(
 ) -> GroundTruth:
     """Columnar `ingest_ground_truth`; raises `_Rescan` or `ValueError`
     instead of an `IngestError`."""
-    records, first_line_kept = _records(path)
-    key, raw = _columns(records, fmt.delimiter, 2)
-    del records
+    (key, raw), first_line_kept, _ = _columns(path, fmt, 2)
     if first_line_kept:
         try:
             float(raw[0])

@@ -178,6 +178,37 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--seed-bias", "--alpha-overrides"])
+    def test_user_file_naming_absent_user(
+        self, tmp_path, two_user_file, capsys, flag
+    ):
+        values = tmp_path / "values.csv"
+        values.write_text("user_id,value\nu1,0.1\nghost,0.2\n", encoding="utf-8")
+        spec = f"file:{values}" if flag == "--seed-bias" else values
+        out = tmp_path / "out"
+        code = run(
+            "solve", "--ratings", two_user_file, "--alpha", "0.5",
+            flag, spec, "--out", out,
+        )
+        assert code == 1
+        assert "names users absent from the graph" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_seed_bias_file_reaches_named_users(self, tmp_path, two_user_file):
+        # With no iterations the seed is the output: the one listed user
+        # gets its value, the other starts at zero.
+        seeds = tmp_path / "seeds.csv"
+        seeds.write_text("user_id,bias\nu2,-0.25\n", encoding="utf-8")
+        out = tmp_path / "seeded"
+        code = run(
+            "solve", "--ratings", two_user_file, "--max-iters", "0",
+            "--seed-bias", f"file:{seeds}", "--out", out,
+        )
+        assert code == 2
+        assert (out / "bias.csv").read_text() == (
+            "user_id,bias\nu1,0.000000000\nu2,-0.250000000\n"
+        )
+
     def test_duplicate_policies(self, tmp_path):
         dup = tmp_path / "dup.dat"
         dup.write_text("u1::m1::5\nu1::m1::1\nu2::m1::3\n", encoding="utf-8")

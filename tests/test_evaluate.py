@@ -9,6 +9,7 @@ from truerating import (
     SolverConfig,
     bin_deviation,
     build_report,
+    degree_bins,
     generate_planted,
     histogram,
     mse,
@@ -223,6 +224,11 @@ class TestBuildReport:
         # Per-bin values average back to the overall figure.
         item_bins = list(report.mse_per_bin)
         assert min(item_bins) >= 1 and max(item_bins) <= 11
+        counts = np.bincount(degree_bins(inst.graph.item_degrees))
+        weighted = sum(counts[k] * v for k, v in report.mse_per_bin.items())
+        assert weighted / report.common_items == pytest.approx(
+            report.mse_overall, abs=1e-12
+        )
 
     def test_mean_baseline_has_no_bias_histogram(self):
         inst, _, truth = self._instance()

@@ -84,14 +84,15 @@ class TestRatingGraphConstruction:
         )
         assert g.user_ids == ("b", "a")
         assert g.item_ids == ("y", "x")
-        assert g.user_index == {"b": 0, "a": 1}
 
     def test_canonical_edge_order(self):
         g = RatingGraph.from_edges(
             [("u2", "m2", 0.4), ("u1", "m2", 0.3), ("u2", "m1", 0.2)]
         )
         triples = list(g.edges())
-        assert triples == sorted(triples, key=lambda e: (g.user_index[e[0]], g.item_index[e[1]]))
+        assert triples == sorted(
+            triples, key=lambda e: (g.user_ids.index(e[0]), g.item_ids.index(e[1]))
+        )
 
     def test_duplicate_strict_raises(self):
         with pytest.raises(

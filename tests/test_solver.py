@@ -209,9 +209,9 @@ class TestSolve:
         config = SolverConfig(alpha=0.7, epsilon=1e-11)
         r1, r2 = solve(g1, config), solve(g2, config)
         for uid in ("u1", "u2"):
-            assert r1.bias[g1.user_index[uid]] == r2.bias[g2.user_index[uid]]
+            assert r1.bias[g1.user_ids.index(uid)] == r2.bias[g2.user_ids.index(uid)]
         for mid in ("m1", "m2"):
-            assert r1.rating[g1.item_index[mid]] == r2.rating[g2.item_index[mid]]
+            assert r1.rating[g1.item_ids.index(mid)] == r2.rating[g2.item_ids.index(mid)]
 
     def test_empty_graph(self):
         result = solve(RatingGraph.from_edges([]), SolverConfig(alpha=0.5))
