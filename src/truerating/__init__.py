@@ -4,7 +4,7 @@ A user's bias is their average signed deviation from item scores; an item's
 debiased ("true") rating is the average of its ratings after each one is
 corrected for the rater's bias. The two quantities are mutually recursive and
 are solved by a damped fixed-point iteration with a guaranteed geometric
-convergence rate, plus a dense linear-algebra oracle for cross-checking,
+convergence rate, plus a matrix-free linear oracle for cross-checking,
 a planted-bias synthetic generator, and an evaluation suite.
 """
 
@@ -36,7 +36,7 @@ from .solver import (
     iterations_needed,
     solve,
 )
-from .oracle import DENSE_CELL_LIMIT, DenseSystem, build_dense, solve_linear
+from .oracle import solve_linear
 from .synth import PlantedInstance, generate_planted
 from .evaluate import (
     EvalReport,
@@ -73,9 +73,6 @@ __all__ = [
     "iterate_once",
     "iterations_needed",
     "solve",
-    "DENSE_CELL_LIMIT",
-    "DenseSystem",
-    "build_dense",
     "solve_linear",
     "PlantedInstance",
     "generate_planted",

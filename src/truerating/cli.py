@@ -9,7 +9,7 @@ Subcommands:
                    per-bin CSV tables, per-method rating CSVs
 * ``synth``        generate a planted instance; writes ratings.csv,
                    truth.csv, planted_bias.csv
-* ``oracle-check`` cross-check the iterative solver against the dense
+* ``oracle-check`` cross-check the iterative solver against the matrix-free
                    linear solution; writes oracle.json
 
 Exit codes: 0 success, 2 stopped at max iterations without converging,
@@ -43,7 +43,7 @@ from .ingest import (
     write_ratings_csv,
     write_scores_csv,
 )
-from .oracle import build_dense, residual_linf, solve_linear
+from .oracle import residual_linf, solve_linear
 from .solver import SolverConfig, iterations_needed, solve
 from .synth import generate_planted
 
@@ -171,11 +171,19 @@ def _seed_bias(spec: str, graph: RatingGraph):
     )
 
 
-def _alpha_overrides(path: str | None, graph: RatingGraph) -> dict[int, float] | None:
+def _alpha_overrides(
+    path: str | None, graph: RatingGraph, alpha: float
+) -> dict[int, float] | None:
     if path is None:
         return None
     values = _user_values(path, graph, "alpha override")
     given = np.flatnonzero(~np.isnan(values))
+    bad = given[(values[given] < 0.0) | (values[given] > alpha)]
+    if bad.size:
+        raise ValueError(
+            f"alpha override {values[bad[0]]} for user "
+            f"{graph.user_ids[bad[0]]!r} outside [0, {alpha}]"
+        )
     return dict(zip(given.tolist(), values[given].tolist()))
 
 
@@ -221,7 +229,7 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
     )
     graph = _ingest(args)
-    overrides = _alpha_overrides(args.alpha_overrides, graph)
+    overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
     initial = _seed_bias(args.seed_bias, graph)
 
@@ -398,7 +406,6 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     graph = _ingest(args)
-    system = build_dense(graph, args.alpha)
 
     # Run the iterative side well past the comparison tolerance: stopping at
     # L1 delta eps leaves at most alpha/(1-alpha)*eps distance to the fixed
@@ -417,8 +424,8 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
     elif not result.converged:
         status, code = "non-converged", 2
     else:
-        oracle_bias, oracle_rating = solve_linear(system)
-        residual = residual_linf(system, oracle_bias, oracle_rating)
+        oracle_bias, oracle_rating = solve_linear(graph, args.alpha)
+        residual = residual_linf(graph, args.alpha, oracle_bias, oracle_rating)
         max_bias_diff = float(np.max(np.abs(result.bias - oracle_bias)))
         max_rating_diff = float(np.max(np.abs(result.rating - oracle_rating)))
         if max(max_bias_diff, max_rating_diff) > args.tolerance:
@@ -560,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-check",
-        help="compare the iterative solve against the dense linear solution",
+        help="compare the iterative solve against the conjugate-gradient "
+        "linear solution",
     )
     _add_input_flags(p)
     p.add_argument("--alpha", type=float, default=0.99)

@@ -24,7 +24,6 @@ first bad record.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +47,8 @@ CANONICAL_HEADER = ("user_id", "item_id", "weight")
 
 #: Decimal places used for every weight/score this package writes.
 FLOAT_DIGITS = 9
-_FLOAT_FORMAT = f"{{:.{FLOAT_DIGITS}f}}"
+_SCORE_ROW = f"{{}},{{:.{FLOAT_DIGITS}f}}\n"
+_RATING_ROW = f"{{}},{{}},{{:.{FLOAT_DIGITS}f}}\n"
 
 _STRING = np.dtypes.StringDType()
 
@@ -357,15 +357,23 @@ def ingest_ground_truth(
         raise IngestError(path, 0, str(exc)) from None
 
 
+def _require_plain_ids(ids: Sequence[str]) -> None:
+    # Ids are written verbatim and read back split on a bare ",", so every
+    # id without a "," reads back as itself.
+    if "," in "".join(ids):
+        bad = next(i for i in ids if "," in i)
+        raise ValueError(f"id {bad!r} contains ',' and cannot be written as CSV")
+
+
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
     """Write the graph's edges as canonical CSV in canonical edge order."""
+    _require_plain_ids(graph.user_ids + graph.item_ids)
     users = map(graph.user_ids.__getitem__, graph.edge_user.tolist())
     items = map(graph.item_ids.__getitem__, graph.edge_item.tolist())
-    weights = map(_FLOAT_FORMAT.format, graph.edge_weight.tolist())
+    weights = graph.edge_weight.tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CANONICAL_HEADER)
-        writer.writerows(zip(users, items, weights))
+        handle.write(",".join(CANONICAL_HEADER) + "\n")
+        handle.writelines(map(_RATING_ROW.format, users, items, weights))
 
 
 def write_scores_csv(
@@ -375,8 +383,8 @@ def write_scores_csv(
     values: np.ndarray,
 ) -> None:
     """Write ``id,value`` rows (bias or rating scores) with a fixed header."""
-    formatted = map(_FLOAT_FORMAT.format, np.asarray(values, np.float64).tolist())
+    _require_plain_ids(ids)
+    scores = np.asarray(values, np.float64).tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(ids, formatted))
+        handle.write(",".join(header) + "\n")
+        handle.writelines(map(_SCORE_ROW.format, ids, scores))

@@ -125,7 +125,7 @@ class SolverResult:
     `rating[j]` pairs with `bias[i]` through the update equations of the
     last completed iteration. `clamped` reports whether any debiased weight
     ever left [0, 1] and had to be clipped; clamp-free runs are exactly the
-    ones the dense linear solver can reproduce.
+    ones the linear oracle (`solve_linear`) can reproduce.
     """
 
     bias: np.ndarray

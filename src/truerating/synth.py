@@ -9,7 +9,7 @@ with observed weight
 With zero noise and ranges that keep quality + bias inside [0, 1], the
 observed weights are exact and the instance is clamp-free by
 construction, which makes these graphs suitable ground truth for both
-the iterative solver and the dense linear reference.
+the iterative solver and the linear oracle.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import numpy as np
 from truerating import (
     RatingGraph,
     SolverConfig,
-    build_dense,
     build_report,
     generate_planted,
     ingest_ground_truth,
@@ -123,7 +122,7 @@ def test_criterion_2_unique_fixed_point():
 
 def test_criterion_3_linear_oracle_equivalence():
     # On clamp-free instances the iterative fixed point must match the
-    # dense linear solve to 1e-8 in L-infinity.
+    # linear solve to 1e-8 in L-infinity.
     start = time.perf_counter()
     rng = np.random.default_rng(33)
     worst = 0.0
@@ -143,7 +142,7 @@ def test_criterion_3_linear_oracle_equivalence():
         epsilon = 1e-11 if alpha == 0.99 else 1e-12
         result = solve(instance.graph, SolverConfig(alpha=alpha, epsilon=epsilon))
         clamped += int(result.clamped)
-        oracle_bias, oracle_rating = solve_linear(build_dense(instance.graph, alpha))
+        oracle_bias, oracle_rating = solve_linear(instance.graph, alpha)
         worst = max(
             worst,
             float(np.max(np.abs(result.bias - oracle_bias))),

@@ -4,6 +4,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from truerating import ingest_ratings, solve_linear
 from truerating.cli import main
 
 
@@ -177,6 +178,24 @@ class TestSolveCommand:
             "--alpha-overrides", overrides, "--out", tmp_path / "x",
         )
         assert code == 1
+
+    def test_alpha_override_named_by_file_id(
+        self, tmp_path, two_user_file, capsys
+    ):
+        # u2 is dense index 1; the message names the id from the file.
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text("user_id,alpha\nu2,0.9\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            "solve", "--ratings", two_user_file, "--alpha", "0.5",
+            "--alpha-overrides", overrides, "--out", out,
+        )
+        assert code == 1
+        assert (
+            "error: alpha override 0.9 for user 'u2' outside [0, 0.5]"
+            in capsys.readouterr().err
+        )
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("flag", ["--seed-bias", "--alpha-overrides"])
     def test_user_file_naming_absent_user(
@@ -360,14 +379,25 @@ class TestOracleCheckCommand:
         assert code == 3
         assert json.loads((out / "oracle.json").read_text())["status"] == "clamped"
 
-    def test_oversized_graph_guarded(self, tmp_path):
-        lines = ["user_id,item_id,weight"]
-        for i in range(2000):
-            lines.append(f"u{i},m{i % 501},0.500000000")
-        ratings = tmp_path / "big.csv"
-        ratings.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = run("oracle-check", "--ratings", ratings, "--out", tmp_path / "o")
-        assert code == 1
+    def test_graph_over_a_million_cells(self, tmp_path):
+        # 2100 users x 500 items: more user-item cells than a dense system
+        # of the graph could hold in a million, checked all the same.
+        instance = tmp_path / "syn"
+        run("synth", "--users", "2100", "--items", "500", "--density", "0.1",
+            "--bias-range=-0.1:0.1", "--seed", "11", "--out", instance)
+        ratings = instance / "ratings.csv"
+        graph = ingest_ratings(ratings)
+        assert graph.num_users * graph.num_items > 1_000_000
+        bias, _ = solve_linear(graph, 0.99)
+        assert np.max(np.abs(bias)) > 0.01
+        out = tmp_path / "oracle"
+        code = run("oracle-check", "--ratings", ratings, "--alpha", "0.99",
+                   "--out", out)
+        assert code == 0
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["status"] == "ok"
+        assert payload["max_bias_diff"] <= payload["tolerance"]
+        assert payload["max_rating_diff"] <= payload["tolerance"]
 
 
 class TestParsing:

@@ -1,5 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from truerating import (
     MOVIELENS_FORMAT,
@@ -103,6 +107,22 @@ class TestCanonicalCsv:
         g = ingest_ratings(path, scale=RatingScale(1, 5))
         assert list(g.edges()) == [("u1", "m1", 0.5)]
 
+    def test_quoted_ids_round_trip(self, tmp_path):
+        g = RatingGraph.from_edges([('x"y', '"q"', 0.5), ("u2", '"q"', 0.25)])
+        path = tmp_path / "edges.csv"
+        write_ratings_csv(g, path)
+        assert path.read_text().splitlines()[1] == 'x"y,"q",0.500000000'
+        assert list(ingest_ratings(path).edges()) == list(g.edges())
+
+    def test_comma_in_id_rejected_before_open(self, tmp_path):
+        g = RatingGraph.from_edges(
+            [("u1", "Heat", 0.5), ("u1", "Toy Story, The", 1.0), ("u2", "a,b", 0.0)]
+        )
+        path = tmp_path / "edges.csv"
+        with pytest.raises(ValueError, match="'Toy Story, The' contains ','"):
+            write_ratings_csv(g, path)
+        assert not path.exists()
+
     def test_write_is_deterministic(self, tmp_path):
         g = RatingGraph.from_edges([("u2", "m1", 0.5), ("u1", "m2", 0.25), ("u1", "m1", 1.0)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -158,6 +178,40 @@ class TestScoresCsv:
         write_scores_csv(path, ("item_id", "true_rating"), ["m1"], [0.123456789])
         truth = ingest_ground_truth(path)
         assert truth["m1"] == pytest.approx(0.123456789)
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        ids = ['x"y', '"q"', 'say ""hi""']
+        write_scores_csv(path, ("item_id", "true_rating"), ids, [0.1, 0.2, 0.3])
+        assert path.read_text().splitlines()[1:] == [
+            'x"y,0.100000000', '"q",0.200000000', 'say ""hi"",0.300000000'
+        ]
+        assert list(ingest_ground_truth(path).values) == ids
+
+    def test_comma_in_id_rejected_before_open(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'Toy Story, The' contains ','"):
+            write_scores_csv(
+                path, ("item_id", "true_rating"),
+                ["Heat", "Toy Story, The", "a,b"], [0.1, 0.2, 0.3],
+            )
+        assert path.read_text() == "kept\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet=st.characters(
+        codec="utf-8", exclude_characters=',"\r\n')), max_size=8))
+    def test_bytes_match_csv_module(self, tmp_path_factory, ids):
+        # Ids without a quote or a line break are written as the csv
+        # module's minimal quoting would write them.
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        values = np.linspace(-1.0, 1.0, len(ids))
+        write_scores_csv(path, ("id", "value"), ids, values)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("id", "value"))
+        writer.writerows((i, f"{v:.9f}") for i, v in zip(ids, values.tolist()))
+        assert path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 class TestFormats:
