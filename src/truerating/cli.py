@@ -38,6 +38,7 @@ from .graph import RatingGraph, RatingScale
 from .ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
+    _require_plain_ids,
     ingest_ground_truth,
     ingest_ratings,
     write_ratings_csv,
@@ -229,6 +230,7 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
     )
     graph = _ingest(args)
+    _require_plain_ids(graph.user_ids + graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
     initial = _seed_bias(args.seed_bias, graph)
@@ -275,6 +277,7 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
         results={
             "converged": result.converged,
             "iterations": result.iterations,
+            "sweeps": result.sweeps,
             "clamped": result.clamped,
             "users": graph.num_users,
             "items": graph.num_items,
@@ -291,6 +294,7 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
         for a in alphas
     ]
     graph = _ingest(args)
+    _require_plain_ids(graph.item_ids)
     truth = ingest_ground_truth(
         args.truth, scale=_parse_scale(args.truth_scale)
     )
@@ -313,6 +317,7 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
         convergence[tag] = {
             "converged": result.converged,
             "iterations": result.iterations,
+            "sweeps": result.sweeps,
             "clamped": result.clamped,
         }
 

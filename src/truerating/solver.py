@@ -8,11 +8,23 @@ bias (corrections are clipped back into [0, 1]):
     rating_j = mean_{i rated j} clip(w_ij - alpha_i * bias_i)
     bias_i   = mean_{j rated by i} (w_ij - rating_j)
 
-One iteration refreshes every rating from the previous biases, then every
-bias from those fresh ratings. With all damping factors alpha_i <= alpha < 1
-the composite update is an alpha-contraction in the max norm, so iterates
-converge to the unique fixed point from any starting bias, and successive
-bias deltas shrink at least geometrically in alpha.
+Write R(b) for the rating update and T(b) = B(R(b)) for the bias map: one
+sweep refreshes every rating from a bias vector, then every bias from those
+fresh ratings. With all damping factors alpha_i <= alpha < 1, T is an
+alpha-contraction in the max norm, so it has a unique fixed point, reached
+from any starting bias.
+
+The solve iterates T with safeguarded type-II Anderson mixing (Walker & Ni,
+SIAM J. Numer. Anal. 2011). From an iterate x with residual g = T(x) - x,
+the candidate is T(x) minus the combination of the last `DEPTH` differences
+of T that best cancels g, in least squares against the matching residual
+differences. Following Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020), a
+candidate is accepted only if its max-norm residual is at most alpha times
+the current one; otherwise the history is cleared and the plain step T(x)
+is taken, whose residual the contraction shrinks by alpha (up to rounding).
+So every accepted iterate's residual shrinks at least by alpha, as under
+plain iteration, which is the same loop with an empty history. An accepted
+iterate costs one sweep, or two when a candidate was rejected first.
 
 Each sweep runs one code path: the nodes are split into contiguous chunks
 at node boundaries, each chunk sums its own edge slice with `np.bincount`,
@@ -21,8 +33,9 @@ one-chunk plan mapped without a pool.
 
 Determinism: every per-node mean accumulates its terms in ascending
 neighbor order (the graph's canonical slice order), and a node's terms
-never span two chunks, so results are bit-identical across thread counts
-and repeated runs.
+never span two chunks; the Anderson arithmetic runs serially on whole
+vectors. So results are bit-identical across thread counts and repeated
+runs.
 """
 
 from __future__ import annotations
@@ -35,6 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import RatingGraph
+
+#: Number of past steps the Anderson candidate combines.
+DEPTH = 3
+#: Tikhonov term added to the Gram matrix of residual differences, relative
+#: to its trace; it keeps nearly collinear histories solvable.
+_RIDGE = 1e-10
 
 __all__ = [
     "debias_weight",
@@ -76,9 +95,9 @@ class SolverConfig:
 
     `alpha` is the global damping factor; `alpha_overrides` maps dense user
     indices to per-user factors, each in [0, alpha] (zero turns a user's
-    correction off). `max_iterations` defaults to `iterations_needed(alpha,
-    epsilon)` and may be zero, in which case the solver returns its starting
-    state untouched.
+    correction off). `max_iterations` caps the accepted iterates; it
+    defaults to `iterations_needed(alpha, epsilon)` and may be zero, in
+    which case the solver returns its starting state untouched.
     """
 
     alpha: float = 0.99
@@ -110,7 +129,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Per-iteration deltas; the L1 bias delta drives the stopping rule."""
+    """One accepted iterate x.
+
+    The bias deltas are norms of the residual T(x) - x, the change a plain
+    step from x would make; the L1 norm drives the stopping rule.
+    `l1_rating_delta` is the change of R(x) since the previous accepted
+    iterate.
+    """
 
     iteration: int
     l1_bias_delta: float
@@ -122,29 +147,32 @@ class IterationStats:
 class SolverResult:
     """Final state of a solve.
 
-    `rating[j]` pairs with `bias[i]` through the update equations of the
-    last completed iteration. `clamped` reports whether any debiased weight
-    ever left [0, 1] and had to be clipped; clamp-free runs are exactly the
-    ones the linear oracle (`solve_linear`) can reproduce.
+    For the last accepted iterate x, `rating` is R(x) and `bias` is
+    T(x) = B(rating), so the bias equation holds exactly. `iterations`
+    counts accepted iterates and `sweeps` the evaluations of the map,
+    rejected Anderson candidates included. `clamped` reports whether any
+    debiased weight of an accepted iterate left [0, 1] and had to be
+    clipped; clamp-free runs are exactly the ones the linear oracle
+    (`solve_linear`) can reproduce.
     """
 
     bias: np.ndarray
     rating: np.ndarray
     converged: bool
     iterations: int
+    sweeps: int
     clamped: bool
     trace: list[IterationStats] = field(default_factory=list)
 
 
 def _per_user_alpha(
-    graph: RatingGraph, alpha: float, overrides: Mapping[int, float] | None
+    graph: RatingGraph, alpha: float, overrides: Mapping[int, float]
 ) -> np.ndarray:
     alphas = np.full(graph.num_users, alpha, dtype=np.float64)
-    if overrides:
-        for user, value in overrides.items():
-            if not 0 <= user < graph.num_users:
-                raise ValueError(f"alpha override for unknown user index {user}")
-            alphas[user] = value
+    for user, value in overrides.items():
+        if not 0 <= user < graph.num_users:
+            raise ValueError(f"alpha override for unknown user index {user}")
+        alphas[user] = value
     return alphas
 
 
@@ -153,44 +181,74 @@ def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _plan(ptr: np.ndarray, parts: int) -> list[tuple]:
+def _plan(
+    ptr: np.ndarray, parts: int, owner: np.ndarray | None = None
+) -> list[tuple]:
     """Split CSR nodes into `parts` chunks ``(lo, hi, e0, e1, local)``.
 
     Nodes lo..hi-1 own edges e0..e1-1; `local` gives each of those edges
     its node's index relative to lo, the segment key for `np.bincount`.
+    `owner`, when given, is every edge's node index; a chunk starting at
+    node 0 uses a slice of it instead of a new array.
     """
     degrees = np.diff(ptr)
-    return [
-        (lo, hi, int(ptr[lo]), int(ptr[hi]),
-         np.repeat(np.arange(hi - lo), degrees[lo:hi]))
-        for lo, hi in _chunks(len(degrees), parts)
-    ]
+    plan = []
+    for lo, hi in _chunks(len(degrees), parts):
+        e0, e1 = int(ptr[lo]), int(ptr[hi])
+        if owner is not None and lo == 0:
+            local = owner[e0:e1]
+        else:
+            local = np.repeat(np.arange(hi - lo), degrees[lo:hi])
+        plan.append((lo, hi, e0, e1, local))
+    return plan
+
+
+@dataclass
+class _Iterate:
+    """The bias map evaluated at one bias vector x."""
+
+    rating: np.ndarray    # R(x)
+    image: np.ndarray     # T(x) = B(R(x))
+    residual: np.ndarray  # T(x) - x
+    linf: float           # max norm of the residual
+    clamped: bool         # whether R(x) clipped a debiased weight
 
 
 class _Sweeps:
-    """Precomputed gather arrays and chunk plans for one solve."""
+    """Precomputed gather arrays and chunk plans for one solve.
+
+    `count` is the number of map evaluations made so far.
+    """
 
     def __init__(
         self,
         graph: RatingGraph,
-        alpha_user: np.ndarray,
+        config: SolverConfig,
         threads: int,
         pool: ThreadPoolExecutor | None,
     ) -> None:
         self.graph = graph
         self.map = map if pool is None else pool.map
+        self.count = 0
         # Damping factor of each edge's author, in item-major edge order.
-        self.alpha_edge = alpha_user[graph.by_item_user]
+        # Without overrides every factor is alpha, and multiplying by the
+        # scalar gives the same products without the per-edge array.
+        self.alpha = config.alpha
+        self.alpha_edge = None
+        if config.alpha_overrides:
+            alpha_user = _per_user_alpha(
+                graph, config.alpha, config.alpha_overrides
+            )
+            self.alpha_edge = alpha_user[graph.by_item_user]
         self.item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
         self.user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
         self.item_plan = _plan(graph.item_ptr, threads)
-        self.user_plan = _plan(graph.user_ptr, threads)
+        self.user_plan = _plan(graph.user_ptr, threads, graph.edge_user)
 
     def _rating_chunk(self, bias, lo, hi, e0, e1, local):
         g = self.graph
-        adjusted = g.by_item_weight[e0:e1] - self.alpha_edge[e0:e1] * bias[
-            g.by_item_user[e0:e1]
-        ]
+        alpha = self.alpha if self.alpha_edge is None else self.alpha_edge[e0:e1]
+        adjusted = g.by_item_weight[e0:e1] - alpha * bias[g.by_item_user[e0:e1]]
         clamped = bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
         np.clip(adjusted, 0.0, 1.0, out=adjusted)
         sums = np.bincount(local, weights=adjusted, minlength=hi - lo)
@@ -220,6 +278,77 @@ class _Sweeps:
         for (lo, hi, *_), sums in zip(self.user_plan, chunks):
             bias[lo:hi] = sums / self.user_deg[lo:hi]
         return bias
+
+    def evaluate(self, bias: np.ndarray) -> _Iterate:
+        """One sweep: R and T at `bias`, and the residual T(bias) - bias."""
+        self.count += 1
+        rating, clamped = self.rating_step(bias)
+        image = self.bias_step(rating)
+        residual = image - bias
+        return _Iterate(rating, image, residual, _linf(residual), clamped)
+
+
+class _History:
+    """Differences between the last `DEPTH` pairs of accepted iterates.
+
+    Row k of `dg` is a difference of residuals T(x) - x, row k of `df` the
+    matching difference of T(x). Rows are overwritten in turn; the
+    least-squares weights do not depend on their order. `gram` holds
+    ``dg @ dg.T``, updated by one row of dot products per push.
+    """
+
+    def __init__(self, num_users: int) -> None:
+        self.dg = np.empty((DEPTH, num_users), dtype=np.float64)
+        self.df = np.empty((DEPTH, num_users), dtype=np.float64)
+        self.gram = np.empty((DEPTH, DEPTH), dtype=np.float64)
+        self.size = 0
+        self.slot = 0
+
+    def clear(self) -> None:
+        self.size = self.slot = 0
+
+    def push(self, new: _Iterate, old: _Iterate) -> None:
+        k = self.slot
+        np.subtract(new.residual, old.residual, out=self.dg[k])
+        np.subtract(new.image, old.image, out=self.df[k])
+        self.size = min(self.size + 1, DEPTH)
+        self.slot = (k + 1) % DEPTH
+        row = self.dg[:self.size] @ self.dg[k]
+        self.gram[k, :self.size] = row
+        self.gram[:self.size, k] = row
+
+    def candidate(self, current: _Iterate) -> np.ndarray | None:
+        """T(x) - gamma @ df, with gamma the least-squares weights that
+        minimise |g - gamma @ dg|; None without history or finite weights."""
+        m = self.size
+        if not m:
+            return None
+        gram = self.gram[:m, :m]
+        ridge = _RIDGE * np.trace(gram) * np.eye(m)
+        try:
+            gamma = np.linalg.solve(gram + ridge, self.dg[:m] @ current.residual)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(gamma).all():
+            return None
+        return current.image - gamma @ self.df[:m]
+
+
+def _advance(
+    sweeps: _Sweeps, history: _History, current: _Iterate, alpha: float
+) -> _Iterate:
+    """The next accepted iterate: the Anderson candidate if its residual
+    shrinks by alpha in the max norm, otherwise the plain step T(x)."""
+    candidate = history.candidate(current)
+    if candidate is not None:
+        trial = sweeps.evaluate(candidate)
+        if trial.linf <= alpha * current.linf:
+            history.push(trial, current)
+            return trial
+        history.clear()
+    plain = sweeps.evaluate(current.image)
+    history.push(plain, current)
+    return plain
 
 
 def _l1(delta: np.ndarray) -> float:
@@ -255,11 +384,8 @@ def iterate_once(
     Every rating is computed from the incoming bias vector before any bias
     is refreshed, so the result is independent of edge traversal order.
     """
-    bias = _seed(graph, bias)
-    alpha_user = _per_user_alpha(graph, config.alpha, config.alpha_overrides)
-    sweeps = _Sweeps(graph, alpha_user, 1, None)
-    rating, _ = sweeps.rating_step(bias)
-    return rating, sweeps.bias_step(rating)
+    step = _Sweeps(graph, config, 1, None).evaluate(_seed(graph, bias))
+    return step.rating, step.image
 
 
 def solve(
@@ -272,50 +398,48 @@ def solve(
     """Iterate to the bias/rating fixed point.
 
     Starts from `initial_bias` (zeros by default) with ratings at the plain
-    per-item means, and stops once the L1 norm of the bias change drops
-    below `config.epsilon` or `config.max_iterations` is reached. `threads`
-    splits each sweep across a thread pool without changing any result bit.
+    per-item means, and stops once the L1 norm of the current iterate's
+    residual T(x) - x drops below `config.epsilon` or `config.max_iterations`
+    iterates have been accepted. `threads` splits each sweep across a
+    thread pool without changing any result bit.
     """
     if config is None:
         config = SolverConfig()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     bias = _seed(graph, initial_bias)
-    alpha_user = _per_user_alpha(graph, config.alpha, config.alpha_overrides)
     if threads > 1 and graph.num_edges:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _run(graph, config, bias, alpha_user, threads, pool)
-    return _run(graph, config, bias, alpha_user, 1, None)
+            return _run(graph, config, bias, _Sweeps(graph, config, threads, pool))
+    return _run(graph, config, bias, _Sweeps(graph, config, 1, None))
 
 
 def _run(
     graph: RatingGraph,
     config: SolverConfig,
     bias: np.ndarray,
-    alpha_user: np.ndarray,
-    threads: int,
-    pool: ThreadPoolExecutor | None,
+    sweeps: _Sweeps,
 ) -> SolverResult:
-    sweeps = _Sweeps(graph, alpha_user, threads, pool)
+    history = _History(graph.num_users)
     rating = graph.item_means()
     trace: list[IterationStats] = []
     converged = False
     clamped = False
-    iterations = 0
+    current = None
     for step in range(1, config.max_iterations + 1):
-        new_rating, step_clamped = sweeps.rating_step(bias)
-        new_bias = sweeps.bias_step(new_rating)
-        clamped |= step_clamped
-        bias_delta = new_bias - bias
+        if current is None:
+            current = sweeps.evaluate(bias)
+        else:
+            current = _advance(sweeps, history, current, config.alpha)
+        clamped |= current.clamped
         stats = IterationStats(
             iteration=step,
-            l1_bias_delta=_l1(bias_delta),
-            linf_bias_delta=_linf(bias_delta),
-            l1_rating_delta=_l1(new_rating - rating),
+            l1_bias_delta=_l1(current.residual),
+            linf_bias_delta=current.linf,
+            l1_rating_delta=_l1(current.rating - rating),
         )
         trace.append(stats)
-        bias, rating = new_bias, new_rating
-        iterations = step
+        bias, rating = current.image, current.rating
         if stats.l1_bias_delta < config.epsilon:
             converged = True
             break
@@ -323,7 +447,8 @@ def _run(
         bias=bias,
         rating=rating,
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace),
+        sweeps=sweeps.count,
         clamped=clamped,
         trace=trace,
     )

@@ -73,6 +73,19 @@ class TestRunWrapper:
         assert run(*argv, "--out", out) == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_unwritable_id_refused_before_solving(self, tmp_path, command, capsys):
+        ratings = tmp_path / "commas.dat"
+        ratings.write_text(
+            "u1::Toy Story, The::5\nu2::Toy Story, The::1\n", encoding="utf-8"
+        )
+        out = tmp_path / "run"
+        assert run(*command_argv(command, tmp_path, ratings), "--out", out) == 1
+        assert "'Toy Story, The' contains ','" in capsys.readouterr().err
+        assert not (out / "bias.csv").exists()
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_two_user_run(self, tmp_path, two_user_file):
@@ -95,6 +108,13 @@ class TestSolveCommand:
         assert manifest["command"] == "solve"
         assert manifest["results"]["converged"] is True
         assert manifest["params"]["alpha"] == 0.5
+
+    def test_manifest_counts_sweeps(self, tmp_path, two_user_file):
+        out = tmp_path / "run"
+        run("solve", "--ratings", two_user_file, "--alpha", "0.5", "--out", out)
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        # Two plain iterates: the seed's sweep, then the fixed point's.
+        assert results["iterations"] == results["sweeps"] == 2
 
     def test_invalid_alpha_writes_nothing(self, tmp_path, two_user_file, capsys):
         out = tmp_path / "never"
@@ -306,6 +326,18 @@ class TestEvalCommand:
             assert (out / name).exists()
         bins_lines = (out / "bins_alpha_0.99.csv").read_text().splitlines()
         assert bins_lines[0] == "bin,metric,value"
+
+    def test_manifest_counts_sweeps_per_solve(self, tmp_path):
+        instance = self._synth(tmp_path)
+        out = tmp_path / "ev"
+        run(
+            "eval", "--ratings", instance / "ratings.csv",
+            "--truth", instance / "truth.csv",
+            "--alpha", "0.2", "--alpha", "0.99", "--out", out,
+        )
+        solves = json.loads((out / "manifest.json").read_text())["results"]["solves"]
+        for tag in ("alpha_0.2", "alpha_0.99"):
+            assert solves[tag]["sweeps"] >= solves[tag]["iterations"] >= 1
 
     def test_debias_beats_mean_on_dense_instance(self, tmp_path):
         instance = self._synth(tmp_path)

@@ -1,0 +1,191 @@
+"""The accelerated solve against the plain loop kept in
+`reference_solver`.
+
+Both stop once an iterate's L1 residual is below epsilon, which puts each
+within alpha * epsilon / (1 - alpha) of the fixed point in the max norm,
+so their results may differ by at most 2 * epsilon / (1 - alpha).
+"""
+
+import numpy as np
+import pytest
+from conftest import make_random_graph
+
+import reference_solver as reference
+from truerating import RatingGraph, SolverConfig, iterate_once, solve
+from truerating.solver import _History, _Sweeps
+
+
+def path_graph(num_users: int, seed: int) -> RatingGraph:
+    """User i rates items i and i+1: the slowest-mixing connected shape."""
+    rng = np.random.default_rng(seed)
+    users = np.repeat(np.arange(num_users), 2)
+    items = users + np.tile([0, 1], num_users)
+    quality = rng.uniform(0.3, 0.7, num_users + 1)
+    bias = rng.uniform(-0.2, 0.2, num_users)
+    noise = rng.normal(0.0, 0.05, users.size)
+    weights = np.clip(quality[items] + bias[users] + noise, 0.0, 1.0)
+    return RatingGraph(
+        [f"u{i}" for i in range(num_users)],
+        [f"m{j}" for j in range(num_users + 1)],
+        users,
+        items,
+        weights,
+    )
+
+
+def assert_within(accelerated, plain, config):
+    bound = 2.0 * config.epsilon / (1.0 - config.alpha)
+    assert np.max(np.abs(accelerated.bias - plain.bias), initial=0.0) <= bound
+    assert np.max(np.abs(accelerated.rating - plain.rating), initial=0.0) <= bound
+
+
+def assert_contracts(result, alpha):
+    deltas = [s.linf_bias_delta for s in result.trace]
+    for before, after in zip(deltas, deltas[1:]):
+        assert after <= alpha * before
+
+
+@pytest.fixture(scope="module")
+def slow_path():
+    graph = path_graph(2000, seed=0)
+    config = SolverConfig(alpha=0.99, epsilon=1e-6, max_iterations=5000)
+    return graph, config, solve(graph, config), reference.solve(graph, config)
+
+
+class TestAgainstPlainLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    def test_random_graphs_within_bound(self, seed, alpha):
+        graph = make_random_graph(seed, max_users=30, max_items=30)
+        config = SolverConfig(alpha=alpha, epsilon=1e-9, max_iterations=20000)
+        accelerated = solve(graph, config)
+        plain = reference.solve(graph, config)
+        assert accelerated.converged and plain.converged
+        assert_within(accelerated, plain, config)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overrides_within_bound(self, seed):
+        graph = make_random_graph(seed, max_users=30, max_items=30)
+        rng = np.random.default_rng(seed)
+        overrides = {
+            user: float(rng.uniform(0.0, 0.95))
+            for user in range(0, graph.num_users, 2)
+        }
+        config = SolverConfig(
+            alpha=0.95, epsilon=1e-9, max_iterations=20000,
+            alpha_overrides=overrides,
+        )
+        accelerated = solve(graph, config)
+        plain = reference.solve(graph, config)
+        assert accelerated.converged and plain.converged
+        assert_within(accelerated, plain, config)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_two_iterates_are_plain(self, seed):
+        graph = make_random_graph(seed, max_users=30, max_items=30)
+        config = SolverConfig(alpha=0.9, epsilon=1e-300, max_iterations=2)
+        accelerated = solve(graph, config)
+        plain = reference.solve(graph, config)
+        assert np.array_equal(accelerated.bias, plain.bias)
+        assert np.array_equal(accelerated.rating, plain.rating)
+        assert accelerated.trace == plain.trace
+        assert accelerated.sweeps == plain.sweeps == 2
+        assert accelerated.clamped == plain.clamped
+
+    def test_slow_path_within_bound(self, slow_path):
+        _, config, accelerated, plain = slow_path
+        assert accelerated.converged and plain.converged
+        assert_within(accelerated, plain, config)
+
+    def test_slow_path_needs_a_quarter_of_the_iterations(self, slow_path):
+        _, _, accelerated, plain = slow_path
+        assert 4 * accelerated.iterations <= plain.iterations
+
+    def test_every_accepted_iterate_contracts(self, slow_path):
+        _, config, accelerated, _ = slow_path
+        assert_contracts(accelerated, config.alpha)
+
+    def test_sweeps_count_rejected_candidates(self, slow_path):
+        _, _, accelerated, _ = slow_path
+        assert len(accelerated.trace) == accelerated.iterations
+        assert accelerated.iterations < accelerated.sweeps < 2 * accelerated.iterations
+
+
+class TestDeterminism:
+    def test_bit_identical_across_threads_with_rejections(self, slow_path):
+        graph, config, serial, _ = slow_path
+        assert serial.sweeps > serial.iterations  # a candidate was rejected
+        for threads in (2, 3):
+            parallel = solve(graph, config, threads=threads)
+            assert np.array_equal(serial.bias, parallel.bias)
+            assert np.array_equal(serial.rating, parallel.rating)
+            assert serial.trace == parallel.trace
+            assert serial.sweeps == parallel.sweeps
+            assert serial.clamped == parallel.clamped
+
+    def test_reruns_bit_identical(self, slow_path):
+        graph, config, first, _ = slow_path
+        again = solve(graph, config)
+        assert np.array_equal(first.bias, again.bias)
+        assert np.array_equal(first.rating, again.rating)
+
+
+class TestDegenerateHistory:
+    @pytest.mark.parametrize("seed", [1, 4, 8])
+    def test_all_zero_overrides_at_tiny_epsilon(self, seed):
+        # Every damping factor zero makes T constant: the residual
+        # differences carry no direction for the Anderson step.
+        graph = make_random_graph(seed, max_users=25, max_items=25)
+        config = SolverConfig(
+            alpha=0.5,
+            epsilon=1e-300,
+            max_iterations=50,
+            alpha_overrides={i: 0.0 for i in range(graph.num_users)},
+        )
+        start = np.random.default_rng(seed).uniform(-1, 1, graph.num_users)
+        result = solve(graph, config, initial_bias=start)
+        assert np.isfinite(result.bias).all()
+        assert np.isfinite(result.rating).all()
+        assert np.array_equal(result.rating, graph.item_means())
+        _, plain_bias = iterate_once(graph, np.zeros(graph.num_users), config)
+        assert np.array_equal(result.bias, plain_bias)
+
+    def test_zero_differences_fall_back_to_plain_step(self):
+        graph = make_random_graph(3)
+        sweeps = _Sweeps(graph, SolverConfig(alpha=0.9), 1, None)
+        point = sweeps.evaluate(np.zeros(graph.num_users))
+        history = _History(graph.num_users)
+        assert history.candidate(point) is None
+        history.push(point, point)  # a singular, all-zero Gram matrix
+        assert history.candidate(point) is None
+
+    def test_single_user_map_reaches_exact_fixed_point(self):
+        # One user makes T a scalar map; later history rows are collinear.
+        graph = RatingGraph.from_edges(
+            [("u", "a", 0.3), ("u", "b", 0.5), ("u", "c", 0.7)]
+        )
+        config = SolverConfig(alpha=0.5, epsilon=1e-300, max_iterations=40)
+        result = solve(graph, config, initial_bias=[0.5])
+        assert result.converged
+        np.testing.assert_allclose(result.bias, [0.0], atol=1e-15)
+        np.testing.assert_allclose(result.rating, [0.3, 0.5, 0.7], atol=1e-15)
+
+
+class TestSweepPlans:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edge_user_is_the_user_segment_key(self, seed):
+        graph = make_random_graph(seed)
+        expected = np.repeat(np.arange(graph.num_users), graph.user_degrees)
+        assert np.array_equal(graph.edge_user, expected)
+
+    def test_one_chunk_user_plan_reuses_edge_user(self):
+        graph = make_random_graph(2)
+        sweeps = _Sweeps(graph, SolverConfig(), 1, None)
+        (*_, local), = sweeps.user_plan
+        assert np.shares_memory(local, graph.edge_user)
+
+    def test_uniform_alpha_needs_no_per_edge_array(self):
+        graph = make_random_graph(2)
+        assert _Sweeps(graph, SolverConfig(), 1, None).alpha_edge is None
+        with_override = SolverConfig(alpha=0.5, alpha_overrides={0: 0.25})
+        assert _Sweeps(graph, with_override, 1, None).alpha_edge is not None
