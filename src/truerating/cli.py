@@ -189,6 +189,10 @@ def _alpha_overrides(
 
 
 def _ingest(args) -> RatingGraph:
+    """Read the rating file, after checking `--threads` so that a bad
+    value fails before the parse."""
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     return ingest_ratings(
         args.ratings,
         fmt=DelimitedFormat(args.delimiter),
@@ -293,6 +297,16 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
         SolverConfig(alpha=a, epsilon=args.epsilon, max_iterations=args.max_iters)
         for a in alphas
     ]
+    # Each solve writes files named by its tag; two solves must not share.
+    seen: dict[str, float] = {}
+    for alpha in alphas:
+        tag = _alpha_tag(alpha)
+        if tag in seen:
+            raise ValueError(
+                f"--alpha {seen[tag]} and {alpha} share the output tag "
+                f"alpha_{tag}"
+            )
+        seen[tag] = alpha
     graph = _ingest(args)
     _require_plain_ids(graph.item_ids)
     truth = ingest_ground_truth(

@@ -1,11 +1,12 @@
-"""Bipartite user-to-item rating graph with dual adjacency views.
+"""Bipartite user-to-item rating graph over one sorted edge list.
 
 Users rate items at most once and every edge weight lives on [0, 1]. The
-graph keeps two sorted views of the same edge multiset: a user-major view
-(each user's outgoing ratings are one contiguous slice) and an item-major
-view (each item's incoming ratings are one contiguous slice), so per-user
-and per-item sweeps both run in O(edges). Graphs are immutable after
-construction and safe to share across threads.
+graph keeps its edges once, in user-major order: each user's outgoing
+ratings are one contiguous slice, ascending by item, and each item's
+incoming ratings appear in ascending user order. `np.bincount` adds its
+weights in array order, so per-user and per-item sums both run in
+O(edges) over the same arrays, each in ascending neighbor order. Graphs
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -101,16 +102,13 @@ class RatingGraph:
     user_ids / item_ids : tuple[str, ...]
         Dense index -> external id, in first-appearance order.
     edge_user, edge_item, edge_weight : np.ndarray
-        The edge list in canonical (user-major, item-ascending) order.
-    user_ptr / item_ptr : np.ndarray
+        The edge list in canonical (user-major, item-ascending) order, so
+        each item's edges also appear in ascending user order.
+    user_ptr : np.ndarray
         CSR-style slice pointers: user i's edges are
-        ``edge_*[user_ptr[i]:user_ptr[i+1]]``; item j's edges are
-        ``by_item_*[item_ptr[j]:item_ptr[j+1]]`` in the item-major view.
-    by_item_user, by_item_weight : np.ndarray
-        The same edge multiset sorted item-major (user-ascending within
-        an item, i.e. the stable restriction of the canonical order). The
-        item of each item-major edge is not stored; it is
-        ``np.repeat(np.arange(num_items), item_degrees)``.
+        ``edge_*[user_ptr[i]:user_ptr[i+1]]``.
+    item_degrees : np.ndarray
+        Number of ratings each item received.
     """
 
     __slots__ = (
@@ -120,9 +118,7 @@ class RatingGraph:
         "edge_item",
         "edge_weight",
         "user_ptr",
-        "item_ptr",
-        "by_item_user",
-        "by_item_weight",
+        "item_degrees",
     )
 
     def __init__(
@@ -175,25 +171,19 @@ class RatingGraph:
         if n_items and item_deg.min() == 0:
             raise ValueError("isolated item (zero incoming ratings)")
 
-        by_item = np.lexsort((u, v))
-
         self.user_ids = user_ids
         self.item_ids = item_ids
         self.edge_user = u
         self.edge_item = v
         self.edge_weight = w
         self.user_ptr = np.concatenate(([0], np.cumsum(user_deg))).astype(np.int64)
-        self.item_ptr = np.concatenate(([0], np.cumsum(item_deg))).astype(np.int64)
-        self.by_item_user = u[by_item]
-        self.by_item_weight = w[by_item]
+        self.item_degrees = item_deg
         for name in (
             "edge_user",
             "edge_item",
             "edge_weight",
             "user_ptr",
-            "item_ptr",
-            "by_item_user",
-            "by_item_weight",
+            "item_degrees",
         ):
             getattr(self, name).flags.writeable = False
 
@@ -238,23 +228,21 @@ class RatingGraph:
     def user_degrees(self) -> np.ndarray:
         return np.diff(self.user_ptr)
 
-    @property
-    def item_degrees(self) -> np.ndarray:
-        return np.diff(self.item_ptr)
-
     def edges(self) -> Iterable[tuple[str, str, float]]:
         """Yield (user id, item id, weight) in canonical order."""
         for u, v, w in zip(self.edge_user, self.edge_item, self.edge_weight):
             yield self.user_ids[u], self.item_ids[v], float(w)
 
     def item_means(self) -> np.ndarray:
-        """Plain per-item mean rating, accumulated in item-major slice order.
+        """Plain per-item mean rating, each item's ratings added in
+        ascending user order.
 
         This is the summation order the solver uses, so a fully-trusted run
         (all damping factors zero) reproduces these values bit-exactly.
         """
-        item = np.repeat(np.arange(self.num_items), self.item_degrees)
-        sums = np.bincount(item, weights=self.by_item_weight, minlength=self.num_items)
+        sums = np.bincount(
+            self.edge_item, weights=self.edge_weight, minlength=self.num_items
+        )
         return sums / np.maximum(self.item_degrees, 1)
 
     def __repr__(self) -> str:

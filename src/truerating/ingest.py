@@ -110,7 +110,9 @@ def _columns(
     Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
     ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
     ``\\x1c``, ``\\u2028`` and others. The array of whole lines lives
-    only in here, and only until the first cut.
+    only in here, and only until the first cut; each cut's separators and
+    unstripped field are dropped as soon as they are used, which lowers
+    the peak.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
@@ -133,9 +135,11 @@ def _columns(
     columns = []
     for k in range(count):
         field, found, rest = np.strings.partition(rest, sep)
-        columns.append(np.strings.strip(field))
         if k < count - 1:
             _require(np.strings.str_len(found).all())
+        del found
+        columns.append(np.strings.strip(field))
+        del field
     return columns, first_line_kept, canonical
 
 

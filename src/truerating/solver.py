@@ -26,16 +26,17 @@ So every accepted iterate's residual shrinks at least by alpha, as under
 plain iteration, which is the same loop with an empty history. An accepted
 iterate costs one sweep, or two when a candidate was rejected first.
 
-Each sweep runs one code path: the nodes are split into contiguous chunks
-at node boundaries, each chunk sums its own edge slice with `np.bincount`,
-and the chunks are mapped over a thread pool. A serial solve is the
-one-chunk plan mapped without a pool.
+Each sweep reads the graph's one user-major edge list. The rating half is
+one `np.bincount` over all edges, keyed by item. The bias half splits the
+users into contiguous chunks at user boundaries, each chunk sums its own
+edge slice with `np.bincount`, and the chunks are mapped over a thread
+pool; a serial solve is the one-chunk plan mapped without a pool.
 
-Determinism: every per-node mean accumulates its terms in ascending
-neighbor order (the graph's canonical slice order), and a node's terms
-never span two chunks; the Anderson arithmetic runs serially on whole
-vectors. So results are bit-identical across thread counts and repeated
-runs.
+Determinism: `np.bincount` adds its weights in array order, so every
+rating accumulates its terms in ascending user order and every bias in
+ascending item order, and a user's terms never span two chunks; the
+Anderson arithmetic runs serially on whole vectors. So results are
+bit-identical across thread counts and repeated runs.
 """
 
 from __future__ import annotations
@@ -176,31 +177,14 @@ def _per_user_alpha(
     return alphas
 
 
-def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
-    bounds = np.unique(np.linspace(0, count, parts + 1).round().astype(np.int64))
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _plan(
-    ptr: np.ndarray, parts: int, owner: np.ndarray | None = None
-) -> list[tuple]:
-    """Split CSR nodes into `parts` chunks ``(lo, hi, e0, e1, local)``.
-
-    Nodes lo..hi-1 own edges e0..e1-1; `local` gives each of those edges
-    its node's index relative to lo, the segment key for `np.bincount`.
-    `owner`, when given, is every edge's node index; a chunk starting at
-    node 0 uses a slice of it instead of a new array.
-    """
-    degrees = np.diff(ptr)
-    plan = []
-    for lo, hi in _chunks(len(degrees), parts):
-        e0, e1 = int(ptr[lo]), int(ptr[hi])
-        if owner is not None and lo == 0:
-            local = owner[e0:e1]
-        else:
-            local = np.repeat(np.arange(hi - lo), degrees[lo:hi])
-        plan.append((lo, hi, e0, e1, local))
-    return plan
+def _plan(ptr: np.ndarray, parts: int) -> list[tuple[int, int, int, int]]:
+    """Split CSR nodes into `parts` chunks ``(lo, hi, e0, e1)``: nodes
+    lo..hi-1 own edges e0..e1-1."""
+    bounds = np.unique(
+        np.linspace(0, len(ptr) - 1, parts + 1).round().astype(np.int64)
+    )
+    return [(int(lo), int(hi), int(ptr[lo]), int(ptr[hi]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -215,7 +199,8 @@ class _Iterate:
 
 
 class _Sweeps:
-    """Precomputed gather arrays and chunk plans for one solve.
+    """Precomputed damping factors, degrees and user chunk plan for one
+    solve.
 
     `count` is the number of map evaluations made so far.
     """
@@ -230,45 +215,32 @@ class _Sweeps:
         self.graph = graph
         self.map = map if pool is None else pool.map
         self.count = 0
-        # Damping factor of each edge's author, in item-major edge order.
         # Without overrides every factor is alpha, and multiplying by the
-        # scalar gives the same products without the per-edge array.
+        # scalar gives the same products as a per-edge array would.
         self.alpha = config.alpha
-        self.alpha_edge = None
         if config.alpha_overrides:
             alpha_user = _per_user_alpha(
                 graph, config.alpha, config.alpha_overrides
             )
-            self.alpha_edge = alpha_user[graph.by_item_user]
+            self.alpha = alpha_user[graph.edge_user]
         self.item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
         self.user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
-        self.item_plan = _plan(graph.item_ptr, threads)
-        self.user_plan = _plan(graph.user_ptr, threads, graph.edge_user)
-
-    def _rating_chunk(self, bias, lo, hi, e0, e1, local):
-        g = self.graph
-        alpha = self.alpha if self.alpha_edge is None else self.alpha_edge[e0:e1]
-        adjusted = g.by_item_weight[e0:e1] - alpha * bias[g.by_item_user[e0:e1]]
-        clamped = bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
-        np.clip(adjusted, 0.0, 1.0, out=adjusted)
-        sums = np.bincount(local, weights=adjusted, minlength=hi - lo)
-        return sums, clamped
+        self.user_plan = _plan(graph.user_ptr, threads)
 
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""
-        chunks = self.map(lambda spec: self._rating_chunk(bias, *spec),
-                          self.item_plan)
-        rating = np.empty(self.graph.num_items, dtype=np.float64)
-        clamped = False
-        for (lo, hi, *_), (sums, chunk_clamped) in zip(self.item_plan, chunks):
-            rating[lo:hi] = sums / self.item_deg[lo:hi]
-            clamped |= chunk_clamped
-        return rating, clamped
+        g = self.graph
+        adjusted = g.edge_weight - self.alpha * bias[g.edge_user]
+        clamped = bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
+        np.clip(adjusted, 0.0, 1.0, out=adjusted)
+        sums = np.bincount(g.edge_item, weights=adjusted, minlength=g.num_items)
+        return sums / self.item_deg, clamped
 
-    def _bias_chunk(self, rating, lo, hi, e0, e1, local):
+    def _bias_chunk(self, rating, lo, hi, e0, e1):
         g = self.graph
         deviation = g.edge_weight[e0:e1] - rating[g.edge_item[e0:e1]]
-        return np.bincount(local, weights=deviation, minlength=hi - lo)
+        sums = np.bincount(g.edge_user[e0:e1], weights=deviation, minlength=hi)
+        return sums[lo:]
 
     def bias_step(self, rating: np.ndarray) -> np.ndarray:
         """bias_i = mean over i's raw ratings of (w - rating_j)."""
@@ -400,8 +372,8 @@ def solve(
     Starts from `initial_bias` (zeros by default) with ratings at the plain
     per-item means, and stops once the L1 norm of the current iterate's
     residual T(x) - x drops below `config.epsilon` or `config.max_iterations`
-    iterates have been accepted. `threads` splits each sweep across a
-    thread pool without changing any result bit.
+    iterates have been accepted. `threads` splits each bias sweep
+    across a thread pool without changing any result bit.
     """
     if config is None:
         config = SolverConfig()

@@ -2,8 +2,10 @@
 mixing replaced.
 
 Each iteration is one serial sweep ``bias <- T(bias) = B(R(bias))`` over
-the graph's edge arrays, summed with `np.bincount` in the graph's
-canonical slice order, as the package's sweeps are. It stops once the L1
+the graph's edge arrays, summed with `np.bincount`. The rating half sums
+an item-major copy of the edges built here, a summation path of its own
+that adds each item's terms in the same ascending user order as the
+package's one pass over the canonical edges. It stops once the L1
 norm of the bias change drops below epsilon or the iteration cap is
 reached, and returns the last sweep's ratings and biases. Its first two
 iterations are the package's first two bit for bit; tests compare the
@@ -35,7 +37,10 @@ def solve(
     alpha_user = np.full(n_users, config.alpha, dtype=np.float64)
     for user, value in (config.alpha_overrides or {}).items():
         alpha_user[user] = value
-    alpha_edge = alpha_user[graph.by_item_user]
+    by_item = np.lexsort((graph.edge_user, graph.edge_item))
+    by_item_user = graph.edge_user[by_item]
+    by_item_weight = graph.edge_weight[by_item]
+    alpha_edge = alpha_user[by_item_user]
     item_of_edge = np.repeat(np.arange(n_items), graph.item_degrees)
     item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
     user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
@@ -47,7 +52,7 @@ def solve(
     converged = False
     clamped = False
     for step in range(1, config.max_iterations + 1):
-        adjusted = graph.by_item_weight - alpha_edge * bias[graph.by_item_user]
+        adjusted = by_item_weight - alpha_edge * bias[by_item_user]
         clamped |= bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
         np.clip(adjusted, 0.0, 1.0, out=adjusted)
         new_rating = np.bincount(

@@ -86,6 +86,22 @@ class TestRunWrapper:
         assert not (out / "manifest.json").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "eval", "oracle-check"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_checked_before_ingest(
+        self, tmp_path, command, threads, capsys
+    ):
+        # The ratings file does not exist, so an error that names it would
+        # mean the file was opened before the flag was checked.
+        missing = tmp_path / "missing.dat"
+        out = tmp_path / "run"
+        argv = command_argv(command, tmp_path, missing)
+        assert run(*argv, "--threads", threads, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"threads must be >= 1, got {threads}" in err
+        assert "missing.dat" not in err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_two_user_run(self, tmp_path, two_user_file):
@@ -326,6 +342,22 @@ class TestEvalCommand:
             assert (out / name).exists()
         bins_lines = (out / "bins_alpha_0.99.csv").read_text().splitlines()
         assert bins_lines[0] == "bin,metric,value"
+
+    @pytest.mark.parametrize(
+        "alphas", [("0.3", "0.30000000001"), ("0.5", "0.2", "0.5")]
+    )
+    def test_alphas_sharing_a_tag_rejected(self, tmp_path, alphas, capsys):
+        instance = self._synth(tmp_path)
+        out = tmp_path / "ev"
+        argv = ["eval", "--ratings", tmp_path / "missing.dat",
+                "--truth", instance / "truth.csv", "--out", out]
+        for alpha in alphas:
+            argv += ["--alpha", alpha]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "share the output tag alpha_" in err
+        assert "missing.dat" not in err
+        assert not out.exists()
 
     def test_manifest_counts_sweeps_per_solve(self, tmp_path):
         instance = self._synth(tmp_path)

@@ -179,13 +179,62 @@ class TestSweepPlans:
         assert np.array_equal(graph.edge_user, expected)
 
     def test_one_chunk_user_plan_reuses_edge_user(self):
+        # A plan holds bounds only; each chunk slices `edge_user` itself.
         graph = make_random_graph(2)
         sweeps = _Sweeps(graph, SolverConfig(), 1, None)
-        (*_, local), = sweeps.user_plan
-        assert np.shares_memory(local, graph.edge_user)
+        assert sweeps.user_plan == [(0, graph.num_users, 0, graph.num_edges)]
 
     def test_uniform_alpha_needs_no_per_edge_array(self):
         graph = make_random_graph(2)
-        assert _Sweeps(graph, SolverConfig(), 1, None).alpha_edge is None
+        assert isinstance(_Sweeps(graph, SolverConfig(), 1, None).alpha, float)
         with_override = SolverConfig(alpha=0.5, alpha_overrides={0: 0.25})
-        assert _Sweeps(graph, with_override, 1, None).alpha_edge is not None
+        alpha = _Sweeps(graph, with_override, 1, None).alpha
+        assert alpha.shape == (graph.num_edges,)
+
+
+def _shuffled(graph: RatingGraph, seed: int) -> RatingGraph:
+    """The same graph, built from its edges in a random order."""
+    order = np.random.default_rng(seed).permutation(graph.num_edges)
+    return RatingGraph(graph.user_ids, graph.item_ids, graph.edge_user[order],
+                       graph.edge_item[order], graph.edge_weight[order])
+
+
+def _left_to_right_means(graph: RatingGraph, term) -> list[float]:
+    """Each item's mean of ``term(user, weight)`` over its raters, added
+    one by one in ascending user index, in plain Python floats."""
+    raters = [[] for _ in range(graph.num_items)]
+    for u, v, w in zip(graph.edge_user.tolist(), graph.edge_item.tolist(),
+                       graph.edge_weight.tolist()):
+        raters[v].append((u, w))
+    means = []
+    for edges in raters:
+        total = 0.0
+        for u, w in sorted(edges):
+            total += term(u, w)
+        means.append(total / len(edges))
+    return means
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_item_means_add_raters_in_ascending_user_order(self, seed):
+        graph = _shuffled(make_random_graph(seed, 30, 12), seed)
+        expected = _left_to_right_means(graph, lambda u, w: w)
+        assert graph.item_means().tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rating_adds_raters_in_ascending_user_order(self, seed):
+        graph = _shuffled(make_random_graph(seed, 30, 12), seed)
+        rng = np.random.default_rng(seed)
+        bias = rng.uniform(-1.0, 1.0, graph.num_users).tolist()
+        # Odd seeds override user 0's factor, so both alpha paths run.
+        overrides = {0: 0.3} if seed % 2 else None
+        alpha = [0.9] * graph.num_users
+        alpha[0] = 0.3 if overrides else 0.9
+        config = SolverConfig(alpha=0.9, alpha_overrides=overrides)
+
+        def term(u, w):
+            return min(max(w - alpha[u] * bias[u], 0.0), 1.0)
+
+        rating, _ = iterate_once(graph, np.array(bias), config)
+        assert rating.tolist() == _left_to_right_means(graph, term)
