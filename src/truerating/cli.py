@@ -15,8 +15,9 @@ Subcommands:
 Exit codes: 0 success, 2 stopped at max iterations without converging,
 3 oracle check inapplicable because clamping fired, 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
-outputs; every run ends by atomically writing a manifest that records how
-to reproduce it.
+outputs. A command writes its outputs under temporary names and renames
+them into place once the last one is written; every run ends by atomically
+writing a manifest that records how to reproduce it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -80,12 +82,9 @@ def _now_iso() -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    # Write-then-rename so a crash never leaves a truncated file behind.
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=False)
         handle.write("\n")
-    os.replace(tmp, path)
 
 
 def _output_dir(out: str) -> Path:
@@ -100,11 +99,52 @@ def _output_dir(out: str) -> Path:
     return outdir
 
 
+class _StagedPath(os.PathLike):
+    """An output file's path: its temporary name until `_staged` renames
+    the file into place, its final name after. So a caller that keeps the
+    path, such as the tracer in ``benchmarks/traced.py``, finds the file
+    at it once the command has succeeded."""
+
+    def __init__(self, final: Path) -> None:
+        self.final = final
+        self.temporary = final.with_name(final.name + ".tmp")
+        self.placed = False
+
+    def __fspath__(self) -> str:
+        return str(self.final if self.placed else self.temporary)
+
+
+@contextmanager
+def _staged(outdir: Path):
+    """Yield ``name -> path``: each output file is written under a
+    temporary name in `outdir`.
+
+    When the block ends, every file is renamed into place, so a failed
+    write leaves no new output under a final name. Temporaries still there
+    after an error, in the block or in a rename, are deleted.
+    """
+    staged: list[_StagedPath] = []
+
+    def stage(name: str) -> _StagedPath:
+        staged.append(_StagedPath(outdir / name))
+        return staged[-1]
+
+    try:
+        yield stage
+        for path in staged:
+            os.replace(path.temporary, path.final)
+            path.placed = True
+    finally:
+        for path in staged:
+            path.temporary.unlink(missing_ok=True)
+
+
 def _finish(manifest: RunManifest, outdir: Path, started: float) -> None:
     manifest.finished_at = _now_iso()
     manifest.wall_seconds = round(time.monotonic() - started, 6)
     manifest.outputs.append("manifest.json")
-    _write_json(outdir / "manifest.json", manifest.to_dict())
+    with _staged(outdir) as out:
+        _write_json(out("manifest.json"), manifest.to_dict())
 
 
 def _run(args) -> int:
@@ -241,20 +281,20 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
 
     result = solve(graph, config, initial_bias=initial, threads=args.threads)
 
-    outdir = _output_dir(args.out)
-    write_scores_csv(
-        outdir / "bias.csv",
-        ("user_id", "bias"),
-        graph.user_ids,
-        result.bias,
-    )
-    write_scores_csv(
-        outdir / "ratings.csv",
-        ("item_id", "true_rating"),
-        graph.item_ids,
-        result.rating,
-    )
-    _write_json(outdir / "trace.json", _trace_json(result))
+    with _staged(_output_dir(args.out)) as out:
+        write_scores_csv(
+            out("bias.csv"),
+            ("user_id", "bias"),
+            graph.user_ids,
+            result.bias,
+        )
+        write_scores_csv(
+            out("ratings.csv"),
+            ("item_id", "true_rating"),
+            graph.item_ids,
+            result.rating,
+        )
+        _write_json(out("trace.json"), _trace_json(result))
 
     code = 0 if result.converged else 2
     if not result.converged:
@@ -335,34 +375,34 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
             "clamped": result.clamped,
         }
 
-    outdir = _output_dir(args.out)
-    for report, tag, rating, _bias in methods:
-        ratings_name = f"ratings_{tag}.csv"
-        write_scores_csv(
-            outdir / ratings_name,
-            ("item_id", "true_rating"),
-            graph.item_ids,
-            rating,
-        )
-        bins_name = f"bins_{tag}.csv"
-        with open(outdir / bins_name, "w", encoding="utf-8", newline="") as fh:
-            fh.write("bin,metric,value\n")
-            for metric, table in (
-                ("bindev", report.bindev),
-                ("relbindev", report.relbindev),
-                ("mse", report.mse_per_bin),
-                ("rank_error", report.rank_error_per_bin),
-            ):
-                for bin_index in sorted(table):
-                    fh.write(f"{bin_index},{metric},{table[bin_index]:.9f}\n")
-        outputs.extend([ratings_name, bins_name])
+    with _staged(_output_dir(args.out)) as out:
+        for report, tag, rating, _bias in methods:
+            ratings_name = f"ratings_{tag}.csv"
+            write_scores_csv(
+                out(ratings_name),
+                ("item_id", "true_rating"),
+                graph.item_ids,
+                rating,
+            )
+            bins_name = f"bins_{tag}.csv"
+            with open(out(bins_name), "w", encoding="utf-8", newline="") as fh:
+                fh.write("bin,metric,value\n")
+                for metric, table in (
+                    ("bindev", report.bindev),
+                    ("relbindev", report.relbindev),
+                    ("mse", report.mse_per_bin),
+                    ("rank_error", report.rank_error_per_bin),
+                ):
+                    for bin_index in sorted(table):
+                        fh.write(f"{bin_index},{metric},{table[bin_index]:.9f}\n")
+            outputs.extend([ratings_name, bins_name])
 
-    payload = {
-        "methods": [report.to_dict() for report, *_ in methods],
-        "unmatched_truth_items": len(truth.unmatched(graph.item_ids)),
-    }
-    _write_json(outdir / "report.json", payload)
-    outputs.append("report.json")
+        payload = {
+            "methods": [report.to_dict() for report, *_ in methods],
+            "unmatched_truth_items": len(truth.unmatched(graph.item_ids)),
+        }
+        _write_json(out("report.json"), payload)
+        outputs.append("report.json")
 
     return 0, RunManifest(
         inputs={"ratings": str(args.ratings), "truth": str(args.truth)},
@@ -391,20 +431,20 @@ def cmd_synth(args) -> tuple[int, RunManifest]:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    outdir = _output_dir(args.out)
-    write_ratings_csv(instance.graph, outdir / "ratings.csv")
-    write_scores_csv(
-        outdir / "truth.csv",
-        ("item_id", "true_rating"),
-        instance.graph.item_ids,
-        instance.true_rating,
-    )
-    write_scores_csv(
-        outdir / "planted_bias.csv",
-        ("user_id", "bias"),
-        instance.graph.user_ids,
-        instance.true_bias,
-    )
+    with _staged(_output_dir(args.out)) as out:
+        write_ratings_csv(instance.graph, out("ratings.csv"))
+        write_scores_csv(
+            out("truth.csv"),
+            ("item_id", "true_rating"),
+            instance.graph.item_ids,
+            instance.true_rating,
+        )
+        write_scores_csv(
+            out("planted_bias.csv"),
+            ("user_id", "bias"),
+            instance.graph.user_ids,
+            instance.true_bias,
+        )
     return 0, RunManifest(
         inputs={},
         params={
@@ -450,20 +490,20 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
         if max(max_bias_diff, max_rating_diff) > args.tolerance:
             status, code = "mismatch", 1
 
-    outdir = _output_dir(args.out)
-    _write_json(
-        outdir / "oracle.json",
-        {
-            "status": status,
-            "alpha": args.alpha,
-            "tolerance": args.tolerance,
-            "max_bias_diff": max_bias_diff,
-            "max_rating_diff": max_rating_diff,
-            "oracle_residual_linf": residual,
-            "iterations": result.iterations,
-            "clamped": result.clamped,
-        },
-    )
+    with _staged(_output_dir(args.out)) as out:
+        _write_json(
+            out("oracle.json"),
+            {
+                "status": status,
+                "alpha": args.alpha,
+                "tolerance": args.tolerance,
+                "max_bias_diff": max_bias_diff,
+                "max_rating_diff": max_rating_diff,
+                "oracle_residual_linf": residual,
+                "iterations": result.iterations,
+                "clamped": result.clamped,
+            },
+        )
     if status != "ok":
         print(f"oracle check: {status}", file=sys.stderr)
     return code, RunManifest(

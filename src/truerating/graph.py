@@ -151,9 +151,20 @@ class RatingGraph:
         if w.size and (not np.isfinite(w).all() or w.min() < 0.0 or w.max() > 1.0):
             raise ValueError("edge weights must lie in [0, 1]")
 
+        user_deg = np.bincount(u, minlength=n_users)
+        item_deg = np.bincount(v, minlength=n_items)
+        if n_users and user_deg.min() == 0:
+            raise ValueError("isolated user (zero outgoing ratings)")
+        if n_items and item_deg.min() == 0:
+            raise ValueError("isolated item (zero incoming ratings)")
+
         # Canonical order: by user, then by item. Makes serialization and
-        # accumulation order deterministic regardless of input order.
-        order = np.lexsort((v, u))
+        # accumulation order deterministic regardless of input order. With
+        # no isolated ids, num_users and num_items are each at most
+        # num_edges, so the key stays below num_edges**2 and fits in int64
+        # for any edge list that fits in memory. Keys are unique unless a
+        # pair repeats, and repeats sort next to each other.
+        order = np.argsort(u * n_items + v)
         u, v, w = u[order], v[order], w[order]
         if u.size > 1:
             same = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
@@ -163,13 +174,6 @@ class RatingGraph:
                     f"duplicate rating for user {user_ids[u[k]]!r} "
                     f"and item {item_ids[v[k]]!r}"
                 )
-
-        user_deg = np.bincount(u, minlength=n_users)
-        item_deg = np.bincount(v, minlength=n_items)
-        if n_users and user_deg.min() == 0:
-            raise ValueError("isolated user (zero outgoing ratings)")
-        if n_items and item_deg.min() == 0:
-            raise ValueError("isolated item (zero incoming ratings)")
 
         self.user_ids = user_ids
         self.item_ids = item_ids

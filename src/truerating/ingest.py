@@ -11,24 +11,32 @@ Two on-disk layouts are supported:
 `ingest_ratings` sniffs the canonical header so its own output round-trips
 without extra flags.
 
-Files are parsed as columns. The text is read once, split into lines, and
-the non-blank lines become one numpy ``StringDType`` array; the first
-fields are cut out with ``np.strings.partition`` and converted with a single
-``astype(np.float64)``, and every check (field count, empty ids, numeric,
+Files are parsed as columns, every check (field count, empty ids, numeric,
 finite and in-scale values, weights in [0, 1], duplicates) is a reduction
-over whole columns. This path keeps no line numbers. Only when one of its
-checks fails is the file read again line by line, and that rescan raises
-an `IngestError` carrying the file path and the 1-based line number of the
+over whole columns, and values are converted with a single
+``astype(np.float64)``. The file is read once as bytes. If every byte is
+printable ASCII other than the space, a line break or a one-byte
+delimiter, as in MovieLens logs and this package's own CSV, nothing needs
+stripping or decoding: line breaks and delimiters are found by numpy
+scans, each field is gathered into a fixed-width ``S`` column, and ids are
+numbered with `np.unique`. Any other file (padding whitespace, non-ASCII
+ids, control bytes) is read again as text and cut as numpy ``StringDType``
+columns with ``np.strings.partition`` and ``np.strings.strip``. Both paths
+give the same graph. Neither keeps line numbers: only when a check fails
+is the file read again line by line, and that rescan raises an
+`IngestError` carrying the file path and the 1-based line number of the
 first bad record.
 """
 
 from __future__ import annotations
 
+import codecs
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import RatingGraph, RatingScale
 
@@ -99,6 +107,117 @@ def _require(ok) -> None:
         raise _Rescan
 
 
+# The printable ASCII bytes other than the space, 0x21 to 0x7E.
+_PRINTABLE_LO, _PRINTABLE_COUNT = 0x21, 0x7E - 0x21 + 1
+
+
+def _byte_columns(
+    data: bytes, fmt: DelimitedFormat, count: int, sniff: bool
+) -> tuple[list[np.ndarray], bool, bool] | None:
+    """`_columns` for a file of printable ASCII, with fixed-width `S`
+    columns, or None if the gate refuses the file.
+
+    The gate admits a file whose bytes, after the BOM and ``\\r`` breaks
+    are gone, are all printable ASCII other than the space, line breaks,
+    or a one-byte delimiter. Such a file has no Unicode and, but for that
+    delimiter, no whitespace, so no field needs stripping and every cut is
+    a numpy scan. A whitespace delimiter such as a tab is handled where
+    `str.strip` would see it: a line of nothing else is blank. The gate
+    also refuses overlapping delimiter matches (``:::`` for ``::``), a
+    canonical file holding the admitted delimiter byte, and a column whose
+    widest field would make it larger than twice the file (or than 1 MiB,
+    for a smaller file).
+    """
+    sep = fmt.delimiter
+    if not sep.isascii() or "\n" in sep or "\r" in sep:
+        return None
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    text = np.frombuffer(data, dtype=np.uint8)
+    # The gate counts the admitted bytes; uint8 subtraction wraps, so one
+    # comparison finds the printable ones.
+    breaks = np.flatnonzero(text == ord("\n"))
+    admitted = breaks.size + np.count_nonzero(
+        text - np.uint8(_PRINTABLE_LO) < _PRINTABLE_COUNT
+    )
+    extra = None
+    if len(sep) == 1 and not 0 <= ord(sep) - _PRINTABLE_LO < _PRINTABLE_COUNT:
+        extra = np.flatnonzero(text == ord(sep))
+        admitted += extra.size
+    if admitted != text.size:
+        return None
+
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, text.size)
+    del breaks
+    kept = ends > starts
+    if extra is not None and sep.isspace():
+        spaces = np.searchsorted(extra, ends) - np.searchsorted(extra, starts)
+        kept &= spaces < ends - starts
+        del spaces
+    first_line_kept = bool(kept[0])
+    starts, ends = starts[kept], ends[kept]
+    del kept
+    canonical = sniff and starts.size > 0 and tuple(
+        _CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode("ascii"))
+    ) == CANONICAL_HEADER
+    if canonical:
+        if extra is not None and extra.size:
+            return None
+        sep = _CANONICAL_FORMAT.delimiter
+        starts, ends = starts[1:], ends[1:]
+
+    # Every match of the delimiter; matches that overlap would need
+    # `str.partition`'s leftmost rule, so such files are refused.
+    sep = sep.encode("ascii")
+    span = max(text.size - len(sep) + 1, 0)
+    hit = text[:span] == sep[0]
+    for j in range(1, len(sep)):
+        hit &= text[j:j + span] == sep[j]
+    cuts = np.flatnonzero(hit)
+    del hit
+    if len(sep) > 1 and (np.diff(cuts) < len(sep)).any():
+        return None
+    # Line i's first delimiter is cuts[first[i]]; a cut at the end of the
+    # text bounds the last field of a line with no delimiter after it.
+    first = np.searchsorted(cuts, starts)
+    _require((np.searchsorted(cuts, ends) - first >= count - 1).all())
+    cuts = np.append(cuts, text.size)
+
+    # A field is no longer than its line, so padding the text by the
+    # longest line lets every field's window stay inside it.
+    padded = np.zeros(text.size + int((ends - starts).max(initial=0)) + 1, np.uint8)
+    padded[:text.size] = text
+    limit = max(2 * text.size, 1 << 20)
+    del text, data
+    columns = []
+    for k in range(count):
+        stop = cuts[first + k]
+        if k == count - 1:
+            stop = np.minimum(stop, ends)
+        column = _gather(padded, starts, stop - starts, limit)
+        if column is None:
+            return None
+        columns.append(column)
+        starts = stop + len(sep)
+    return columns, first_line_kept, canonical
+
+
+def _gather(
+    padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: int
+) -> np.ndarray | None:
+    """The fields at `starts` with `lengths` as one fixed-width `S` column,
+    or None if that column would take more than `limit` bytes."""
+    width = max(int(lengths.max(initial=0)), 1)
+    if width * lengths.size > limit:
+        return None
+    cells = sliding_window_view(padded, width)[starts]
+    cells[np.arange(width) >= lengths[:, None]] = 0
+    return cells.view(f"S{width}").ravel()
+
+
 def _columns(
     path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool = False
 ) -> tuple[list[np.ndarray], bool, bool]:
@@ -106,6 +225,21 @@ def _columns(
     whether the first line is non-blank, and whether the file is canonical
     CSV: with `sniff`, a first non-blank line that is the canonical header
     is dropped and the lines are split on ``,``.
+
+    A file `_byte_columns` admits gives `S` columns; any other file is read
+    again as text by `_string_columns`.
+    """
+    with open(path, "rb") as handle:
+        parsed = _byte_columns(handle.read(), fmt, count, sniff)
+    if parsed is None:
+        parsed = _string_columns(path, fmt, count, sniff)
+    return parsed
+
+
+def _string_columns(
+    path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool
+) -> tuple[list[np.ndarray], bool, bool]:
+    """`_columns` with `StringDType` columns, for any file.
 
     Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
     ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
@@ -156,10 +290,35 @@ def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Distinct ids in first-appearance order, and each row's dense index."""
+    if column.dtype.kind == "S":
+        return _dense_byte_ids(column)
     keys = column.tolist()
     index = dict(zip(dict.fromkeys(keys), range(len(keys))))
     rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
     return list(index), rows
+
+
+def _dense_byte_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """`_dense_ids` for an `S` column: ids of up to 8 bytes are sorted as
+    one zero-padded `uint64` each, longer ones as bytes, and only the
+    distinct ids are decoded."""
+    width = column.dtype.itemsize
+    keys = column
+    if width <= 8:
+        cells = np.zeros((column.size, 8), np.uint8)
+        cells[:, :width] = column.view(np.uint8).reshape(-1, width)
+        keys = cells.view(np.uint64).ravel()
+        del cells
+    # `return_index` would force a stable sort, several times slower.
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(distinct.size, keys.size)
+    del distinct, keys
+    np.minimum.at(first, inverse, np.arange(inverse.size))
+    # Rank the distinct ids by first appearance.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return column[first[order]].astype(str).tolist(), rank[inverse]
 
 
 def _rating_columns(
@@ -304,7 +463,7 @@ def _truth_columns(
         except ValueError:
             key, raw = key[1:], raw[1:]
     _require(np.strings.str_len(key).all())
-    keys = key.tolist()
+    keys = (key.astype(str) if key.dtype.kind == "S" else key).tolist()
     values = dict(zip(keys, _values(raw, scale).tolist()))
     _require(len(values) == len(keys))
     return GroundTruth(values)

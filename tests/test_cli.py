@@ -1,10 +1,12 @@
 import json
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from truerating import ingest_ratings, solve_linear
+from truerating import cli
 from truerating.cli import main
 
 
@@ -101,6 +103,32 @@ class TestRunWrapper:
         assert f"threads must be >= 1, got {threads}" in err
         assert "missing.dat" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, last",
+        [("solve", "trace.json"), ("eval", "report.json"),
+         ("synth", "planted_bias.csv"), ("oracle-check", "oracle.json")],
+    )
+    def test_failed_last_write_leaves_no_outputs(
+        self, tmp_path, two_user_file, monkeypatch, capsys, command, last
+    ):
+        # Every output before the command's last one is written, then the
+        # last write fails: none of them may appear under its final name,
+        # and no temporary file may be left behind.
+        def failing(write):
+            def wrapper(path, *args):
+                if Path(path).name.startswith(last):
+                    raise OSError(f"cannot write {last}")
+                return write(path, *args)
+            return wrapper
+
+        for name in ("_write_json", "write_scores_csv"):
+            monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+        out = tmp_path / "run"
+        argv = command_argv(command, tmp_path, two_user_file)
+        assert run(*argv, "--out", out) == 1
+        assert f"cannot write {last}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestSolveCommand:

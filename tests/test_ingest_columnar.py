@@ -6,6 +6,7 @@ the same `IngestError` (path, line and message).
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
 )
+from truerating import ingest
 from truerating.ingest import _lines
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
@@ -221,6 +223,187 @@ class TestMatchesReference:
         path = write(tmp_path / "r.dat", text)
         assert [n for n, _ in _lines(path)] == [1, 2]
         assert ingest_ratings(path, scale=RatingScale(1, 5)).num_edges == 2
+
+
+# Files every byte of which `_byte_columns` admits: printable ASCII without
+# spaces, a one-byte delimiter, line breaks and a BOM. Ids come on both
+# sides of the 8 bytes that `_dense_byte_ids` packs into one word.
+ASCII_ODD = [value for value in ODD_VALUES if value.isascii()]
+ASCII_BAD = [value for value in BAD_VALUES if value.isascii()]
+ASCII_USERS = ["u1", "u2", "12345678", "user-000000012"]
+ASCII_ITEMS = ["m1", "m2", "x", "item.0000000007"]
+
+
+@st.composite
+def ascii_values(draw, lo, hi):
+    """`values` without padding and with ASCII spellings only."""
+    kind = draw(st.sampled_from(["in"] * 8 + ["out", "odd", "bad"]))
+    if kind == "bad":
+        return draw(st.sampled_from(ASCII_BAD))
+    if kind == "odd":
+        return draw(st.sampled_from(ASCII_ODD))
+    value = draw(
+        st.floats(lo, hi)
+        if kind == "in"
+        else st.sampled_from([np.nextafter(lo, -1.0), np.nextafter(hi, 9.0),
+                              lo - 0.5, hi + 0.5])
+    )
+    return draw(st.sampled_from(["{!r}", "{:.3f}", "{:e}"])).format(float(value))
+
+
+@st.composite
+def ascii_records(draw, sep, nfields, lo, hi):
+    """One gate-passing line: usually a full record, sometimes short,
+    blank or with an empty id. Under a whitespace delimiter a line of
+    delimiters alone is blank too."""
+    kind = draw(st.sampled_from(["full"] * 12 + ["short", "blank", "empty"]))
+    if kind == "blank":
+        return sep * draw(st.integers(0, 2)) if sep.isspace() else ""
+    keys = [draw(st.sampled_from(ASCII_USERS)), draw(st.sampled_from(ASCII_ITEMS))]
+    keys = keys[3 - nfields:]
+    if kind == "empty":
+        keys[draw(st.integers(0, len(keys) - 1))] = ""
+    fields = [*keys, draw(ascii_values(lo, hi))]
+    if kind == "short":
+        return sep.join(fields[: draw(st.integers(1, nfields - 1))])
+    tail = draw(st.sampled_from(["", "{sep}978300760", "{sep}", "{sep}x{sep}y"]))
+    return sep.join(fields) + tail.format(sep=sep)
+
+
+@st.composite
+def ascii_files(draw, sep, nfields, lo, hi, header):
+    """`files` of gate-passing lines."""
+    lines = draw(st.lists(ascii_records(sep, nfields, lo, hi), max_size=12))
+    if header is not None:
+        lines = [*draw(st.lists(st.just(""), max_size=2)), header, *lines]
+    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+ascii_rating_files = st.one_of(
+    st.tuples(ascii_files("::", 3, 1.0, 5.0, None),
+              st.just(dict(scale=RatingScale(1, 5)))),
+    st.tuples(ascii_files(",", 3, 0.0, 1.0, None),
+              st.just(dict(fmt=DelimitedFormat(","), scale=RatingScale(0.0, 1.0)))),
+    st.tuples(ascii_files("\t", 3, 1.0, 5.0, None),
+              st.just(dict(fmt=DelimitedFormat("\t"), scale=RatingScale(1, 5)))),
+    st.tuples(ascii_files(",", 3, 0.0, 1.0, "user_id,item_id,weight"),
+              st.sampled_from([{}, dict(scale=RatingScale(1, 5))])),
+)
+ascii_truth_files = st.one_of(
+    st.tuples(ascii_files(",", 2, 0.0, 100.0, None),
+              st.just(dict(scale=RatingScale(0, 100)))),
+    st.tuples(ascii_files(",", 2, 0.0, 1.0, "item_id,true_rating"), st.just({})),
+    st.tuples(ascii_files("\t", 2, -5.0, 5.0, "item_id\ttrue_rating"),
+              st.just(dict(fmt=DelimitedFormat("\t")))),
+    st.tuples(ascii_files("::", 2, 1.0, 5.0, "item::score"),
+              st.just(dict(fmt=DelimitedFormat("::"), scale=RatingScale(1, 5)))),
+)
+
+
+def fallbacks():
+    """Spy on the `StringDType` cut, the path for files the gate refuses."""
+    return mock.patch.object(
+        ingest, "_string_columns", wraps=ingest._string_columns
+    )
+
+
+class TestBytePathMatchesReference:
+    # An empty id between two "::" delimiters makes "::::", whose matches
+    # overlap; the gate refuses that and no other file these strategies
+    # write.
+    @parity
+    @given(case=ascii_rating_files, policy=st.sampled_from(["strict", "keep_first"]))
+    def test_ratings(self, tmp_path, case, policy):
+        text, kwargs = case
+        path = write(tmp_path / "r.dat", text)
+        kwargs = dict(kwargs, duplicate_policy=policy)
+        with fallbacks() as spy:
+            got = outcome(ingest_ratings, path, **kwargs)
+        assert got == outcome(reference.ingest_ratings, path, **kwargs)
+        assert spy.call_count == ("::::" in text)
+
+    @parity
+    @given(case=ascii_truth_files)
+    def test_ground_truth(self, tmp_path, case):
+        text, kwargs = case
+        path = write(tmp_path / "t.csv", text)
+        with fallbacks() as spy:
+            got = outcome(ingest_ground_truth, path, **kwargs)
+        assert got == outcome(reference.ingest_ground_truth, path, **kwargs)
+        assert spy.call_count == ("::::" in text)
+
+
+class TestRouting:
+    def test_gated_files_skip_the_string_cut(self, tmp_path, monkeypatch):
+        def no_string_cut(path, *args):
+            raise AssertionError(f"{path} reached the StringDType cut")
+
+        monkeypatch.setattr("truerating.ingest._string_columns", no_string_cut)
+        raw = write(tmp_path / "r.dat",
+                    "\ufeffu1::m1::5::978300760\r\n\r\nu2::m1::3\ruser-000000012::m2::1")
+        assert ingest_ratings(raw, scale=RatingScale(1, 5)).num_edges == 3
+        tabs = write(tmp_path / "r.tsv", "u1\tm1\t5\n\t\t\nu2\tm1\t3\n")
+        graph = ingest_ratings(tabs, fmt=DelimitedFormat("\t"), scale=RatingScale(1, 5))
+        assert graph.user_ids == ("u1", "u2") and graph.num_edges == 2
+        canonical = write(tmp_path / "r.csv", "user_id,item_id,weight\nu1,m1,0.5\n")
+        assert ingest_ratings(canonical).num_edges == 1
+        truth = write(tmp_path / "t.csv", "item_id,score\nm1,0.5\nm2,0.25\n")
+        assert len(ingest_ground_truth(truth)) == 2
+
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            ("u1::m1:: 5\nu2::m1::3\n", {}),                 # a space
+            ("u1::m1::5\n\u00fc::m1::3\n", {}),               # a non-ASCII id
+            ("u1::m1::5\x0c\nu2::m1::3\n", {}),               # a form feed
+            ("u1:::m1::5\nu2::m1::3\n", {}),                 # "::" matches overlap
+            # A canonical file holding the tab its delimiter admitted.
+            ("user_id,item_id,weight\t\nu1,m1,0.5\n",
+             dict(fmt=DelimitedFormat("\t"))),
+        ],
+    )
+    def test_refused_files_fall_back(self, tmp_path, text, kwargs):
+        path = write(tmp_path / "r.dat", text)
+        kwargs = dict(kwargs, scale=RatingScale(1, 5))
+        with fallbacks() as spy:
+            got = outcome(ingest_ratings, path, **kwargs)
+        assert spy.call_count == 1
+        assert got == outcome(reference.ingest_ratings, path, **kwargs)
+        assert got[0] == "graph"
+
+    def test_wide_field_falls_back(self, tmp_path):
+        # One id far wider than the rest would make its column larger than
+        # twice the file, so the gate refuses the file.
+        lines = [f"{u}::m1::5" for u in range(60_000)] + ["u" * 40 + "::m1::5"]
+        path = write(tmp_path / "r.dat", "\n".join(lines))
+        with fallbacks() as spy:
+            graph = ingest_ratings(path, scale=RatingScale(1, 5))
+        assert spy.call_count == 1
+        assert graph.num_users == 60_001 and graph.user_ids[-1] == "u" * 40
+
+    def test_gated_bad_record_is_rescanned_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return _lines(path)
+
+        def no_string_cut(path, *args):
+            raise AssertionError(f"{path} reached the StringDType cut")
+
+        monkeypatch.setattr("truerating.ingest._lines", counting)
+        monkeypatch.setattr("truerating.ingest._string_columns", no_string_cut)
+        path = write(tmp_path / "r.dat", "u1::m1::5\nu2::m1::x\nu1::m1::5\n")
+        expected = outcome(reference.ingest_ratings, path, scale=RatingScale(1, 5))
+        assert expected[:3] == ("error", str(path), 2)
+        calls.clear()
+        assert outcome(ingest_ratings, path, scale=RatingScale(1, 5)) == expected
+        assert calls == [path]
 
 
 class TestFastPath:
