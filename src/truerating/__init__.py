@@ -40,6 +40,8 @@ from .oracle import solve_linear
 from .synth import PlantedInstance, generate_planted
 from .evaluate import (
     EvalReport,
+    TruthAlignment,
+    align_truth,
     bin_deviation,
     build_report,
     histogram,
@@ -77,6 +79,8 @@ __all__ = [
     "PlantedInstance",
     "generate_planted",
     "EvalReport",
+    "TruthAlignment",
+    "align_truth",
     "bin_deviation",
     "build_report",
     "histogram",

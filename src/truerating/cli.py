@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluate import build_report
+from .evaluate import align_truth, build_report
 from .graph import RatingGraph, RatingScale
 from .ingest import (
     MOVIELENS_FORMAT,
@@ -349,14 +349,15 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
         seen[tag] = alpha
     graph = _ingest(args)
     _require_plain_ids(graph.item_ids)
-    truth = ingest_ground_truth(
-        args.truth, scale=_parse_scale(args.truth_scale)
+    truth = align_truth(
+        graph,
+        ingest_ground_truth(args.truth, scale=_parse_scale(args.truth_scale)),
     )
 
     methods = []
     outputs: list[str] = []
     convergence: dict[str, dict] = {}
-    means = graph.item_means()
+    means = truth.item_means
     methods.append(
         (build_report(graph, means, truth, label="mean"), "mean", means, None)
     )
@@ -399,7 +400,7 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
 
         payload = {
             "methods": [report.to_dict() for report, *_ in methods],
-            "unmatched_truth_items": len(truth.unmatched(graph.item_ids)),
+            "unmatched_truth_items": truth.unmatched,
         }
         _write_json(out("report.json"), payload)
         outputs.append("report.json")

@@ -13,6 +13,13 @@ items and that order. The order is kept for two reasons: it breaks ranking
 ties (equal scores rank by ascending id), and it is the summation order of
 every accuracy mean, overall and per bin, so each figure keeps its last
 bit however the graph numbered its items.
+
+`align_truth` does the id work once for a graph and its ground truth: the
+common items and their order, the truth values and ranks, the degree bins
+and the plain item means. `build_report` scores any number of rating
+vectors against that alignment. Per-bin means are taken over contiguous
+slices of a stable sort by bin, which adds each bin's items in the same
+order a boolean mask would select them.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ __all__ = [
     "histogram",
     "rating_map",
     "EvalReport",
+    "TruthAlignment",
+    "align_truth",
     "build_report",
 ]
 
@@ -65,18 +74,15 @@ def _ranks(scores: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(-scores, kind="stable"))
 
 
-def _errors(
-    predicted: np.ndarray, truth: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-item squared error and footrule rank distance (None below 2
-    items) of two score arrays over the same items in ascending id order."""
+def _squared(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     # `float_power` goes through the C library's `pow`, as Python's `x ** 2`
     # does; `np.square` (x * x) can round the last bit the other way.
-    squared = np.float_power(predicted - truth, 2)
-    if predicted.size < 2:
-        return squared, None
-    distance = np.abs(_ranks(predicted) - _ranks(truth)).astype(np.float64)
-    return squared, distance
+    return np.float_power(predicted - truth, 2)
+
+
+def _distance(predicted: np.ndarray, truth_ranks: np.ndarray) -> np.ndarray:
+    """Per-item footrule rank distance of scores in ascending id order."""
+    return np.abs(_ranks(predicted) - truth_ranks).astype(np.float64)
 
 
 def mse(
@@ -84,7 +90,7 @@ def mse(
     truth: Mapping[str, float] | GroundTruth,
 ) -> float:
     """Mean squared difference over the ids present in both score maps."""
-    squared, _ = _errors(*_aligned(predicted, truth))
+    squared = _squared(*_aligned(predicted, truth))
     if not squared.size:
         raise ValueError("no common items between predicted and truth scores")
     return float(squared.mean())
@@ -99,13 +105,13 @@ def rank_error(
     Both maps are ranked descending over the intersection only, so the
     result depends on score order alone, never on score magnitude.
     """
-    squared, distance = _errors(*_aligned(predicted, truth))
-    if distance is None:
+    pred, ref = _aligned(predicted, truth)
+    if pred.size < 2:
         raise ValueError(
             f"need at least 2 common items to compare rankings, "
-            f"got {squared.size}"
+            f"got {pred.size}"
         )
-    return float(distance.mean())
+    return float(_distance(pred, _ranks(ref)).mean())
 
 
 def _item_vector(graph: RatingGraph, rating) -> np.ndarray:
@@ -119,19 +125,43 @@ def _item_vector(graph: RatingGraph, rating) -> np.ndarray:
     return rating
 
 
-def _per_bin_mean(values: np.ndarray, bins: np.ndarray) -> dict[int, float]:
-    return {int(k): float(values[bins == k].mean()) for k in np.unique(bins)}
+class _Bins:
+    """Items grouped by degree bin: a stable sort by bin, so each bin's
+    items stay in array order, and the slice each bin takes in it.
+
+    `means(values)[k]` is ``values[bins == k].mean()``, bit for bit: the
+    same elements added in the same order."""
+
+    def __init__(self, bins: np.ndarray) -> None:
+        self.order = np.argsort(bins, kind="stable")
+        ordered = bins[self.order]
+        keys, starts = np.unique(ordered, return_index=True)
+        ends = np.append(starts[1:], ordered.size)
+        self.spans = [
+            (int(k), slice(int(a), int(b)))
+            for k, a, b in zip(keys, starts, ends)
+        ]
+
+    def means(self, values: np.ndarray) -> dict[int, float]:
+        ordered = values[self.order]
+        return {k: float(ordered[span].mean()) for k, span in self.spans}
 
 
 def _deviation_by_bin(
-    graph: RatingGraph, rating: np.ndarray
+    rating: np.ndarray, means: np.ndarray, bins: _Bins
 ) -> dict[int, tuple[float, float]]:
-    bins = degree_bins(graph.item_degrees)
-    deviation = np.abs(rating - graph.item_means())
-    nonzero = rating != 0.0
-    dev = _per_bin_mean(deviation, bins)
-    rel = _per_bin_mean(deviation[nonzero] / rating[nonzero], bins[nonzero])
-    return {k: (dev[k], rel.get(k, 0.0)) for k in dev}
+    deviation = np.abs(rating - means)[bins.order]
+    rating = rating[bins.order]
+    out = {}
+    for k, span in bins.spans:
+        dev, rate = deviation[span], rating[span]
+        nonzero = rate != 0.0
+        relative = dev[nonzero] / rate[nonzero]
+        out[k] = (
+            float(dev.mean()),
+            float(relative.mean()) if relative.size else 0.0,
+        )
+    return out
 
 
 def bin_deviation(
@@ -145,7 +175,11 @@ def bin_deviation(
     (zero-rating items are skipped, their count visible via `build_report`).
     Bins with no items are omitted.
     """
-    return _deviation_by_bin(graph, _item_vector(graph, result.rating))
+    return _deviation_by_bin(
+        _item_vector(graph, result.rating),
+        graph.item_means(),
+        _Bins(degree_bins(graph.item_degrees)),
+    )
 
 
 def histogram(
@@ -214,10 +248,62 @@ class EvalReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class TruthAlignment:
+    """Everything `build_report` takes from a graph and its ground truth,
+    whatever method's ratings it scores. Made by `align_truth`."""
+
+    graph: RatingGraph
+    #: Plain per-item means, the baseline ratings.
+    item_means: np.ndarray
+    #: Items grouped by degree bin.
+    item_bins: _Bins
+    #: Indices of the items that have a truth value, in ascending id order.
+    common: np.ndarray
+    #: Their truth values.
+    truth: np.ndarray
+    #: Their ranks by descending truth (ties by ascending id); None below
+    #: two items.
+    truth_ranks: np.ndarray | None
+    #: The common items grouped by degree bin.
+    common_bins: _Bins
+    #: Number of truth ids the graph does not have.
+    unmatched: int
+
+
+def align_truth(
+    graph: RatingGraph, truth: GroundTruth | Mapping[str, float]
+) -> TruthAlignment:
+    """Match `truth` to the graph's items once, for any number of
+    `build_report` calls on that graph.
+
+    Raises `ValueError` if the truth names none of the graph's items.
+    """
+    ref = _as_values(truth)
+    ids = graph.item_ids
+    common = [j for j, key in enumerate(ids) if key in ref]
+    if not common:
+        raise ValueError("ground truth shares no items with the graph")
+    common.sort(key=ids.__getitem__)
+    values = _take(ref, [ids[j] for j in common])
+    bins = degree_bins(graph.item_degrees)
+    common = np.array(common, dtype=np.intp)
+    return TruthAlignment(
+        graph=graph,
+        item_means=graph.item_means(),
+        item_bins=_Bins(bins),
+        common=common,
+        truth=values,
+        truth_ranks=_ranks(values) if values.size >= 2 else None,
+        common_bins=_Bins(bins[common]),
+        unmatched=len(ref) - common.size,
+    )
+
+
 def build_report(
     graph: RatingGraph,
     rating,
-    truth: GroundTruth | Mapping[str, float] | None = None,
+    truth: TruthAlignment | GroundTruth | Mapping[str, float] | None = None,
     *,
     label: str,
     bias=None,
@@ -228,33 +314,37 @@ def build_report(
 
     `truth` may cover only part of the items; accuracy metrics run on the
     intersection (an empty intersection is an error, a single common item
-    yields MSE but no rank error). `bias` is the method's per-user vector,
-    absent for the plain-mean baseline.
+    yields MSE but no rank error). Pass the `align_truth` result when
+    scoring several methods on one graph; a plain truth is aligned here.
+    `bias` is the method's per-user vector, absent for the plain-mean
+    baseline.
     """
     rating = _item_vector(graph, rating)
-    by_bin = _deviation_by_bin(graph, rating)
 
     mse_overall = None
     rank_overall = None
     mse_bins: dict[int, float] = {}
     rank_bins: dict[int, float] = {}
-    common: list[int] = []
-    if truth is not None:
-        ref = _as_values(truth)
-        ids = graph.item_ids
-        common = [j for j, key in enumerate(ids) if key in ref]
-        if not common:
-            raise ValueError("ground truth shares no items with the graph")
-        common.sort(key=ids.__getitem__)
-        squared, distance = _errors(
-            rating[common], _take(ref, [ids[j] for j in common])
-        )
-        bins = degree_bins(graph.item_degrees)[common]
+    common_items = 0
+    if truth is None:
+        means = graph.item_means()
+        item_bins = _Bins(degree_bins(graph.item_degrees))
+    else:
+        if not isinstance(truth, TruthAlignment):
+            truth = align_truth(graph, truth)
+        elif truth.graph is not graph:
+            raise ValueError("truth alignment was made for another graph")
+        means, item_bins = truth.item_means, truth.item_bins
+        predicted = rating[truth.common]
+        squared = _squared(predicted, truth.truth)
         mse_overall = float(squared.mean())
-        mse_bins = _per_bin_mean(squared, bins)
-        if distance is not None:
+        mse_bins = truth.common_bins.means(squared)
+        if truth.truth_ranks is not None:
+            distance = _distance(predicted, truth.truth_ranks)
             rank_overall = float(distance.mean())
-            rank_bins = _per_bin_mean(distance, bins)
+            rank_bins = truth.common_bins.means(distance)
+        common_items = truth.common.size
+    by_bin = _deviation_by_bin(rating, means, item_bins)
 
     return EvalReport(
         method_label=label,
@@ -265,7 +355,7 @@ def build_report(
         bindev={k: dev for k, (dev, _) in by_bin.items()},
         relbindev={k: rel for k, (_, rel) in by_bin.items()},
         relbindev_skipped=int(np.count_nonzero(rating == 0.0)),
-        common_items=len(common),
+        common_items=common_items,
         bias_histogram=(
             None
             if bias is None

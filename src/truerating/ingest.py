@@ -26,12 +26,18 @@ give the same graph. Neither keeps line numbers: only when a check fails
 is the file read again line by line, and that rescan raises an
 `IngestError` carrying the file path and the 1-based line number of the
 first bad record.
+
+The CSV writers format in numpy, a fixed number of rows at a time, and
+write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
+decimals from its scaled float64 product; the few values that product
+cannot round with certainty (near a decimal tie, non-finite or very large)
+are formatted by Python, so every byte matches ``f"{v:.9f}"``.
 """
 
 from __future__ import annotations
 
 import codecs
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,8 +61,10 @@ CANONICAL_HEADER = ("user_id", "item_id", "weight")
 
 #: Decimal places used for every weight/score this package writes.
 FLOAT_DIGITS = 9
-_SCORE_ROW = f"{{}},{{:.{FLOAT_DIGITS}f}}\n"
-_RATING_ROW = f"{{}},{{}},{{:.{FLOAT_DIGITS}f}}\n"
+_NUMBER = f"{{:.{FLOAT_DIGITS}f}}\n"
+
+#: Rows the CSV writers format at a time; it bounds their temporaries.
+_BLOCK_ROWS = 8192
 
 _STRING = np.dtypes.StringDType()
 
@@ -522,21 +530,134 @@ def ingest_ground_truth(
 
 def _require_plain_ids(ids: Sequence[str]) -> None:
     # Ids are written verbatim and read back split on a bare ",", so every
-    # id without a "," reads back as itself.
-    if "," in "".join(ids):
-        bad = next(i for i in ids if "," in i)
-        raise ValueError(f"id {bad!r} contains ',' and cannot be written as CSV")
+    # id without a "," reads back as itself. A block at a time, so that the
+    # joined text stays small.
+    for start in range(0, len(ids), _BLOCK_ROWS):
+        block = ids[start:start + _BLOCK_ROWS]
+        if "," in "".join(block):
+            bad = next(i for i in block if "," in i)
+            raise ValueError(
+                f"id {bad!r} contains ',' and cannot be written as CSV"
+            )
+
+
+# The fixed-point formatter. Every integer below 2**52 is a float64, so a
+# rounded scaled value below it is exact, with at most `_WHOLE_DIGITS`
+# digits before the point; the fraction's digits fit a uint32.
+_SCALE = 10.0**FLOAT_DIGITS
+_EXACT_LIMIT = 2.0**52
+_WHOLE_DIGITS = len(str(2**52 // 10**FLOAT_DIGITS))
+_WHOLE_LIMITS = [10**k for k in range(1, _WHOLE_DIGITS)]
+# One value right-aligned: sign, whole digits, ".", fraction, "\n".
+_POINT = 1 + _WHOLE_DIGITS
+_NUMBER_WIDTH = _POINT + 1 + FLOAT_DIGITS + 1
+
+_Field = tuple[np.ndarray, np.ndarray]
+
+
+def _text_field(strings: Sequence[str]) -> _Field:
+    """Each string followed by ``,``, as UTF-8 bytes back to back, and the
+    byte length of each. The strings hold no ``,`` (`_require_plain_ids`),
+    so the commas mark where each one ends."""
+    data = np.frombuffer((",".join(strings) + ",").encode(), np.uint8)
+    return data, np.diff(np.flatnonzero(data == ord(",")), prepend=-1)
+
+
+def _put_digits(columns: np.ndarray, value: np.ndarray) -> None:
+    """Write the low decimal digits of `value` into the ASCII `columns`,
+    units digit last."""
+    for col in range(columns.shape[1] - 1, -1, -1):
+        quotient = value // 10
+        columns[:, col] = value - quotient * 10 + ord("0")
+        value = quotient
+
+
+def _number_fields(values: np.ndarray) -> tuple[_Field, _Field]:
+    """Each value as `_NUMBER` formats it: the rows numpy formats and the
+    rows Python formats, as two fields each empty where the other is not.
+
+    numpy rounds p = v * 10**FLOAT_DIGITS to the nearest integer n. The
+    product is within |p| * 2**-53 of the exact one, so both round to n
+    unless p lies that close to a half-integer; those rows, non-finite
+    values and |p| >= 2**52 go to Python. The band is doubled to cover the
+    rounding of the distance itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * _SCALE
+        nearest = np.rint(scaled)
+        fast = (np.abs(scaled) < _EXACT_LIMIT) & (
+            np.abs(np.abs(scaled - nearest) - 0.5)
+            > np.abs(scaled) * 2.0**-51
+        )
+    whole, fraction = np.divmod(
+        np.where(fast, np.abs(nearest), 0.0).astype(np.uint64),
+        10**FLOAT_DIGITS,
+    )
+    whole = whole.astype(np.uint32)
+    digits = 1 + np.searchsorted(_WHOLE_LIMITS, whole, side="right")
+    text = np.empty((values.size, _NUMBER_WIDTH), np.uint8)
+    _put_digits(text[:, _POINT - digits.max(initial=1):_POINT], whole)
+    text[:, _POINT] = ord(".")
+    _put_digits(text[:, _POINT + 1:-1], fraction.astype(np.uint32))
+    text[:, -1] = ord("\n")
+    # The first column each row uses: its leading digit, or the sign
+    # before it (np.signbit, so -0.0 and tiny negatives print "-0.0...").
+    negative = np.signbit(values) & fast
+    first = np.where(fast, _POINT - digits - negative, _NUMBER_WIDTH)
+    text[negative, first[negative]] = ord("-")
+    used = np.arange(_NUMBER_WIDTH) >= first[:, None]
+    numpy_field = (text[used], _NUMBER_WIDTH - first)
+
+    slow = np.flatnonzero(~fast)
+    python_lengths = np.zeros(values.size, np.intp)
+    strings = list(map(_NUMBER.format, values[slow].tolist()))
+    python_lengths[slow] = list(map(len, strings))
+    python_field = (np.frombuffer("".join(strings).encode(), np.uint8),
+                    python_lengths)
+    return numpy_field, python_field
+
+
+def _rows(fields: Sequence[_Field]) -> np.ndarray:
+    """The bytes of rows whose i-th one joins every field's i-th piece,
+    in field order."""
+    lengths = np.stack([length for _, length in fields], axis=1)
+    owner = np.repeat(
+        np.tile(np.arange(len(fields), dtype=np.uint8), len(lengths)),
+        lengths.ravel(),
+    )
+    out = np.empty(owner.size, np.uint8)
+    for k, (data, _) in enumerate(fields):
+        if data.size:
+            out[owner == k] = data
+    return out
+
+
+def _write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    count: int,
+    block_fields: Callable[[slice], Sequence[_Field]],
+) -> None:
+    """Write the header, then rows 0..count-1 in blocks of `_BLOCK_ROWS`,
+    each block's fields given by `block_fields`."""
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, count, _BLOCK_ROWS):
+            block = slice(start, min(start + _BLOCK_ROWS, count))
+            handle.write(_rows(block_fields(block)))
 
 
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
     """Write the graph's edges as canonical CSV in canonical edge order."""
     _require_plain_ids(graph.user_ids + graph.item_ids)
-    users = map(graph.user_ids.__getitem__, graph.edge_user.tolist())
-    items = map(graph.item_ids.__getitem__, graph.edge_item.tolist())
-    weights = graph.edge_weight.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(CANONICAL_HEADER) + "\n")
-        handle.writelines(map(_RATING_ROW.format, users, items, weights))
+
+    def block_fields(rows: slice) -> list[_Field]:
+        users = map(graph.user_ids.__getitem__, graph.edge_user[rows].tolist())
+        items = map(graph.item_ids.__getitem__, graph.edge_item[rows].tolist())
+        return [_text_field(list(users)), _text_field(list(items)),
+                *_number_fields(graph.edge_weight[rows])]
+
+    _write_csv(path, CANONICAL_HEADER, graph.num_edges, block_fields)
 
 
 def write_scores_csv(
@@ -545,9 +666,17 @@ def write_scores_csv(
     ids: Sequence[str],
     values: np.ndarray,
 ) -> None:
-    """Write ``id,value`` rows (bias or rating scores) with a fixed header."""
+    """Write ``id,value`` rows (bias or rating scores) with a fixed header.
+
+    Values are written with `FLOAT_DIGITS` decimals, byte for byte as
+    Python's ``f"{v:.9f}"`` writes them.
+    """
     _require_plain_ids(ids)
-    scores = np.asarray(values, np.float64).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(map(_SCORE_ROW.format, ids, scores))
+    scores = np.asarray(values, np.float64)
+    if scores.shape != (len(ids),):
+        raise ValueError(f"values of shape {scores.shape} for {len(ids)} ids")
+
+    def block_fields(rows: slice) -> list[_Field]:
+        return [_text_field(ids[rows]), *_number_fields(scores[rows])]
+
+    _write_csv(path, header, len(ids), block_fields)

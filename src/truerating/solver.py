@@ -230,15 +230,23 @@ class _Sweeps:
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""
         g = self.graph
-        adjusted = g.edge_weight - self.alpha * bias[g.edge_user]
-        clamped = bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
+        adjusted = bias[g.edge_user]
+        np.multiply(self.alpha, adjusted, out=adjusted)
+        np.subtract(g.edge_weight, adjusted, out=adjusted)
+        clamped = bool(adjusted.size) and bool(
+            adjusted.min() < 0.0 or adjusted.max() > 1.0
+        )
         np.clip(adjusted, 0.0, 1.0, out=adjusted)
         sums = np.bincount(g.edge_item, weights=adjusted, minlength=g.num_items)
-        return sums / self.item_deg, clamped
+        # Without edges `bincount` returns int64, which cannot take the
+        # quotient in place.
+        sums = sums.astype(np.float64, copy=False)
+        return np.divide(sums, self.item_deg, out=sums), clamped
 
     def _bias_chunk(self, rating, lo, hi, e0, e1):
         g = self.graph
-        deviation = g.edge_weight[e0:e1] - rating[g.edge_item[e0:e1]]
+        deviation = rating[g.edge_item[e0:e1]]
+        np.subtract(g.edge_weight[e0:e1], deviation, out=deviation)
         sums = np.bincount(g.edge_user[e0:e1], weights=deviation, minlength=hi)
         return sums[lo:]
 
@@ -248,7 +256,7 @@ class _Sweeps:
                           self.user_plan)
         bias = np.empty(self.graph.num_users, dtype=np.float64)
         for (lo, hi, *_), sums in zip(self.user_plan, chunks):
-            bias[lo:hi] = sums / self.user_deg[lo:hi]
+            np.divide(sums, self.user_deg[lo:hi], out=bias[lo:hi])
         return bias
 
     def evaluate(self, bias: np.ndarray) -> _Iterate:

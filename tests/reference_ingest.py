@@ -1,9 +1,12 @@
 """Line-by-line reference parser: the per-line `ingest_ratings` and
-`ingest_ground_truth` that the columnar parser replaced.
+`ingest_ground_truth` that the columnar parser replaced, and the per-row
+`write_ratings_csv` and `write_scores_csv` that the blocked numpy writers
+replaced.
 
-Tests compare the columnar parser against it: for any file the two must
-return bit-identical graphs and truth values, or raise the same
-`IngestError` (path, line and message).
+Tests compare the package against it: for any file the two must return
+bit-identical graphs and truth values, or raise the same `IngestError`
+(path, line and message); for any input the writers must write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ from truerating.ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
     _lines,
+    _require_plain_ids,
 )
+
+_SCORE_ROW = "{},{:.9f}\n"
+_RATING_ROW = "{},{},{:.9f}\n"
 
 
 def ingest_ratings(
@@ -111,3 +118,26 @@ def ingest_ground_truth(
             raise IngestError(path, lineno, f"duplicate id {key!r}")
         values[key] = value
     return GroundTruth(values)
+
+
+def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
+    _require_plain_ids(graph.user_ids + graph.item_ids)
+    users = map(graph.user_ids.__getitem__, graph.edge_user.tolist())
+    items = map(graph.item_ids.__getitem__, graph.edge_item.tolist())
+    weights = graph.edge_weight.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(CANONICAL_HEADER) + "\n")
+        handle.writelines(map(_RATING_ROW.format, users, items, weights))
+
+
+def write_scores_csv(
+    path: str | Path,
+    header: tuple[str, str],
+    ids: list[str],
+    values: np.ndarray,
+) -> None:
+    _require_plain_ids(ids)
+    scores = np.asarray(values, np.float64).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(map(_SCORE_ROW.format, ids, scores))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from truerating import ingest_ratings, solve_linear
-from truerating import cli
+from truerating import cli, evaluate
 from truerating.cli import main
 
 
@@ -420,6 +420,35 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "no items" in capsys.readouterr().err
+
+    def test_truth_aligned_once(self, tmp_path, monkeypatch):
+        # Three reports (the mean and two solves) share one alignment, and
+        # its unmatched count is the one the report names.
+        instance = self._synth(tmp_path)
+        truth = tmp_path / "truth.csv"
+        truth.write_text(
+            (instance / "truth.csv").read_text() + "ghost,0.5\n",
+            encoding="utf-8",
+        )
+        original = evaluate.align_truth
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "align_truth", counted)
+        monkeypatch.setattr(cli, "align_truth", counted)
+        out = tmp_path / "ev"
+        code = run(
+            "eval", "--ratings", instance / "ratings.csv", "--truth", truth,
+            "--alpha", "0.2", "--alpha", "0.99", "--out", out,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["methods"]) == 3
+        assert report["unmatched_truth_items"] == 1
 
     def test_truth_scale_applied(self, tmp_path):
         instance = self._synth(tmp_path)

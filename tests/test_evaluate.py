@@ -7,6 +7,7 @@ import pytest
 from truerating import (
     RatingGraph,
     SolverConfig,
+    align_truth,
     bin_deviation,
     build_report,
     degree_bins,
@@ -251,6 +252,24 @@ class TestBuildReport:
             build_report(
                 inst.graph, result.rating, {"ghost": 0.5}, label="debias"
             )
+
+    def test_alignment_reused_across_methods(self):
+        inst, result, truth = self._instance()
+        aligned = align_truth(inst.graph, {**truth, "ghost": 0.5})
+        assert aligned.unmatched == 1
+        for rating in (aligned.item_means, result.rating):
+            assert build_report(
+                inst.graph, rating, aligned, label="m"
+            ).to_dict() == build_report(
+                inst.graph, rating, truth, label="m"
+            ).to_dict()
+
+    def test_alignment_for_another_graph_rejected(self):
+        inst, result, truth = self._instance()
+        other = generate_planted(20, 15, 0.8, noise_sigma=0.03, seed=10)
+        aligned = align_truth(other.graph, truth)
+        with pytest.raises(ValueError, match="another graph"):
+            build_report(inst.graph, result.rating, aligned, label="debias")
 
     def test_single_common_item_gives_mse_but_no_rank(self):
         inst, result, truth = self._instance()

@@ -11,7 +11,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_evaluate as reference
-from truerating import GroundTruth, RatingGraph, build_report, mse, rank_error
+from truerating import (
+    GroundTruth,
+    RatingGraph,
+    align_truth,
+    build_report,
+    mse,
+    rank_error,
+)
 
 # Unicode ids, so code-point order matters; hypothesis lists come in any
 # order, so ascending-id order usually differs from first appearance.
@@ -101,6 +108,30 @@ class TestMatchesReference:
         assert outcome(build_report, *args, **kwargs) == outcome(
             reference.build_report, *args, **kwargs
         )
+
+    @parity
+    @given(data=st.data())
+    def test_build_report_aligned(self, data):
+        # The same figures from one alignment reused across methods.
+        graph = data.draw(graphs())
+        truth = data.draw(truths(graph.item_ids))
+        try:
+            aligned = align_truth(graph, truth)
+        except ValueError as exc:
+            assert outcome(reference.build_report, graph,
+                           [0.0] * graph.num_items, truth, label="m") == (
+                "error", type(exc).__name__, str(exc))
+            return
+        for _ in range(2):
+            rating = data.draw(st.lists(scores, min_size=graph.num_items,
+                                        max_size=graph.num_items))
+            bias = data.draw(st.one_of(st.none(), st.lists(
+                scores, min_size=graph.num_users, max_size=graph.num_users)))
+            kwargs = dict(label="method", bias=bias)
+            assert outcome(build_report, graph, rating, aligned,
+                           **kwargs) == outcome(
+                reference.build_report, graph, rating, truth, **kwargs
+            )
 
     def test_ties_and_id_order(self):
         # Items numbered against id order, every predicted score tied: ranks
