@@ -331,19 +331,21 @@ def build_report(
         item_bins = _Bins(degree_bins(graph.item_degrees))
     else:
         if not isinstance(truth, TruthAlignment):
-            truth = align_truth(graph, truth)
-        elif truth.graph is not graph:
+            aligned = align_truth(graph, truth)
+        elif truth.graph is graph:
+            aligned = truth
+        else:
             raise ValueError("truth alignment was made for another graph")
-        means, item_bins = truth.item_means, truth.item_bins
-        predicted = rating[truth.common]
-        squared = _squared(predicted, truth.truth)
+        means, item_bins = aligned.item_means, aligned.item_bins
+        predicted = rating[aligned.common]
+        squared = _squared(predicted, aligned.truth)
         mse_overall = float(squared.mean())
-        mse_bins = truth.common_bins.means(squared)
-        if truth.truth_ranks is not None:
-            distance = _distance(predicted, truth.truth_ranks)
+        mse_bins = aligned.common_bins.means(squared)
+        if aligned.truth_ranks is not None:
+            distance = _distance(predicted, aligned.truth_ranks)
             rank_overall = float(distance.mean())
-            rank_bins = truth.common_bins.means(distance)
-        common_items = truth.common.size
+            rank_bins = aligned.common_bins.means(distance)
+        common_items = aligned.common.size
     by_bin = _deviation_by_bin(rating, means, item_bins)
 
     return EvalReport(
