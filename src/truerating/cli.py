@@ -139,14 +139,6 @@ def _staged(outdir: Path):
             path.temporary.unlink(missing_ok=True)
 
 
-def _finish(manifest: RunManifest, outdir: Path, started: float) -> None:
-    manifest.finished_at = _now_iso()
-    manifest.wall_seconds = round(time.monotonic() - started, 6)
-    manifest.outputs.append("manifest.json")
-    with _staged(outdir) as out:
-        _write_json(out("manifest.json"), manifest.to_dict())
-
-
 def _run(args) -> int:
     """Run one ``cmd_*`` and write its manifest; returns the exit code.
 
@@ -161,16 +153,20 @@ def _run(args) -> int:
     manifest.command = args.command
     manifest.outdir = str(outdir)
     manifest.started_at = started_at
-    _finish(manifest, outdir, started)
+    manifest.finished_at = _now_iso()
+    manifest.wall_seconds = round(time.monotonic() - started, 6)
+    manifest.outputs.append("manifest.json")
+    with _staged(outdir) as out:
+        _write_json(out("manifest.json"), manifest.to_dict())
     return code
 
 
-def _parse_scale(text: str) -> RatingScale:
+def _parse_scale(text: str, flag: str) -> RatingScale:
     lo, _, hi = text.partition(":")
     try:
         return RatingScale(float(lo), float(hi))
     except ValueError as exc:
-        raise ValueError(f"bad scale {text!r}: {exc}") from None
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -195,7 +191,9 @@ def _user_values(path: str, graph: RatingGraph, what: str) -> np.ndarray:
     return table.aligned(graph.user_ids)
 
 
-def _seed_bias(spec: str, graph: RatingGraph):
+def _parse_seed_bias(spec: str) -> float | str | None:
+    """Check a ``--seed-bias`` spec without reading any file: None for
+    ``zeros``, the constant of ``const:<c>``, the path of ``file:<path>``."""
     if spec == "zeros":
         return None
     if spec.startswith("const:"):
@@ -203,13 +201,24 @@ def _seed_bias(spec: str, graph: RatingGraph):
             value = float(spec.removeprefix("const:"))
         except ValueError:
             raise ValueError(f"bad --seed-bias {spec!r}") from None
-        return np.full(graph.num_users, value, dtype=np.float64)
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"bad --seed-bias {spec!r}; c must be in [-1, 1]")
+        return value
     if spec.startswith("file:"):
-        seeds = _user_values(spec.removeprefix("file:"), graph, "seed bias")
-        return np.where(np.isnan(seeds), 0.0, seeds)
+        return spec.removeprefix("file:")
     raise ValueError(
         f"bad --seed-bias {spec!r}; expected zeros, const:<c>, or file:<path>"
     )
+
+
+def _seed_bias(seed: float | str | None, graph: RatingGraph):
+    """The starting bias vector for a parsed ``--seed-bias`` spec."""
+    if seed is None:
+        return None
+    if isinstance(seed, float):
+        return np.full(graph.num_users, seed, dtype=np.float64)
+    seeds = _user_values(seed, graph, "seed bias")
+    return np.where(np.isnan(seeds), 0.0, seeds)
 
 
 def _alpha_overrides(
@@ -229,27 +238,12 @@ def _alpha_overrides(
 
 
 def _ingest(args) -> RatingGraph:
-    """Read the rating file, after checking `--threads` so that a bad
-    value fails before the parse."""
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     return ingest_ratings(
         args.ratings,
         fmt=DelimitedFormat(args.delimiter),
-        scale=_parse_scale(args.scale),
+        scale=_parse_scale(args.scale, "--scale"),
         duplicate_policy=args.duplicates,
     )
-
-
-def _solver_params(config: SolverConfig, extra: dict | None = None) -> dict:
-    params = {
-        "alpha": config.alpha,
-        "epsilon": config.epsilon,
-        "max_iterations": config.max_iterations,
-    }
-    if extra:
-        params.update(extra)
-    return params
 
 
 def _trace_json(result) -> list[dict]:
@@ -273,13 +267,14 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
     )
+    seed = _parse_seed_bias(args.seed_bias)
     graph = _ingest(args)
     _require_plain_ids(graph.user_ids + graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
-    initial = _seed_bias(args.seed_bias, graph)
+    initial = _seed_bias(seed, graph)
 
-    result = solve(graph, config, initial_bias=initial, threads=args.threads)
+    result = solve(graph, config, initial_bias=initial)
 
     with _staged(_output_dir(args.out)) as out:
         write_scores_csv(
@@ -307,16 +302,15 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
             "ratings": str(args.ratings),
             "alpha_overrides": args.alpha_overrides,
         },
-        params=_solver_params(
-            config,
-            {
-                "scale": args.scale,
-                "delimiter": args.delimiter,
-                "duplicates": args.duplicates,
-                "seed_bias": args.seed_bias,
-                "threads": args.threads,
-            },
-        ),
+        params={
+            "alpha": config.alpha,
+            "epsilon": config.epsilon,
+            "max_iterations": config.max_iterations,
+            "scale": args.scale,
+            "delimiter": args.delimiter,
+            "duplicates": args.duplicates,
+            "seed_bias": args.seed_bias,
+        },
         outputs=["bias.csv", "ratings.csv", "trace.json"],
         results={
             "converged": result.converged,
@@ -347,11 +341,11 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
                 f"alpha_{tag}"
             )
         seen[tag] = alpha
+    truth_scale = _parse_scale(args.truth_scale, "--truth-scale")
     graph = _ingest(args)
     _require_plain_ids(graph.item_ids)
     truth = align_truth(
-        graph,
-        ingest_ground_truth(args.truth, scale=_parse_scale(args.truth_scale)),
+        graph, ingest_ground_truth(args.truth, scale=truth_scale)
     )
 
     methods = []
@@ -362,7 +356,7 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
         (build_report(graph, means, truth, label="mean"), "mean", means, None)
     )
     for config in configs:
-        result = solve(graph, config, threads=args.threads)
+        result = solve(graph, config)
         label = f"debias(α={_alpha_tag(config.alpha)})"
         report = build_report(
             graph, result.rating, truth, label=label, bias=result.bias
@@ -415,7 +409,6 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
             "truth_scale": args.truth_scale,
             "delimiter": args.delimiter,
             "duplicates": args.duplicates,
-            "threads": args.threads,
         },
         outputs=outputs,
         results={"solves": convergence, "common_items": methods[0][0].common_items},
@@ -465,14 +458,13 @@ def cmd_synth(args) -> tuple[int, RunManifest]:
 def cmd_oracle_check(args) -> tuple[int, RunManifest]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
-    graph = _ingest(args)
-
     # Run the iterative side well past the comparison tolerance: stopping at
     # L1 delta eps leaves at most alpha/(1-alpha)*eps distance to the fixed
     # point, so eps = tol*(1-alpha)/10 keeps iteration error negligible.
     epsilon = max(args.tolerance * (1.0 - args.alpha) / 10.0, 1e-15)
     config = SolverConfig(alpha=args.alpha, epsilon=epsilon)
-    result = solve(graph, config, threads=args.threads)
+    graph = _ingest(args)
+    result = solve(graph, config)
 
     status = "ok"
     code = 0
@@ -516,7 +508,6 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
             "scale": args.scale,
             "delimiter": args.delimiter,
             "duplicates": args.duplicates,
-            "threads": args.threads,
         },
         outputs=["oracle.json"],
         results={"status": status, "exit_code": code},
@@ -550,12 +541,6 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
         choices=("strict", "keep_first"),
         default="strict",
         help="how to treat repeated (user,item) ratings (default strict)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="solver threads; any value gives bit-identical results",
     )
     parser.add_argument("--out", required=True, help="output directory")
 

@@ -26,24 +26,20 @@ So every accepted iterate's residual shrinks at least by alpha, as under
 plain iteration, which is the same loop with an empty history. An accepted
 iterate costs one sweep, or two when a candidate was rejected first.
 
-Each sweep reads the graph's one user-major edge list. The rating half is
-one `np.bincount` over all edges, keyed by item. The bias half splits the
-users into contiguous chunks at user boundaries, each chunk sums its own
-edge slice with `np.bincount`, and the chunks are mapped over a thread
-pool; a serial solve is the one-chunk plan mapped without a pool.
+Each sweep reads the graph's one user-major edge list. Each half is one
+`np.bincount` over all edges followed by a divide by the degrees: the
+rating half keyed by item, the bias half keyed by user.
 
 Determinism: `np.bincount` adds its weights in array order, so every
 rating accumulates its terms in ascending user order and every bias in
-ascending item order, and a user's terms never span two chunks; the
-Anderson arithmetic runs serially on whole vectors. So results are
-bit-identical across thread counts and repeated runs.
+ascending item order, and the Anderson arithmetic runs on whole vectors.
+So repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,16 +173,6 @@ def _per_user_alpha(
     return alphas
 
 
-def _plan(ptr: np.ndarray, parts: int) -> list[tuple[int, int, int, int]]:
-    """Split CSR nodes into `parts` chunks ``(lo, hi, e0, e1)``: nodes
-    lo..hi-1 own edges e0..e1-1."""
-    bounds = np.unique(
-        np.linspace(0, len(ptr) - 1, parts + 1).round().astype(np.int64)
-    )
-    return [(int(lo), int(hi), int(ptr[lo]), int(ptr[hi]))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 @dataclass
 class _Iterate:
     """The bias map evaluated at one bias vector x."""
@@ -199,21 +185,13 @@ class _Iterate:
 
 
 class _Sweeps:
-    """Precomputed damping factors, degrees and user chunk plan for one
-    solve.
+    """Precomputed damping factors and degrees for one solve.
 
     `count` is the number of map evaluations made so far.
     """
 
-    def __init__(
-        self,
-        graph: RatingGraph,
-        config: SolverConfig,
-        threads: int,
-        pool: ThreadPoolExecutor | None,
-    ) -> None:
+    def __init__(self, graph: RatingGraph, config: SolverConfig) -> None:
         self.graph = graph
-        self.map = map if pool is None else pool.map
         self.count = 0
         # Without overrides every factor is alpha, and multiplying by the
         # scalar gives the same products as a per-edge array would.
@@ -225,7 +203,6 @@ class _Sweeps:
             self.alpha = alpha_user[graph.edge_user]
         self.item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
         self.user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
-        self.user_plan = _plan(graph.user_ptr, threads)
 
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""
@@ -243,21 +220,14 @@ class _Sweeps:
         sums = sums.astype(np.float64, copy=False)
         return np.divide(sums, self.item_deg, out=sums), clamped
 
-    def _bias_chunk(self, rating, lo, hi, e0, e1):
-        g = self.graph
-        deviation = rating[g.edge_item[e0:e1]]
-        np.subtract(g.edge_weight[e0:e1], deviation, out=deviation)
-        sums = np.bincount(g.edge_user[e0:e1], weights=deviation, minlength=hi)
-        return sums[lo:]
-
     def bias_step(self, rating: np.ndarray) -> np.ndarray:
         """bias_i = mean over i's raw ratings of (w - rating_j)."""
-        chunks = self.map(lambda spec: self._bias_chunk(rating, *spec),
-                          self.user_plan)
-        bias = np.empty(self.graph.num_users, dtype=np.float64)
-        for (lo, hi, *_), sums in zip(self.user_plan, chunks):
-            np.divide(sums, self.user_deg[lo:hi], out=bias[lo:hi])
-        return bias
+        g = self.graph
+        deviation = rating[g.edge_item]
+        np.subtract(g.edge_weight, deviation, out=deviation)
+        sums = np.bincount(g.edge_user, weights=deviation, minlength=g.num_users)
+        sums = sums.astype(np.float64, copy=False)
+        return np.divide(sums, self.user_deg, out=sums)
 
     def evaluate(self, bias: np.ndarray) -> _Iterate:
         """One sweep: R and T at `bias`, and the residual T(bias) - bias."""
@@ -364,7 +334,7 @@ def iterate_once(
     Every rating is computed from the incoming bias vector before any bias
     is refreshed, so the result is independent of edge traversal order.
     """
-    step = _Sweeps(graph, config, 1, None).evaluate(_seed(graph, bias))
+    step = _Sweeps(graph, config).evaluate(_seed(graph, bias))
     return step.rating, step.image
 
 
@@ -380,26 +350,18 @@ def solve(
     Starts from `initial_bias` (zeros by default) with ratings at the plain
     per-item means, and stops once the L1 norm of the current iterate's
     residual T(x) - x drops below `config.epsilon` or `config.max_iterations`
-    iterates have been accepted. `threads` splits each bias sweep
-    across a thread pool without changing any result bit.
+    iterates have been accepted.
+
+    `threads` has no effect: it is checked (>= 1) and otherwise ignored.
+    It stays only for the benchmark harness, which still passes it, and is
+    removed together with the harness's threaded probes.
     """
     if config is None:
         config = SolverConfig()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     bias = _seed(graph, initial_bias)
-    if threads > 1 and graph.num_edges:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _run(graph, config, bias, _Sweeps(graph, config, threads, pool))
-    return _run(graph, config, bias, _Sweeps(graph, config, 1, None))
-
-
-def _run(
-    graph: RatingGraph,
-    config: SolverConfig,
-    bias: np.ndarray,
-    sweeps: _Sweeps,
-) -> SolverResult:
+    sweeps = _Sweeps(graph, config)
     history = _History(graph.num_users)
     rating = graph.item_means()
     trace: list[IterationStats] = []

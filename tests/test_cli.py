@@ -36,6 +36,18 @@ def command_argv(command, tmp_path, ratings) -> list:
     return argv
 
 
+#: (command, flag, bad value, error text): errors a command must report
+#: before it reads the ratings file.
+FLAGS_CHECKED_BEFORE_INGEST = [
+    *[(command, "--alpha", value, f"alpha must be in (0, 1), got {float(value)}")
+      for command in ("solve", "eval", "oracle-check")
+      for value in ("0", "1.5")],
+    ("eval", "--truth-scale", "5:1", "bad --truth-scale '5:1'"),
+    ("solve", "--seed-bias", "bogus", "bad --seed-bias 'bogus'"),
+    ("solve", "--seed-bias", "const:5", "bad --seed-bias 'const:5'"),
+]
+
+
 class TestRunWrapper:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_manifest_fields(self, tmp_path, two_user_file, command):
@@ -88,19 +100,22 @@ class TestRunWrapper:
         assert not (out / "manifest.json").exists()
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "eval", "oracle-check"])
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_checked_before_ingest(
-        self, tmp_path, command, threads, capsys
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        FLAGS_CHECKED_BEFORE_INGEST,
+        ids=[f"{c}-{f}={v}" for c, f, v, _ in FLAGS_CHECKED_BEFORE_INGEST],
+    )
+    def test_flags_checked_before_ingest(
+        self, tmp_path, command, flag, value, message, capsys
     ):
         # The ratings file does not exist, so an error that names it would
         # mean the file was opened before the flag was checked.
         missing = tmp_path / "missing.dat"
         out = tmp_path / "run"
         argv = command_argv(command, tmp_path, missing)
-        assert run(*argv, "--threads", threads, "--out", out) == 1
+        assert run(*argv, flag, value, "--out", out) == 1
         err = capsys.readouterr().err
-        assert f"threads must be >= 1, got {threads}" in err
+        assert message in err
         assert "missing.dat" not in err
         assert not out.exists()
 
@@ -189,12 +204,6 @@ class TestSolveCommand:
         assert (a / "bias.csv").read_bytes() == (b / "bias.csv").read_bytes()
         assert (a / "ratings.csv").read_bytes() == (b / "ratings.csv").read_bytes()
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path, two_user_file):
-        a, b = tmp_path / "t1", tmp_path / "t4"
-        run("solve", "--ratings", two_user_file, "--out", a)
-        run("solve", "--ratings", two_user_file, "--threads", "4", "--out", b)
-        assert (a / "bias.csv").read_bytes() == (b / "bias.csv").read_bytes()
 
     def test_constant_seed_bias(self, tmp_path, two_user_file):
         out = tmp_path / "seeded"

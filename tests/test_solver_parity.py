@@ -152,7 +152,7 @@ class TestDegenerateHistory:
 
     def test_zero_differences_fall_back_to_plain_step(self):
         graph = make_random_graph(3)
-        sweeps = _Sweeps(graph, SolverConfig(alpha=0.9), 1, None)
+        sweeps = _Sweeps(graph, SolverConfig(alpha=0.9))
         point = sweeps.evaluate(np.zeros(graph.num_users))
         history = _History(graph.num_users)
         assert history.candidate(point) is None
@@ -178,17 +178,11 @@ class TestSweepPlans:
         expected = np.repeat(np.arange(graph.num_users), graph.user_degrees)
         assert np.array_equal(graph.edge_user, expected)
 
-    def test_one_chunk_user_plan_reuses_edge_user(self):
-        # A plan holds bounds only; each chunk slices `edge_user` itself.
-        graph = make_random_graph(2)
-        sweeps = _Sweeps(graph, SolverConfig(), 1, None)
-        assert sweeps.user_plan == [(0, graph.num_users, 0, graph.num_edges)]
-
     def test_uniform_alpha_needs_no_per_edge_array(self):
         graph = make_random_graph(2)
-        assert isinstance(_Sweeps(graph, SolverConfig(), 1, None).alpha, float)
+        assert isinstance(_Sweeps(graph, SolverConfig()).alpha, float)
         with_override = SolverConfig(alpha=0.5, alpha_overrides={0: 0.25})
-        alpha = _Sweeps(graph, with_override, 1, None).alpha
+        alpha = _Sweeps(graph, with_override).alpha
         assert alpha.shape == (graph.num_edges,)
 
 
@@ -199,18 +193,25 @@ def _shuffled(graph: RatingGraph, seed: int) -> RatingGraph:
                        graph.edge_item[order], graph.edge_weight[order])
 
 
-def _left_to_right_means(graph: RatingGraph, term) -> list[float]:
+def _left_to_right_means(
+    graph: RatingGraph, term, per_user: bool = False
+) -> list[float]:
     """Each item's mean of ``term(user, weight)`` over its raters, added
-    one by one in ascending user index, in plain Python floats."""
-    raters = [[] for _ in range(graph.num_items)]
-    for u, v, w in zip(graph.edge_user.tolist(), graph.edge_item.tolist(),
-                       graph.edge_weight.tolist()):
-        raters[v].append((u, w))
+    one by one in ascending user index, in plain Python floats. With
+    `per_user`, each user's mean of ``term(item, weight)`` over the items
+    they rated, added in ascending item index."""
+    keys, others = graph.edge_item.tolist(), graph.edge_user.tolist()
+    size = graph.num_items
+    if per_user:
+        keys, others, size = others, keys, graph.num_users
+    groups = [[] for _ in range(size)]
+    for key, other, w in zip(keys, others, graph.edge_weight.tolist()):
+        groups[key].append((other, w))
     means = []
-    for edges in raters:
+    for edges in groups:
         total = 0.0
-        for u, w in sorted(edges):
-            total += term(u, w)
+        for other, w in sorted(edges):
+            total += term(other, w)
         means.append(total / len(edges))
     return means
 
@@ -238,3 +239,14 @@ class TestSummationOrder:
 
         rating, _ = iterate_once(graph, np.array(bias), config)
         assert rating.tolist() == _left_to_right_means(graph, term)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bias_adds_items_in_ascending_item_order(self, seed):
+        graph = _shuffled(make_random_graph(seed, 30, 12), seed)
+        start = np.random.default_rng(seed).uniform(-1.0, 1.0, graph.num_users)
+        rating, bias = iterate_once(graph, start, SolverConfig(alpha=0.9))
+        rating = rating.tolist()
+        expected = _left_to_right_means(
+            graph, lambda v, w: w - rating[v], per_user=True
+        )
+        assert bias.tolist() == expected
