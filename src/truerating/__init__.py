@@ -20,7 +20,6 @@ from .graph import (
 from .ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
-    GroundTruth,
     IngestError,
     ingest_ground_truth,
     ingest_ratings,
@@ -62,7 +61,6 @@ __all__ = [
     "degree_histogram",
     "MOVIELENS_FORMAT",
     "DelimitedFormat",
-    "GroundTruth",
     "IngestError",
     "ingest_ground_truth",
     "ingest_ratings",

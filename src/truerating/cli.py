@@ -15,9 +15,9 @@ Subcommands:
 Exit codes: 0 success, 2 stopped at max iterations without converging,
 3 oracle check inapplicable because clamping fired, 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
-outputs. A command writes its outputs under temporary names and renames
-them into place once the last one is written; every run ends by atomically
-writing a manifest that records how to reproduce it.
+outputs. A run writes its outputs, and last a manifest that records how to
+reproduce it, under temporary names, and renames them all into place
+together once the manifest is written.
 """
 
 from __future__ import annotations
@@ -87,18 +87,6 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _output_dir(out: str) -> Path:
-    """Create the output directory and delete a manifest left there.
-
-    Commands call this just before their first write, so a run that fails
-    part-way never leaves new outputs next to an earlier run's manifest.
-    """
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").unlink(missing_ok=True)
-    return outdir
-
-
 class _StagedPath(os.PathLike):
     """An output file's path: its temporary name until `_staged` renames
     the file into place, its final name after. So a caller that keeps the
@@ -116,21 +104,28 @@ class _StagedPath(os.PathLike):
 
 @contextmanager
 def _staged(outdir: Path):
-    """Yield ``name -> path``: each output file is written under a
-    temporary name in `outdir`.
+    """Yield ``name -> path`` and the list of staged paths: each output
+    file is written under a temporary name in `outdir`.
 
-    When the block ends, every file is renamed into place, so a failed
-    write leaves no new output under a final name. Temporaries still there
-    after an error, in the block or in a rename, are deleted.
+    The first call creates `outdir` and deletes a manifest left there, so
+    a run that fails before its first write creates nothing, and one that
+    fails later never leaves new outputs next to an earlier run's
+    manifest. When the block ends, every file is renamed into place in
+    the order it was staged, so a failed write leaves no new output under
+    a final name. Temporaries still there after an error, in the block or
+    in a rename, are deleted.
     """
     staged: list[_StagedPath] = []
 
     def stage(name: str) -> _StagedPath:
+        if not staged:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "manifest.json").unlink(missing_ok=True)
         staged.append(_StagedPath(outdir / name))
         return staged[-1]
 
     try:
-        yield stage
+        yield stage, staged
         for path in staged:
             os.replace(path.temporary, path.final)
             path.placed = True
@@ -142,22 +137,26 @@ def _staged(outdir: Path):
 def _run(args) -> int:
     """Run one ``cmd_*`` and write its manifest; returns the exit code.
 
-    The command returns its exit code and a manifest holding its own inputs,
-    params, outputs and results; timing, command name and output directory
-    are filled in here. A command that raises writes no manifest.
+    The command gets the stager of the run's one `_staged` block and
+    returns its exit code and a manifest holding its own inputs, params and
+    results; outputs, timing, command name and output directory are filled
+    in here. The manifest is the last file staged, so the outputs and the
+    manifest are renamed into place together, and a command that raises
+    leaves neither.
     """
     started = time.monotonic()
     started_at = _now_iso()
-    code, manifest = args.func(args)
     outdir = Path(args.out)
-    manifest.command = args.command
-    manifest.outdir = str(outdir)
-    manifest.started_at = started_at
-    manifest.finished_at = _now_iso()
-    manifest.wall_seconds = round(time.monotonic() - started, 6)
-    manifest.outputs.append("manifest.json")
-    with _staged(outdir) as out:
-        _write_json(out("manifest.json"), manifest.to_dict())
+    with _staged(outdir) as (out, staged):
+        code, manifest = args.func(args, out)
+        path = out("manifest.json")
+        manifest.command = args.command
+        manifest.outdir = str(outdir)
+        manifest.outputs = [p.final.name for p in staged]
+        manifest.started_at = started_at
+        manifest.finished_at = _now_iso()
+        manifest.wall_seconds = round(time.monotonic() - started, 6)
+        _write_json(path, manifest.to_dict())
     return code
 
 
@@ -183,12 +182,12 @@ def _user_values(path: str, graph: RatingGraph, what: str) -> np.ndarray:
     """Read a ``user_id,value`` file as a per-user vector, NaN where the
     file gives a user no value."""
     table = ingest_ground_truth(path)
-    unknown = table.unmatched(graph.user_ids)
+    unknown = sorted(table.keys() - set(graph.user_ids))
     if unknown:
         raise ValueError(
             f"{what} file names users absent from the graph: {unknown[:5]}"
         )
-    return table.aligned(graph.user_ids)
+    return np.array([table.get(u, np.nan) for u in graph.user_ids], np.float64)
 
 
 def _parse_seed_bias(spec: str) -> float | str | None:
@@ -262,7 +261,7 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:g}"
 
 
-def cmd_solve(args) -> tuple[int, RunManifest]:
+def cmd_solve(args, out) -> tuple[int, RunManifest]:
     # Validate parameters and read inputs before creating any output.
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
@@ -276,20 +275,19 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
 
     result = solve(graph, config, initial_bias=initial)
 
-    with _staged(_output_dir(args.out)) as out:
-        write_scores_csv(
-            out("bias.csv"),
-            ("user_id", "bias"),
-            graph.user_ids,
-            result.bias,
-        )
-        write_scores_csv(
-            out("ratings.csv"),
-            ("item_id", "true_rating"),
-            graph.item_ids,
-            result.rating,
-        )
-        _write_json(out("trace.json"), _trace_json(result))
+    write_scores_csv(
+        out("bias.csv"),
+        ("user_id", "bias"),
+        graph.user_ids,
+        result.bias,
+    )
+    write_scores_csv(
+        out("ratings.csv"),
+        ("item_id", "true_rating"),
+        graph.item_ids,
+        result.rating,
+    )
+    _write_json(out("trace.json"), _trace_json(result))
 
     code = 0 if result.converged else 2
     if not result.converged:
@@ -311,7 +309,6 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
             "duplicates": args.duplicates,
             "seed_bias": args.seed_bias,
         },
-        outputs=["bias.csv", "ratings.csv", "trace.json"],
         results={
             "converged": result.converged,
             "iterations": result.iterations,
@@ -325,7 +322,7 @@ def cmd_solve(args) -> tuple[int, RunManifest]:
     )
 
 
-def cmd_eval(args) -> tuple[int, RunManifest]:
+def cmd_eval(args, out) -> tuple[int, RunManifest]:
     alphas = args.alpha if args.alpha else [0.99]
     configs = [
         SolverConfig(alpha=a, epsilon=args.epsilon, max_iterations=args.max_iters)
@@ -349,7 +346,6 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
     )
 
     methods = []
-    outputs: list[str] = []
     convergence: dict[str, dict] = {}
     means = truth.item_means
     methods.append(
@@ -370,34 +366,29 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
             "clamped": result.clamped,
         }
 
-    with _staged(_output_dir(args.out)) as out:
-        for report, tag, rating, _bias in methods:
-            ratings_name = f"ratings_{tag}.csv"
-            write_scores_csv(
-                out(ratings_name),
-                ("item_id", "true_rating"),
-                graph.item_ids,
-                rating,
-            )
-            bins_name = f"bins_{tag}.csv"
-            with open(out(bins_name), "w", encoding="utf-8", newline="") as fh:
-                fh.write("bin,metric,value\n")
-                for metric, table in (
-                    ("bindev", report.bindev),
-                    ("relbindev", report.relbindev),
-                    ("mse", report.mse_per_bin),
-                    ("rank_error", report.rank_error_per_bin),
-                ):
-                    for bin_index in sorted(table):
-                        fh.write(f"{bin_index},{metric},{table[bin_index]:.9f}\n")
-            outputs.extend([ratings_name, bins_name])
+    for report, tag, rating, _bias in methods:
+        write_scores_csv(
+            out(f"ratings_{tag}.csv"),
+            ("item_id", "true_rating"),
+            graph.item_ids,
+            rating,
+        )
+        with open(out(f"bins_{tag}.csv"), "w", encoding="utf-8", newline="") as fh:
+            fh.write("bin,metric,value\n")
+            for metric, table in (
+                ("bindev", report.bindev),
+                ("relbindev", report.relbindev),
+                ("mse", report.mse_per_bin),
+                ("rank_error", report.rank_error_per_bin),
+            ):
+                for bin_index in sorted(table):
+                    fh.write(f"{bin_index},{metric},{table[bin_index]:.9f}\n")
 
-        payload = {
-            "methods": [report.to_dict() for report, *_ in methods],
-            "unmatched_truth_items": truth.unmatched,
-        }
-        _write_json(out("report.json"), payload)
-        outputs.append("report.json")
+    payload = {
+        "methods": [report.to_dict() for report, *_ in methods],
+        "unmatched_truth_items": truth.unmatched,
+    }
+    _write_json(out("report.json"), payload)
 
     return 0, RunManifest(
         inputs={"ratings": str(args.ratings), "truth": str(args.truth)},
@@ -410,12 +401,11 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
             "delimiter": args.delimiter,
             "duplicates": args.duplicates,
         },
-        outputs=outputs,
         results={"solves": convergence, "common_items": methods[0][0].common_items},
     )
 
 
-def cmd_synth(args) -> tuple[int, RunManifest]:
+def cmd_synth(args, out) -> tuple[int, RunManifest]:
     instance = generate_planted(
         args.users,
         args.items,
@@ -425,20 +415,19 @@ def cmd_synth(args) -> tuple[int, RunManifest]:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    with _staged(_output_dir(args.out)) as out:
-        write_ratings_csv(instance.graph, out("ratings.csv"))
-        write_scores_csv(
-            out("truth.csv"),
-            ("item_id", "true_rating"),
-            instance.graph.item_ids,
-            instance.true_rating,
-        )
-        write_scores_csv(
-            out("planted_bias.csv"),
-            ("user_id", "bias"),
-            instance.graph.user_ids,
-            instance.true_bias,
-        )
+    write_ratings_csv(instance.graph, out("ratings.csv"))
+    write_scores_csv(
+        out("truth.csv"),
+        ("item_id", "true_rating"),
+        instance.graph.item_ids,
+        instance.true_rating,
+    )
+    write_scores_csv(
+        out("planted_bias.csv"),
+        ("user_id", "bias"),
+        instance.graph.user_ids,
+        instance.true_bias,
+    )
     return 0, RunManifest(
         inputs={},
         params={
@@ -450,12 +439,11 @@ def cmd_synth(args) -> tuple[int, RunManifest]:
             "noise_sigma": args.noise_sigma,
             "seed": args.seed,
         },
-        outputs=["ratings.csv", "truth.csv", "planted_bias.csv"],
         results={"edges": instance.graph.num_edges},
     )
 
 
-def cmd_oracle_check(args) -> tuple[int, RunManifest]:
+def cmd_oracle_check(args, out) -> tuple[int, RunManifest]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     # Run the iterative side well past the comparison tolerance: stopping at
@@ -483,20 +471,19 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
         if max(max_bias_diff, max_rating_diff) > args.tolerance:
             status, code = "mismatch", 1
 
-    with _staged(_output_dir(args.out)) as out:
-        _write_json(
-            out("oracle.json"),
-            {
-                "status": status,
-                "alpha": args.alpha,
-                "tolerance": args.tolerance,
-                "max_bias_diff": max_bias_diff,
-                "max_rating_diff": max_rating_diff,
-                "oracle_residual_linf": residual,
-                "iterations": result.iterations,
-                "clamped": result.clamped,
-            },
-        )
+    _write_json(
+        out("oracle.json"),
+        {
+            "status": status,
+            "alpha": args.alpha,
+            "tolerance": args.tolerance,
+            "max_bias_diff": max_bias_diff,
+            "max_rating_diff": max_rating_diff,
+            "oracle_residual_linf": residual,
+            "iterations": result.iterations,
+            "clamped": result.clamped,
+        },
+    )
     if status != "ok":
         print(f"oracle check: {status}", file=sys.stderr)
     return code, RunManifest(
@@ -509,7 +496,6 @@ def cmd_oracle_check(args) -> tuple[int, RunManifest]:
             "delimiter": args.delimiter,
             "duplicates": args.duplicates,
         },
-        outputs=["oracle.json"],
         results={"status": status, "exit_code": code},
     )
 

@@ -3,9 +3,10 @@
 Covers accuracy against partial ground truth (mean squared error and
 footrule rank error over the items both sides score), structural effect
 measures (per-bin absolute and relative deviation of true ratings from
-plain item means, binned by rating count), and fixed-width histograms of
-the bias and rating distributions. Everything here is a pure function of
-immutable inputs.
+plain item means, binned by rating count), and histograms of the bias and
+rating distributions with buckets `BUCKET_WIDTH` wide. Everything here is a
+pure function of immutable inputs. Ground truth and predicted scores are
+plain mappings of external id to score, as `ingest_ground_truth` returns.
 
 Accuracy metrics run on dense float64 arrays that hold the common items'
 scores in ascending external-id order; ids are read only to find those
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import RatingGraph, degree_bins
-from .ingest import GroundTruth
 from .solver import SolverResult
 
 __all__ = [
@@ -46,11 +46,8 @@ __all__ = [
     "build_report",
 ]
 
-
-def _as_values(scores: Mapping[str, float] | GroundTruth) -> Mapping[str, float]:
-    if isinstance(scores, GroundTruth):
-        return scores.values
-    return scores
+#: Width of every bucket in a report's bias and rating histograms.
+BUCKET_WIDTH = 0.05
 
 
 def _take(scores: Mapping[str, float], keys: Sequence[str]) -> np.ndarray:
@@ -58,14 +55,11 @@ def _take(scores: Mapping[str, float], keys: Sequence[str]) -> np.ndarray:
 
 
 def _aligned(
-    predicted: Mapping[str, float] | GroundTruth,
-    truth: Mapping[str, float] | GroundTruth,
+    predicted: Mapping[str, float], truth: Mapping[str, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both maps' scores over the ids they share, in ascending id order."""
-    pred = _as_values(predicted)
-    ref = _as_values(truth)
-    common = sorted(set(pred) & set(ref))
-    return _take(pred, common), _take(ref, common)
+    common = sorted(set(predicted) & set(truth))
+    return _take(predicted, common), _take(truth, common)
 
 
 def _ranks(scores: np.ndarray) -> np.ndarray:
@@ -85,10 +79,7 @@ def _distance(predicted: np.ndarray, truth_ranks: np.ndarray) -> np.ndarray:
     return np.abs(_ranks(predicted) - truth_ranks).astype(np.float64)
 
 
-def mse(
-    predicted: Mapping[str, float] | GroundTruth,
-    truth: Mapping[str, float] | GroundTruth,
-) -> float:
+def mse(predicted: Mapping[str, float], truth: Mapping[str, float]) -> float:
     """Mean squared difference over the ids present in both score maps."""
     squared = _squared(*_aligned(predicted, truth))
     if not squared.size:
@@ -97,8 +88,7 @@ def mse(
 
 
 def rank_error(
-    predicted: Mapping[str, float] | GroundTruth,
-    truth: Mapping[str, float] | GroundTruth,
+    predicted: Mapping[str, float], truth: Mapping[str, float]
 ) -> float:
     """Mean absolute rank distance (footrule) over the common items.
 
@@ -272,20 +262,19 @@ class TruthAlignment:
 
 
 def align_truth(
-    graph: RatingGraph, truth: GroundTruth | Mapping[str, float]
+    graph: RatingGraph, truth: Mapping[str, float]
 ) -> TruthAlignment:
     """Match `truth` to the graph's items once, for any number of
     `build_report` calls on that graph.
 
     Raises `ValueError` if the truth names none of the graph's items.
     """
-    ref = _as_values(truth)
     ids = graph.item_ids
-    common = [j for j, key in enumerate(ids) if key in ref]
+    common = [j for j, key in enumerate(ids) if key in truth]
     if not common:
         raise ValueError("ground truth shares no items with the graph")
     common.sort(key=ids.__getitem__)
-    values = _take(ref, [ids[j] for j in common])
+    values = _take(truth, [ids[j] for j in common])
     bins = degree_bins(graph.item_degrees)
     common = np.array(common, dtype=np.intp)
     return TruthAlignment(
@@ -296,26 +285,24 @@ def align_truth(
         truth=values,
         truth_ranks=_ranks(values) if values.size >= 2 else None,
         common_bins=_Bins(bins[common]),
-        unmatched=len(ref) - common.size,
+        unmatched=len(truth) - common.size,
     )
 
 
 def build_report(
     graph: RatingGraph,
     rating,
-    truth: TruthAlignment | GroundTruth | Mapping[str, float] | None = None,
+    truth: TruthAlignment | Mapping[str, float] | None = None,
     *,
     label: str,
     bias=None,
-    bias_bucket_width: float = 0.05,
-    rating_bucket_width: float = 0.05,
 ) -> EvalReport:
     """Assemble the full metric set for one method's rating vector.
 
     `truth` may cover only part of the items; accuracy metrics run on the
     intersection (an empty intersection is an error, a single common item
     yields MSE but no rank error). Pass the `align_truth` result when
-    scoring several methods on one graph; a plain truth is aligned here.
+    scoring several methods on one graph; a plain mapping is aligned here.
     `bias` is the method's per-user vector, absent for the plain-mean
     baseline.
     """
@@ -361,7 +348,7 @@ def build_report(
         bias_histogram=(
             None
             if bias is None
-            else histogram(bias, bias_bucket_width, (-1.0, 1.0))
+            else histogram(bias, BUCKET_WIDTH, (-1.0, 1.0))
         ),
-        rating_histogram=histogram(rating, rating_bucket_width, (0.0, 1.0)),
+        rating_histogram=histogram(rating, BUCKET_WIDTH, (0.0, 1.0)),
     )

@@ -104,11 +104,9 @@ class RatingGraph:
     edge_user, edge_item, edge_weight : np.ndarray
         The edge list in canonical (user-major, item-ascending) order, so
         each item's edges also appear in ascending user order.
-    user_ptr : np.ndarray
-        CSR-style slice pointers: user i's edges are
-        ``edge_*[user_ptr[i]:user_ptr[i+1]]``.
-    item_degrees : np.ndarray
-        Number of ratings each item received.
+    user_degrees / item_degrees : np.ndarray
+        Number of ratings each user gave / each item received; all
+        positive.
     """
 
     __slots__ = (
@@ -117,7 +115,7 @@ class RatingGraph:
         "edge_user",
         "edge_item",
         "edge_weight",
-        "user_ptr",
+        "user_degrees",
         "item_degrees",
     )
 
@@ -180,13 +178,13 @@ class RatingGraph:
         self.edge_user = u
         self.edge_item = v
         self.edge_weight = w
-        self.user_ptr = np.concatenate(([0], np.cumsum(user_deg))).astype(np.int64)
+        self.user_degrees = user_deg
         self.item_degrees = item_deg
         for name in (
             "edge_user",
             "edge_item",
             "edge_weight",
-            "user_ptr",
+            "user_degrees",
             "item_degrees",
         ):
             getattr(self, name).flags.writeable = False
@@ -228,10 +226,6 @@ class RatingGraph:
     def num_edges(self) -> int:
         return int(self.edge_weight.size)
 
-    @property
-    def user_degrees(self) -> np.ndarray:
-        return np.diff(self.user_ptr)
-
     def edges(self) -> Iterable[tuple[str, str, float]]:
         """Yield (user id, item id, weight) in canonical order."""
         for u, v, w in zip(self.edge_user, self.edge_item, self.edge_weight):
@@ -247,7 +241,7 @@ class RatingGraph:
         sums = np.bincount(
             self.edge_item, weights=self.edge_weight, minlength=self.num_items
         )
-        return sums / np.maximum(self.item_degrees, 1)
+        return sums / self.item_degrees
 
     def __repr__(self) -> str:
         return (

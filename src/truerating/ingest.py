@@ -37,7 +37,7 @@ are formatted by Python, so every byte matches ``f"{v:.9f}"``.
 from __future__ import annotations
 
 import codecs
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +50,6 @@ __all__ = [
     "IngestError",
     "DelimitedFormat",
     "MOVIELENS_FORMAT",
-    "GroundTruth",
     "ingest_ratings",
     "ingest_ground_truth",
     "write_ratings_csv",
@@ -428,40 +427,9 @@ def ingest_ratings(
         raise IngestError(path, 0, str(exc)) from None
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """External id -> reference value, e.g. an item's planted true rating."""
-
-    values: Mapping[str, float]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-    def aligned(self, ids: Iterable[str]) -> np.ndarray:
-        """Values in the order of `ids`; NaN where an id has no truth."""
-        return np.array(
-            [self.values.get(i, float("nan")) for i in ids], dtype=np.float64
-        )
-
-    def unmatched(self, known_ids: Iterable[str]) -> list[str]:
-        """Truth ids that do not appear in `known_ids`, sorted.
-
-        Scores for unknown items are kept, not dropped; this names them so
-        callers can report how much of the truth went unused.
-        """
-        known = set(known_ids)
-        return sorted(key for key in self.values if key not in known)
-
-
 def _truth_columns(
     path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
-) -> GroundTruth:
+) -> dict[str, float]:
     """Columnar `ingest_ground_truth`; raises `_Rescan` or `ValueError`
     instead of an `IngestError`."""
     (key, raw), first_line_kept, _ = _columns(path, fmt, 2)
@@ -474,7 +442,7 @@ def _truth_columns(
     keys = (key.astype(str) if key.dtype.kind == "S" else key).tolist()
     values = dict(zip(keys, _values(raw, scale).tolist()))
     _require(len(values) == len(keys))
-    return GroundTruth(values)
+    return values
 
 
 def _locate_truth_error(
@@ -514,8 +482,9 @@ def ingest_ground_truth(
     *,
     fmt: DelimitedFormat = _CANONICAL_FORMAT,
     scale: RatingScale | None = None,
-) -> GroundTruth:
-    """Parse ``id<sep>value`` reference scores.
+) -> dict[str, float]:
+    """Parse ``id<sep>value`` reference scores into ``{id: value}``, in
+    file order.
 
     A first line whose value field is not numeric is treated as a header.
     `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
@@ -528,16 +497,38 @@ def ingest_ground_truth(
         raise IngestError(path, 0, str(exc)) from None
 
 
+def _unwritable(key: str) -> str | None:
+    """Why `key` would not read back as itself from a CSV field, or None."""
+    if "," in key:
+        return "contains ','"
+    if "\n" in key or "\r" in key:
+        return "contains a line break"
+    if not key:
+        return "is empty"
+    if key != key.strip():
+        return "has whitespace at an end"
+    return None
+
+
 def _require_plain_ids(ids: Sequence[str]) -> None:
-    # Ids are written verbatim and read back split on a bare ",", so every
-    # id without a "," reads back as itself. A block at a time, so that the
-    # joined text stays small.
+    # Ids are written verbatim. Readers break lines at "\n" and "\r",
+    # split fields on a bare ",", strip each field and refuse an empty id,
+    # so an id reads back as itself only if `_unwritable` finds no reason.
+    # A block at a time, so that the joined text stays small. Each test is
+    # one C-level pass; the strip pass runs only on a block whose text
+    # holds whitespace, which `str.split()` finds (it splits on exactly
+    # the characters `str.strip()` strips).
     for start in range(0, len(ids), _BLOCK_ROWS):
         block = ids[start:start + _BLOCK_ROWS]
-        if "," in "".join(block):
-            bad = next(i for i in block if "," in i)
+        text = "".join(block)
+        if (
+            "," in text or "\n" in text or "\r" in text or not all(block)
+            or (text.split(None, 1) != [text]
+                and list(map(str.strip, block)) != list(block))
+        ):
+            bad = next(filter(_unwritable, block))
             raise ValueError(
-                f"id {bad!r} contains ',' and cannot be written as CSV"
+                f"id {bad!r} {_unwritable(bad)} and cannot be written as CSV"
             )
 
 

@@ -201,8 +201,8 @@ class _Sweeps:
                 graph, config.alpha, config.alpha_overrides
             )
             self.alpha = alpha_user[graph.edge_user]
-        self.item_deg = np.maximum(graph.item_degrees, 1).astype(np.float64)
-        self.user_deg = np.maximum(graph.user_degrees, 1).astype(np.float64)
+        self.item_deg = graph.item_degrees.astype(np.float64)
+        self.user_deg = graph.user_degrees.astype(np.float64)
 
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""

@@ -14,14 +14,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from truerating import EvalReport, GroundTruth, RatingGraph, histogram
+from truerating import EvalReport, RatingGraph, histogram
 from truerating.graph import degree_bins
-
-
-def _as_values(scores: Mapping[str, float] | GroundTruth) -> Mapping[str, float]:
-    if isinstance(scores, GroundTruth):
-        return scores.values
-    return scores
 
 
 def _rank(scores: Mapping[str, float], keys: list[str]) -> dict[str, int]:
@@ -31,11 +25,8 @@ def _rank(scores: Mapping[str, float], keys: list[str]) -> dict[str, int]:
 
 
 def _item_errors(
-    predicted: Mapping[str, float] | GroundTruth,
-    truth: Mapping[str, float] | GroundTruth,
+    pred: Mapping[str, float], ref: Mapping[str, float]
 ) -> tuple[list[str], dict[str, float], dict[str, float] | None]:
-    pred = _as_values(predicted)
-    ref = _as_values(truth)
     common = sorted(set(pred) & set(ref))
     squared = {k: (pred[k] - ref[k]) ** 2 for k in common}
     distance = None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from truerating import GroundTruth, IngestError, RatingGraph, RatingScale
+from truerating import IngestError, RatingGraph, RatingScale
 from truerating.ingest import (
     _CANONICAL_FORMAT,
     CANONICAL_HEADER,
@@ -90,7 +90,7 @@ def ingest_ground_truth(
     *,
     fmt: DelimitedFormat = _CANONICAL_FORMAT,
     scale: RatingScale | None = None,
-) -> GroundTruth:
+) -> dict[str, float]:
     values: dict[str, float] = {}
     for lineno, line in _lines(path):
         fields = fmt.split(line)
@@ -117,7 +117,7 @@ def ingest_ground_truth(
         if key in values:
             raise IngestError(path, lineno, f"duplicate id {key!r}")
         values[key] = value
-    return GroundTruth(values)
+    return values
 
 
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:

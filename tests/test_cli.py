@@ -60,7 +60,9 @@ class TestRunWrapper:
         assert datetime.fromisoformat(manifest["finished_at"]) >= started
         assert manifest["wall_seconds"] >= 0
         assert manifest["outputs"][-1] == "manifest.json"
-        assert all((out / name).exists() for name in manifest["outputs"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["outputs"]
+        )
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
     def test_malformed_ratings_writes_no_manifest(self, tmp_path, command, capsys):
@@ -122,14 +124,16 @@ class TestRunWrapper:
     @pytest.mark.parametrize(
         "command, last",
         [("solve", "trace.json"), ("eval", "report.json"),
-         ("synth", "planted_bias.csv"), ("oracle-check", "oracle.json")],
+         ("synth", "planted_bias.csv"), ("oracle-check", "oracle.json"),
+         *[(command, "manifest.json") for command in COMMANDS]],
     )
     def test_failed_last_write_leaves_no_outputs(
         self, tmp_path, two_user_file, monkeypatch, capsys, command, last
     ):
-        # Every output before the command's last one is written, then the
-        # last write fails: none of them may appear under its final name,
-        # and no temporary file may be left behind.
+        # Every output before the command's last one, or before the
+        # manifest, is written, then that write fails: none of them may
+        # appear under its final name, and no temporary file may be left
+        # behind.
         def failing(write):
             def wrapper(path, *args):
                 if Path(path).name.startswith(last):
@@ -242,6 +246,27 @@ class TestSolveCommand:
         assert code == 0
         # Every user trusted: the item keeps its plain mean rating.
         assert "m1,0.500000000" in (out / "ratings.csv").read_text()
+
+    def test_alpha_override_file_leaves_others_at_alpha(
+        self, tmp_path, two_user_file
+    ):
+        # A user the file does not list keeps the global alpha: listing u2
+        # at 0.5 explicitly gives the same bytes, and a different result
+        # from trusting u2 too.
+        def solved(name, rows):
+            overrides = tmp_path / f"{name}.csv"
+            overrides.write_text("user_id,alpha\n" + rows, encoding="utf-8")
+            out = tmp_path / name
+            assert run(
+                "solve", "--ratings", two_user_file, "--alpha", "0.5",
+                "--epsilon", "1e-9", "--alpha-overrides", overrides,
+                "--out", out,
+            ) == 0
+            return (out / "bias.csv").read_bytes()
+
+        partial = solved("partial", "u1,0\n")
+        assert partial == solved("explicit", "u1,0\nu2,0.5\n")
+        assert partial != solved("trusted", "u1,0\nu2,0\n")
 
     def test_alpha_override_above_alpha_rejected(self, tmp_path, two_user_file):
         overrides = tmp_path / "bad.csv"

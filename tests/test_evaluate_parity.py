@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import reference_evaluate as reference
 from truerating import (
-    GroundTruth,
     RatingGraph,
     align_truth,
     build_report,
@@ -47,14 +46,13 @@ def graphs(draw):
 
 @st.composite
 def truths(draw, item_ids):
-    """Scores for some of `item_ids` and for ids the graph lacks, as a dict
-    or a `GroundTruth`, in any key order."""
+    """Scores for some of `item_ids` and for ids the graph lacks, in any
+    key order."""
     covered = draw(st.lists(st.sampled_from(item_ids), unique=True))
     absent = draw(st.lists(ids.filter(lambda k: k not in item_ids),
                            max_size=3, unique=True))
     keys = draw(st.permutations(covered + absent))
-    mapping = {key: draw(scores) for key in keys}
-    return draw(st.sampled_from([mapping, GroundTruth(mapping)]))
+    return {key: draw(scores) for key in keys}
 
 
 @st.composite
