@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,34 +47,10 @@ from .ingest import (
     write_scores_csv,
 )
 from .oracle import residual_linf, solve_linear
-from .solver import SolverConfig, iterations_needed, solve
+from .solver import SolverConfig, solve
 from .synth import generate_planted
 
-__all__ = ["RunManifest", "build_parser", "main"]
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to rerun a command, plus how the run went.
-
-    Rerunning with the recorded command, params, and inputs reproduces the
-    same output files byte for byte; only the timing fields differ.
-    """
-
-    command: str = ""
-    version: str = __version__
-    outdir: str = ""
-    inputs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    results: dict = field(default_factory=dict)
-    started_at: str = ""
-    finished_at: str = ""
-    wall_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; keys follow the field order."""
-        return asdict(self)
+__all__ = ["build_parser", "main"]
 
 
 def _now_iso() -> str:
@@ -138,25 +114,31 @@ def _run(args) -> int:
     """Run one ``cmd_*`` and write its manifest; returns the exit code.
 
     The command gets the stager of the run's one `_staged` block and
-    returns its exit code and a manifest holding its own inputs, params and
-    results; outputs, timing, command name and output directory are filled
-    in here. The manifest is the last file staged, so the outputs and the
-    manifest are renamed into place together, and a command that raises
-    leaves neither.
+    returns its exit code and its ``inputs``, ``params`` and ``results``
+    dicts, from which ``manifest.json`` is built here and only here.
+    Rerunning with the recorded command, params and inputs reproduces every
+    output byte for byte; only the timing fields differ. The manifest is
+    the last file staged, so the outputs and the manifest are renamed into
+    place together, and a command that raises leaves neither.
     """
     started = time.monotonic()
     started_at = _now_iso()
     outdir = Path(args.out)
     with _staged(outdir) as (out, staged):
-        code, manifest = args.func(args, out)
+        code, inputs, params, results = args.func(args, out)
         path = out("manifest.json")
-        manifest.command = args.command
-        manifest.outdir = str(outdir)
-        manifest.outputs = [p.final.name for p in staged]
-        manifest.started_at = started_at
-        manifest.finished_at = _now_iso()
-        manifest.wall_seconds = round(time.monotonic() - started, 6)
-        _write_json(path, manifest.to_dict())
+        _write_json(path, {
+            "command": args.command,
+            "version": __version__,
+            "outdir": str(outdir),
+            "inputs": inputs,
+            "params": params,
+            "outputs": [p.final.name for p in staged],
+            "results": results,
+            "started_at": started_at,
+            "finished_at": _now_iso(),
+            "wall_seconds": round(time.monotonic() - started, 6),
+        })
     return code
 
 
@@ -261,7 +243,17 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:g}"
 
 
-def cmd_solve(args, out) -> tuple[int, RunManifest]:
+def _solve_record(result) -> dict:
+    """How one solve went, as the manifest records it."""
+    return {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "sweeps": result.sweeps,
+        "clamped": result.clamped,
+    }
+
+
+def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
     # Validate parameters and read inputs before creating any output.
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
@@ -295,49 +287,40 @@ def cmd_solve(args, out) -> tuple[int, RunManifest]:
             f"did not converge within {config.max_iterations} iterations",
             file=sys.stderr,
         )
-    return code, RunManifest(
-        inputs={
-            "ratings": str(args.ratings),
-            "alpha_overrides": args.alpha_overrides,
-        },
-        params={
-            "alpha": config.alpha,
-            "epsilon": config.epsilon,
-            "max_iterations": config.max_iterations,
-            "scale": args.scale,
-            "delimiter": args.delimiter,
-            "duplicates": args.duplicates,
-            "seed_bias": args.seed_bias,
-        },
-        results={
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "sweeps": result.sweeps,
-            "clamped": result.clamped,
-            "users": graph.num_users,
-            "items": graph.num_items,
-            "edges": graph.num_edges,
-            "exit_code": code,
-        },
-    )
+    inputs = {"ratings": str(args.ratings), "alpha_overrides": args.alpha_overrides}
+    params = {
+        "alpha": config.alpha,
+        "epsilon": config.epsilon,
+        "max_iterations": config.max_iterations,
+        "scale": args.scale,
+        "delimiter": args.delimiter,
+        "duplicates": args.duplicates,
+        "seed_bias": args.seed_bias,
+    }
+    results = {
+        **_solve_record(result),
+        "users": graph.num_users,
+        "items": graph.num_items,
+        "edges": graph.num_edges,
+        "exit_code": code,
+    }
+    return code, inputs, params, results
 
 
-def cmd_eval(args, out) -> tuple[int, RunManifest]:
+def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
     alphas = args.alpha if args.alpha else [0.99]
     configs = [
         SolverConfig(alpha=a, epsilon=args.epsilon, max_iterations=args.max_iters)
         for a in alphas
     ]
     # Each solve writes files named by its tag; two solves must not share.
-    seen: dict[str, float] = {}
-    for alpha in alphas:
-        tag = _alpha_tag(alpha)
-        if tag in seen:
+    tags = [_alpha_tag(a) for a in alphas]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
             raise ValueError(
-                f"--alpha {seen[tag]} and {alpha} share the output tag "
-                f"alpha_{tag}"
+                f"--alpha {alphas[tags.index(tag)]} and {alphas[i]} share the "
+                f"output tag alpha_{tag}"
             )
-        seen[tag] = alpha
     truth_scale = _parse_scale(args.truth_scale, "--truth-scale")
     graph = _ingest(args)
     _require_plain_ids(graph.item_ids)
@@ -345,28 +328,18 @@ def cmd_eval(args, out) -> tuple[int, RunManifest]:
         graph, ingest_ground_truth(args.truth, scale=truth_scale)
     )
 
-    methods = []
-    convergence: dict[str, dict] = {}
     means = truth.item_means
-    methods.append(
-        (build_report(graph, means, truth, label="mean"), "mean", means, None)
-    )
-    for config in configs:
+    methods = [(build_report(graph, means, truth, label="mean"), "mean", means)]
+    solves: dict[str, dict] = {}
+    for config, tag in zip(configs, tags):
         result = solve(graph, config)
-        label = f"debias(α={_alpha_tag(config.alpha)})"
         report = build_report(
-            graph, result.rating, truth, label=label, bias=result.bias
+            graph, result.rating, truth, label=f"debias(α={tag})", bias=result.bias
         )
-        tag = f"alpha_{_alpha_tag(config.alpha)}"
-        methods.append((report, tag, result.rating, result.bias))
-        convergence[tag] = {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "sweeps": result.sweeps,
-            "clamped": result.clamped,
-        }
+        methods.append((report, f"alpha_{tag}", result.rating))
+        solves[f"alpha_{tag}"] = _solve_record(result)
 
-    for report, tag, rating, _bias in methods:
+    for report, tag, rating in methods:
         write_scores_csv(
             out(f"ratings_{tag}.csv"),
             ("item_id", "true_rating"),
@@ -390,22 +363,21 @@ def cmd_eval(args, out) -> tuple[int, RunManifest]:
     }
     _write_json(out("report.json"), payload)
 
-    return 0, RunManifest(
-        inputs={"ratings": str(args.ratings), "truth": str(args.truth)},
-        params={
-            "alphas": alphas,
-            "epsilon": args.epsilon,
-            "max_iterations": [c.max_iterations for c in configs],
-            "scale": args.scale,
-            "truth_scale": args.truth_scale,
-            "delimiter": args.delimiter,
-            "duplicates": args.duplicates,
-        },
-        results={"solves": convergence, "common_items": methods[0][0].common_items},
-    )
+    inputs = {"ratings": str(args.ratings), "truth": str(args.truth)}
+    params = {
+        "alphas": alphas,
+        "epsilon": args.epsilon,
+        "max_iterations": [c.max_iterations for c in configs],
+        "scale": args.scale,
+        "truth_scale": args.truth_scale,
+        "delimiter": args.delimiter,
+        "duplicates": args.duplicates,
+    }
+    results = {"solves": solves, "common_items": methods[0][0].common_items}
+    return 0, inputs, params, results
 
 
-def cmd_synth(args, out) -> tuple[int, RunManifest]:
+def cmd_synth(args, out) -> tuple[int, dict, dict, dict]:
     instance = generate_planted(
         args.users,
         args.items,
@@ -428,22 +400,19 @@ def cmd_synth(args, out) -> tuple[int, RunManifest]:
         instance.graph.user_ids,
         instance.true_bias,
     )
-    return 0, RunManifest(
-        inputs={},
-        params={
-            "users": args.users,
-            "items": args.items,
-            "density": args.density,
-            "bias_range": args.bias_range,
-            "quality_range": args.quality_range,
-            "noise_sigma": args.noise_sigma,
-            "seed": args.seed,
-        },
-        results={"edges": instance.graph.num_edges},
-    )
+    params = {
+        "users": args.users,
+        "items": args.items,
+        "density": args.density,
+        "bias_range": args.bias_range,
+        "quality_range": args.quality_range,
+        "noise_sigma": args.noise_sigma,
+        "seed": args.seed,
+    }
+    return 0, {}, params, {"edges": instance.graph.num_edges}
 
 
-def cmd_oracle_check(args, out) -> tuple[int, RunManifest]:
+def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     # Run the iterative side well past the comparison tolerance: stopping at
@@ -454,11 +423,8 @@ def cmd_oracle_check(args, out) -> tuple[int, RunManifest]:
     graph = _ingest(args)
     result = solve(graph, config)
 
-    status = "ok"
-    code = 0
-    max_bias_diff = None
-    max_rating_diff = None
-    residual = None
+    status, code = "ok", 0
+    max_bias_diff = max_rating_diff = residual = None
     if result.clamped:
         status, code = "clamped", 3
     elif not result.converged:
@@ -486,18 +452,16 @@ def cmd_oracle_check(args, out) -> tuple[int, RunManifest]:
     )
     if status != "ok":
         print(f"oracle check: {status}", file=sys.stderr)
-    return code, RunManifest(
-        inputs={"ratings": str(args.ratings)},
-        params={
-            "alpha": args.alpha,
-            "tolerance": args.tolerance,
-            "epsilon": epsilon,
-            "scale": args.scale,
-            "delimiter": args.delimiter,
-            "duplicates": args.duplicates,
-        },
-        results={"status": status, "exit_code": code},
-    )
+    inputs = {"ratings": str(args.ratings)}
+    params = {
+        "alpha": args.alpha,
+        "tolerance": args.tolerance,
+        "epsilon": epsilon,
+        "scale": args.scale,
+        "delimiter": args.delimiter,
+        "duplicates": args.duplicates,
+    }
+    return code, inputs, params, {"status": status, "exit_code": code}
 
 
 class _Parser(argparse.ArgumentParser):

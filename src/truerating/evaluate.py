@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -216,26 +216,15 @@ class EvalReport:
     rating_histogram: np.ndarray
 
     def to_dict(self) -> dict:
-        """JSON-ready form (arrays as lists, bins as string keys)."""
-        return {
-            "method_label": self.method_label,
-            "mse_overall": self.mse_overall,
-            "rank_error_overall": self.rank_error_overall,
-            "mse_per_bin": {str(k): v for k, v in self.mse_per_bin.items()},
-            "rank_error_per_bin": {
-                str(k): v for k, v in self.rank_error_per_bin.items()
-            },
-            "bindev": {str(k): v for k, v in self.bindev.items()},
-            "relbindev": {str(k): v for k, v in self.relbindev.items()},
-            "relbindev_skipped": self.relbindev_skipped,
-            "common_items": self.common_items,
-            "bias_histogram": (
-                None
-                if self.bias_histogram is None
-                else self.bias_histogram.tolist()
-            ),
-            "rating_histogram": self.rating_histogram.tolist(),
-        }
+        """JSON-ready form, keys in field order: the per-bin tables get
+        string keys, arrays become lists and None stays None."""
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 @dataclass(frozen=True, eq=False)

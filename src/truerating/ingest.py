@@ -253,12 +253,14 @@ def _string_columns(
     ``\\x1c``, ``\\u2028`` and others. The array of whole lines lives
     only in here, and only until the first cut; each cut's separators and
     unstripped field are dropped as soon as they are used, which lowers
-    the peak.
+    the peak. `np.strings.strip` also strips NUL, which `str.strip` keeps,
+    so the fields of a text that holds one are stripped by `str.strip`.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    exact = "\x00" in text
     lines = text.split("\n")
     del text
     first_line_kept = bool(lines[0].strip())
@@ -277,11 +279,19 @@ def _string_columns(
     for k in range(count):
         field, found, rest = np.strings.partition(rest, sep)
         if k < count - 1:
-            _require(np.strings.str_len(found).all())
+            _require(_nonempty(found))
         del found
-        columns.append(np.strings.strip(field))
+        columns.append(
+            np.array([f.strip() for f in field.tolist()], _STRING)
+            if exact else np.strings.strip(field)
+        )
         del field
     return columns, first_line_kept, canonical
+
+
+def _nonempty(column: np.ndarray) -> bool:
+    # `np.strings.str_len` does not count NULs at the end of a string.
+    return bool((column != column.dtype.type()).all())
 
 
 def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
@@ -337,7 +347,7 @@ def _rating_columns(
     """Columnar `ingest_ratings`; raises `_Rescan` or `ValueError` instead
     of an `IngestError`."""
     (user, item, raw), _, canonical = _columns(path, fmt, 3, sniff=True)
-    _require(np.strings.str_len(user).all() and np.strings.str_len(item).all())
+    _require(_nonempty(user) and _nonempty(item))
     weight = _values(raw, None if canonical else scale)
     # Before `keep_first` drops rows: a dropped row must be valid too.
     _require(((weight >= 0.0) & (weight <= 1.0)).all())
@@ -438,7 +448,7 @@ def _truth_columns(
             float(raw[0])
         except ValueError:
             key, raw = key[1:], raw[1:]
-    _require(np.strings.str_len(key).all())
+    _require(_nonempty(key))
     keys = (key.astype(str) if key.dtype.kind == "S" else key).tolist()
     values = dict(zip(keys, _values(raw, scale).tolist()))
     _require(len(values) == len(keys))

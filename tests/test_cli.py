@@ -48,7 +48,59 @@ FLAGS_CHECKED_BEFORE_INGEST = [
 ]
 
 
+#: The manifest's top-level keys, in order.
+MANIFEST_KEYS = [
+    "command", "version", "outdir", "inputs", "params", "outputs", "results",
+    "started_at", "finished_at", "wall_seconds",
+]
+#: Each command's manifest ``inputs``, ``params`` and ``results`` keys, in
+#: order.
+MANIFEST_SECTIONS = {
+    "solve": (
+        ["ratings", "alpha_overrides"],
+        ["alpha", "epsilon", "max_iterations", "scale", "delimiter",
+         "duplicates", "seed_bias"],
+        ["converged", "iterations", "sweeps", "clamped", "users", "items",
+         "edges", "exit_code"],
+    ),
+    "eval": (
+        ["ratings", "truth"],
+        ["alphas", "epsilon", "max_iterations", "scale", "truth_scale",
+         "delimiter", "duplicates"],
+        ["solves", "common_items"],
+    ),
+    "synth": (
+        [],
+        ["users", "items", "density", "bias_range", "quality_range",
+         "noise_sigma", "seed"],
+        ["edges"],
+    ),
+    "oracle-check": (
+        ["ratings"],
+        ["alpha", "tolerance", "epsilon", "scale", "delimiter", "duplicates"],
+        ["status", "exit_code"],
+    ),
+}
+
+
 class TestRunWrapper:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_schema(self, tmp_path, two_user_file, command):
+        out = tmp_path / "run"
+        argv = command_argv(command, tmp_path, two_user_file)
+        if command == "eval":
+            argv += ["--alpha", "0.5", "--alpha", "0.9"]
+        assert run(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == MANIFEST_KEYS
+        sections = [list(manifest[key]) for key in ("inputs", "params", "results")]
+        assert tuple(sections) == MANIFEST_SECTIONS[command]
+        if command == "eval":
+            solves = manifest["results"]["solves"]
+            assert list(solves) == ["alpha_0.5", "alpha_0.9"]
+            for record in solves.values():
+                assert list(record) == ["converged", "iterations", "sweeps", "clamped"]
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_manifest_fields(self, tmp_path, two_user_file, command):
         out = tmp_path / "run"

@@ -25,6 +25,9 @@ from truerating.ingest import _lines
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
 PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
+# Near misses: not whitespace, so `str.strip` keeps them, though
+# `np.strings.strip` strips NUL.
+NEAR_MISSES = ["\x00"]
 # Every break `_lines` splits on, and characters `str.splitlines` would
 # also split on but a rating file must not.
 BREAKS = ["\n", "\r\n", "\r"]
@@ -41,10 +44,18 @@ def padded(text):
     return st.builds(lambda a, b: a + text + b, padding, padding)
 
 
+def near_missed(text, near):
+    """`text`, or with a near miss from `near` at one end, or a near miss
+    alone."""
+    return st.sampled_from(
+        [text, *(form for n in near for form in (n + text, text + n, n))]
+    )
+
+
 @st.composite
-def values(draw, lo, hi):
+def values(draw, lo, hi, near=()):
     """A value field: mostly inside [lo, hi], sometimes just outside it,
-    spelled oddly, or not a number."""
+    spelled oddly, not a number, or next to a near miss from `near`."""
     kind = draw(st.sampled_from(["in"] * 8 + ["out", "odd", "bad"]))
     if kind == "bad":
         text = draw(st.sampled_from(BAD_VALUES))
@@ -58,21 +69,22 @@ def values(draw, lo, hi):
                                   lo - 0.5, hi + 0.5])
         )
         text = draw(st.sampled_from(["{!r}", "{:.3f}", "{:e}"])).format(float(value))
-    return draw(padded(text))
+    return draw(padded(draw(near_missed(text, near))))
 
 
 @st.composite
-def records(draw, sep, nfields, lo, hi):
-    """One line: usually a full record, sometimes short, blank or odd."""
+def records(draw, sep, nfields, lo, hi, near=()):
+    """One line: usually a full record, sometimes short, blank or odd. Its
+    ids and value may hold a near miss from `near`."""
     kind = draw(st.sampled_from(["full"] * 12 + ["short", "blank", "empty", "odd"]))
     if kind == "blank":
         return draw(padding)
-    keys = [draw(padded(draw(st.sampled_from(["u1", "u2", "ü", "a b"])))),
-            draw(padded(draw(st.sampled_from(["m1", "m2", "m3", "x"]))))]
+    keys = [draw(padded(draw(near_missed(draw(st.sampled_from(ids)), near))))
+            for ids in (["u1", "u2", "ü", "a b"], ["m1", "m2", "m3", "x"])]
     keys = keys[3 - nfields:]
     if kind == "empty":
         keys[draw(st.integers(0, len(keys) - 1))] = draw(padding)
-    fields = [*keys, draw(values(lo, hi))]
+    fields = [*keys, draw(values(lo, hi, near))]
     if kind == "short":
         return sep.join(fields[: draw(st.integers(1, nfields - 1))])
     line = sep.join(fields)
@@ -87,8 +99,10 @@ def records(draw, sep, nfields, lo, hi):
 @st.composite
 def files(draw, sep, nfields, lo, hi, header):
     """Records joined by mixed breaks, maybe a BOM; `header` goes first,
-    after optional blank lines, unless it is None."""
-    lines = draw(st.lists(records(sep, nfields, lo, hi), max_size=12))
+    after optional blank lines, unless it is None. Half the files may hold
+    near misses."""
+    near = draw(st.sampled_from([(), NEAR_MISSES]))
+    lines = draw(st.lists(records(sep, nfields, lo, hi, near), max_size=12))
     if header is not None:
         blanks = draw(st.lists(padding, max_size=2))
         lines = [*blanks, draw(padded(header)), *lines]
@@ -212,6 +226,37 @@ class TestMatchesReference:
         path = write(tmp_path / "t.csv", text)
         with pytest.raises(IngestError, match=message):
             ingest_ground_truth(path)
+        assert outcome(ingest_ground_truth, path) == outcome(
+            reference.ingest_ground_truth, path
+        )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # A NUL is kept, at an end of an id or a value or as a whole id.
+            ("u1\x00::m1::5\nu2::m1::3\n", (("u1\x00", "u2"), ("m1",))),
+            ("u1\x00::m1::5\nu1::m1::3\n", (("u1\x00", "u1"), ("m1",))),
+            ("u1::\x00\x00::5\n", (("u1",), ("\x00\x00",))),
+            ("u1::m1::5\x00\n", ("error", 1, "bad rating value '5\\x00'")),
+        ],
+    )
+    def test_nul_is_not_padding(self, tmp_path, text, expected):
+        path = write(tmp_path / "r.dat", text)
+        got = outcome(ingest_ratings, path, scale=RatingScale(1, 5))
+        if expected[0] == "error":
+            assert (got[0], got[2]) == expected[:2] and expected[2] in got[3]
+        else:
+            assert (got[1]["user_ids"], got[1]["item_ids"]) == expected
+        assert got == outcome(reference.ingest_ratings, path, scale=RatingScale(1, 5))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("m1\x00,0.5\nm1,0.25\n", {"m1\x00": 0.5, "m1": 0.25}),
+         ("\x00,0.5\n", {"\x00": 0.5})],
+    )
+    def test_nul_is_not_truth_padding(self, tmp_path, text, expected):
+        path = write(tmp_path / "t.csv", text)
+        assert ingest_ground_truth(path) == expected
         assert outcome(ingest_ground_truth, path) == outcome(
             reference.ingest_ground_truth, path
         )
@@ -362,6 +407,8 @@ class TestRouting:
             ("u1::m1::5\n\u00fc::m1::3\n", {}),               # a non-ASCII id
             ("u1::m1::5\x0c\nu2::m1::3\n", {}),               # a form feed
             ("u1:::m1::5\nu2::m1::3\n", {}),                 # "::" matches overlap
+            # A NUL delimiter, which the cut must find as a separator.
+            ("\u00fc\x00m1\x005\nu2\x00m1\x003\n", dict(fmt=DelimitedFormat("\x00"))),
             # A canonical file holding the tab its delimiter admitted.
             ("user_id,item_id,weight\t\nu1,m1,0.5\n",
              dict(fmt=DelimitedFormat("\t"))),
