@@ -239,18 +239,10 @@ def _trace_json(result) -> list[dict]:
     ]
 
 
-def _alpha_tag(alpha: float) -> str:
-    return f"{alpha:g}"
-
-
 def _solve_record(result) -> dict:
     """How one solve went, as the manifest records it."""
-    return {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "sweeps": result.sweeps,
-        "clamped": result.clamped,
-    }
+    keys = ("converged", "iterations", "sweeps", "clamped")
+    return {key: getattr(result, key) for key in keys}
 
 
 def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
@@ -287,7 +279,10 @@ def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
             f"did not converge within {config.max_iterations} iterations",
             file=sys.stderr,
         )
-    inputs = {"ratings": str(args.ratings), "alpha_overrides": args.alpha_overrides}
+    inputs = {
+        "ratings": str(args.ratings),
+        "alpha_overrides": args.alpha_overrides,
+    }
     params = {
         "alpha": config.alpha,
         "epsilon": config.epsilon,
@@ -314,7 +309,7 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
         for a in alphas
     ]
     # Each solve writes files named by its tag; two solves must not share.
-    tags = [_alpha_tag(a) for a in alphas]
+    tags = [f"{a:g}" for a in alphas]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
             raise ValueError(
@@ -329,12 +324,15 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
     )
 
     means = truth.item_means
-    methods = [(build_report(graph, means, truth, label="mean"), "mean", means)]
+    methods = [
+        (build_report(graph, means, truth, label="mean"), "mean", means)
+    ]
     solves: dict[str, dict] = {}
     for config, tag in zip(configs, tags):
         result = solve(graph, config)
         report = build_report(
-            graph, result.rating, truth, label=f"debias(α={tag})", bias=result.bias
+            graph, result.rating, truth, label=f"debias(α={tag})",
+            bias=result.bias,
         )
         methods.append((report, f"alpha_{tag}", result.rating))
         solves[f"alpha_{tag}"] = _solve_record(result)
@@ -409,7 +407,8 @@ def cmd_synth(args, out) -> tuple[int, dict, dict, dict]:
         "noise_sigma": args.noise_sigma,
         "seed": args.seed,
     }
-    return 0, {}, params, {"edges": instance.graph.num_edges}
+    results = {"edges": instance.graph.num_edges}
+    return 0, {}, params, results
 
 
 def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
@@ -423,8 +422,11 @@ def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
     graph = _ingest(args)
     result = solve(graph, config)
 
-    status, code = "ok", 0
-    max_bias_diff = max_rating_diff = residual = None
+    status = "ok"
+    code = 0
+    max_bias_diff = None
+    max_rating_diff = None
+    residual = None
     if result.clamped:
         status, code = "clamped", 3
     elif not result.converged:
@@ -461,7 +463,8 @@ def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
         "delimiter": args.delimiter,
         "duplicates": args.duplicates,
     }
-    return code, inputs, params, {"status": status, "exit_code": code}
+    results = {"status": status, "exit_code": code}
+    return code, inputs, params, results
 
 
 class _Parser(argparse.ArgumentParser):

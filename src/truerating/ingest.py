@@ -253,14 +253,13 @@ def _string_columns(
     ``\\x1c``, ``\\u2028`` and others. The array of whole lines lives
     only in here, and only until the first cut; each cut's separators and
     unstripped field are dropped as soon as they are used, which lowers
-    the peak. `np.strings.strip` also strips NUL, which `str.strip` keeps,
-    so the fields of a text that holds one are stripped by `str.strip`.
+    the peak. Fields are stripped by `str.strip`: `np.strings.strip` would
+    also strip NUL.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    exact = "\x00" in text
     lines = text.split("\n")
     del text
     first_line_kept = bool(lines[0].strip())
@@ -281,10 +280,7 @@ def _string_columns(
         if k < count - 1:
             _require(_nonempty(found))
         del found
-        columns.append(
-            np.array([f.strip() for f in field.tolist()], _STRING)
-            if exact else np.strings.strip(field)
-        )
+        columns.append(np.array(list(map(str.strip, field.tolist())), _STRING))
         del field
     return columns, first_line_kept, canonical
 

@@ -85,7 +85,7 @@ MANIFEST_SECTIONS = {
 
 class TestRunWrapper:
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_manifest_schema(self, tmp_path, two_user_file, command):
+    def test_manifest_fields(self, tmp_path, two_user_file, command):
         out = tmp_path / "run"
         argv = command_argv(command, tmp_path, two_user_file)
         if command == "eval":
@@ -100,12 +100,6 @@ class TestRunWrapper:
             assert list(solves) == ["alpha_0.5", "alpha_0.9"]
             for record in solves.values():
                 assert list(record) == ["converged", "iterations", "sweeps", "clamped"]
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_manifest_fields(self, tmp_path, two_user_file, command):
-        out = tmp_path / "run"
-        assert run(*command_argv(command, tmp_path, two_user_file), "--out", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["outdir"] == str(out)
         started = datetime.fromisoformat(manifest["started_at"])
