@@ -12,8 +12,6 @@ from .graph import (
     NUM_BINS,
     RatingGraph,
     RatingScale,
-    bin_label,
-    bin_of,
     degree_bins,
     degree_histogram,
 )
@@ -30,8 +28,6 @@ from .solver import (
     IterationStats,
     SolverConfig,
     SolverResult,
-    debias_weight,
-    iterate_once,
     iterations_needed,
     solve,
 )
@@ -41,12 +37,8 @@ from .evaluate import (
     EvalReport,
     TruthAlignment,
     align_truth,
-    bin_deviation,
     build_report,
     histogram,
-    mse,
-    rank_error,
-    rating_map,
 )
 
 __version__ = "0.1.0"
@@ -55,8 +47,6 @@ __all__ = [
     "NUM_BINS",
     "RatingGraph",
     "RatingScale",
-    "bin_label",
-    "bin_of",
     "degree_bins",
     "degree_histogram",
     "MOVIELENS_FORMAT",
@@ -69,8 +59,6 @@ __all__ = [
     "IterationStats",
     "SolverConfig",
     "SolverResult",
-    "debias_weight",
-    "iterate_once",
     "iterations_needed",
     "solve",
     "solve_linear",
@@ -79,11 +67,7 @@ __all__ = [
     "EvalReport",
     "TruthAlignment",
     "align_truth",
-    "bin_deviation",
     "build_report",
     "histogram",
-    "mse",
-    "rank_error",
-    "rating_map",
     "__version__",
 ]

@@ -252,7 +252,8 @@ def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
     )
     seed = _parse_seed_bias(args.seed_bias)
     graph = _ingest(args)
-    _require_plain_ids(graph.user_ids + graph.item_ids)
+    user_ids = _require_plain_ids(graph.user_ids)
+    item_ids = _require_plain_ids(graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
     initial = _seed_bias(seed, graph)
@@ -262,13 +263,13 @@ def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
     write_scores_csv(
         out("bias.csv"),
         ("user_id", "bias"),
-        graph.user_ids,
+        user_ids,
         result.bias,
     )
     write_scores_csv(
         out("ratings.csv"),
         ("item_id", "true_rating"),
-        graph.item_ids,
+        item_ids,
         result.rating,
     )
     _write_json(out("trace.json"), _trace_json(result))
@@ -318,7 +319,7 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
             )
     truth_scale = _parse_scale(args.truth_scale, "--truth-scale")
     graph = _ingest(args)
-    _require_plain_ids(graph.item_ids)
+    item_ids = _require_plain_ids(graph.item_ids)
     truth = align_truth(
         graph, ingest_ground_truth(args.truth, scale=truth_scale)
     )
@@ -341,7 +342,7 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
         write_scores_csv(
             out(f"ratings_{tag}.csv"),
             ("item_id", "true_rating"),
-            graph.item_ids,
+            item_ids,
             rating,
         )
         with open(out(f"bins_{tag}.csv"), "w", encoding="utf-8", newline="") as fh:

@@ -1,12 +1,14 @@
 """Quality metrics for solver output.
 
-Covers accuracy against partial ground truth (mean squared error and
-footrule rank error over the items both sides score), structural effect
-measures (per-bin absolute and relative deviation of true ratings from
-plain item means, binned by rating count), and histograms of the bias and
-rating distributions with buckets `BUCKET_WIDTH` wide. Everything here is a
-pure function of immutable inputs. Ground truth and predicted scores are
-plain mappings of external id to score, as `ingest_ground_truth` returns.
+`build_report` computes every metric of one method's per-item rating
+vector: accuracy against partial ground truth (mean squared error and
+footrule rank error over the items that have a truth value), structural
+effect measures (per-bin absolute and relative deviation of true ratings
+from plain item means, binned by rating count), and histograms of the bias
+and rating distributions with buckets `BUCKET_WIDTH` wide. Everything here
+is a pure function of immutable inputs. Rating vectors are aligned with the
+graph's `item_ids`; ground truth is a plain mapping of external id to
+score, as `ingest_ground_truth` returns.
 
 Accuracy metrics run on dense float64 arrays that hold the common items'
 scores in ascending external-id order; ids are read only to find those
@@ -32,14 +34,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import RatingGraph, degree_bins
-from .solver import SolverResult
 
 __all__ = [
-    "mse",
-    "rank_error",
-    "bin_deviation",
     "histogram",
-    "rating_map",
     "EvalReport",
     "TruthAlignment",
     "align_truth",
@@ -52,14 +49,6 @@ BUCKET_WIDTH = 0.05
 
 def _take(scores: Mapping[str, float], keys: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(scores.__getitem__, keys), np.float64, len(keys))
-
-
-def _aligned(
-    predicted: Mapping[str, float], truth: Mapping[str, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both maps' scores over the ids they share, in ascending id order."""
-    common = sorted(set(predicted) & set(truth))
-    return _take(predicted, common), _take(truth, common)
 
 
 def _ranks(scores: np.ndarray) -> np.ndarray:
@@ -77,42 +66,6 @@ def _squared(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
 def _distance(predicted: np.ndarray, truth_ranks: np.ndarray) -> np.ndarray:
     """Per-item footrule rank distance of scores in ascending id order."""
     return np.abs(_ranks(predicted) - truth_ranks).astype(np.float64)
-
-
-def mse(predicted: Mapping[str, float], truth: Mapping[str, float]) -> float:
-    """Mean squared difference over the ids present in both score maps."""
-    squared = _squared(*_aligned(predicted, truth))
-    if not squared.size:
-        raise ValueError("no common items between predicted and truth scores")
-    return float(squared.mean())
-
-
-def rank_error(
-    predicted: Mapping[str, float], truth: Mapping[str, float]
-) -> float:
-    """Mean absolute rank distance (footrule) over the common items.
-
-    Both maps are ranked descending over the intersection only, so the
-    result depends on score order alone, never on score magnitude.
-    """
-    pred, ref = _aligned(predicted, truth)
-    if pred.size < 2:
-        raise ValueError(
-            f"need at least 2 common items to compare rankings, "
-            f"got {pred.size}"
-        )
-    return float(_distance(pred, _ranks(ref)).mean())
-
-
-def _item_vector(graph: RatingGraph, rating) -> np.ndarray:
-    """`rating` as a float64 array, checked to hold one value per item."""
-    rating = np.asarray(rating, dtype=np.float64)
-    if rating.shape != (graph.num_items,):
-        raise ValueError(
-            f"rating vector of length {rating.shape} misaligned with graph "
-            f"({graph.num_items} items)"
-        )
-    return rating
 
 
 class _Bins:
@@ -139,37 +92,20 @@ class _Bins:
 
 def _deviation_by_bin(
     rating: np.ndarray, means: np.ndarray, bins: _Bins
-) -> dict[int, tuple[float, float]]:
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Per bin, the mean of |rating - mean| and, over the bin's items with
+    nonzero rating, the mean of |rating - mean| / rating (0.0 without
+    any). Bins with no items are omitted."""
     deviation = np.abs(rating - means)[bins.order]
     rating = rating[bins.order]
-    out = {}
+    absolute, relative = {}, {}
     for k, span in bins.spans:
         dev, rate = deviation[span], rating[span]
         nonzero = rate != 0.0
-        relative = dev[nonzero] / rate[nonzero]
-        out[k] = (
-            float(dev.mean()),
-            float(relative.mean()) if relative.size else 0.0,
-        )
-    return out
-
-
-def bin_deviation(
-    graph: RatingGraph, result: SolverResult
-) -> dict[int, tuple[float, float]]:
-    """Per-bin (absolute, relative) mean deviation of ratings from means.
-
-    Items are binned by how many ratings they received. The absolute entry
-    averages |rating - mean| over the bin; the relative entry averages
-    |rating - mean| / rating over the bin's items with nonzero rating
-    (zero-rating items are skipped, their count visible via `build_report`).
-    Bins with no items are omitted.
-    """
-    return _deviation_by_bin(
-        _item_vector(graph, result.rating),
-        graph.item_means(),
-        _Bins(degree_bins(graph.item_degrees)),
-    )
+        ratio = dev[nonzero] / rate[nonzero]
+        absolute[k] = float(dev.mean())
+        relative[k] = float(ratio.mean()) if ratio.size else 0.0
+    return absolute, relative
 
 
 def histogram(
@@ -192,11 +128,6 @@ def histogram(
     idx = np.floor((values - lo) / bucket_width).astype(np.int64)
     np.clip(idx, 0, num_buckets - 1, out=idx)
     return np.bincount(idx, minlength=num_buckets).astype(np.int64)
-
-
-def rating_map(graph: RatingGraph, rating) -> dict[str, float]:
-    """Per-item vector -> {external item id: score}."""
-    return dict(zip(graph.item_ids, _item_vector(graph, rating).tolist()))
 
 
 @dataclass(frozen=True)
@@ -295,7 +226,12 @@ def build_report(
     `bias` is the method's per-user vector, absent for the plain-mean
     baseline.
     """
-    rating = _item_vector(graph, rating)
+    rating = np.asarray(rating, dtype=np.float64)
+    if rating.shape != (graph.num_items,):
+        raise ValueError(
+            f"rating vector of length {rating.shape} misaligned with graph "
+            f"({graph.num_items} items)"
+        )
 
     mse_overall = None
     rank_overall = None
@@ -322,7 +258,7 @@ def build_report(
             rank_overall = float(distance.mean())
             rank_bins = aligned.common_bins.means(distance)
         common_items = aligned.common.size
-    by_bin = _deviation_by_bin(rating, means, item_bins)
+    bindev, relbindev = _deviation_by_bin(rating, means, item_bins)
 
     return EvalReport(
         method_label=label,
@@ -330,8 +266,8 @@ def build_report(
         rank_error_overall=rank_overall,
         mse_per_bin=mse_bins,
         rank_error_per_bin=rank_bins,
-        bindev={k: dev for k, (dev, _) in by_bin.items()},
-        relbindev={k: rel for k, (_, rel) in by_bin.items()},
+        bindev=bindev,
+        relbindev=relbindev,
         relbindev_skipped=int(np.count_nonzero(rating == 0.0)),
         common_items=common_items,
         bias_histogram=(

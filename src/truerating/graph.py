@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "NUM_BINS",
     "RatingScale",
-    "bin_of",
-    "bin_label",
     "degree_bins",
     "RatingGraph",
     "degree_histogram",
@@ -63,31 +61,12 @@ class RatingScale:
         return (raw - self.min_raw) / self.span
 
 
-def bin_of(num_ratings: int) -> int:
-    """Bin index 1..11 for an item that received `num_ratings` ratings.
-
-    Bin boundaries double: 1, 2-3, 4-7, ..., 512-1023, >1023. Equivalent to
-    floor(log2(n)) + 1 capped at 11, computed exactly in integer arithmetic.
-    """
-    n = int(num_ratings)
-    if n < 1:
-        raise ValueError(f"number of ratings must be >= 1, got {num_ratings}")
-    return min(n.bit_length(), NUM_BINS)
-
-
-def bin_label(bin_index: int) -> str:
-    """Human-readable rating-count range for a bin, e.g. ``'4-7'``."""
-    if not 1 <= bin_index <= NUM_BINS:
-        raise ValueError(f"bin index must be in 1..{NUM_BINS}, got {bin_index}")
-    if bin_index == 1:
-        return "1"
-    if bin_index == NUM_BINS:
-        return f">{_BIN_UPPER[-1]}"
-    return f"{2 ** (bin_index - 1)}-{2 ** bin_index - 1}"
-
-
 def degree_bins(degrees: np.ndarray) -> np.ndarray:
-    """Vectorized `bin_of` over an array of positive rating counts."""
+    """Bin index 1..11 of each of an array of positive rating counts.
+
+    Bin boundaries double: 1, 2-3, 4-7, ..., 512-1023, >1023, so a count
+    n falls in bin floor(log2(n)) + 1, capped at 11.
+    """
     degrees = np.asarray(degrees, dtype=np.int64)
     if degrees.size and degrees.min() < 1:
         raise ValueError("all rating counts must be >= 1")

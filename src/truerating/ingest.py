@@ -516,7 +516,21 @@ def _unwritable(key: str) -> str | None:
     return None
 
 
-def _require_plain_ids(ids: Sequence[str]) -> None:
+class _PlainIds(tuple):
+    """Ids that `_require_plain_ids` has passed: the writers take them
+    without checking them again."""
+
+    __slots__ = ()
+
+
+def _require_plain_ids(ids: Sequence[str]) -> _PlainIds:
+    """`ids` as `_PlainIds`; raises `ValueError` naming the first id that
+    would not read back as itself."""
+    _check_plain_ids(ids)
+    return _PlainIds(ids)
+
+
+def _check_plain_ids(ids: Sequence[str]) -> None:
     # Ids are written verbatim. Readers break lines at "\n" and "\r",
     # split fields on a bare ",", strip each field and refuse an empty id,
     # so an id reads back as itself only if `_unwritable` finds no reason.
@@ -554,7 +568,7 @@ _Field = tuple[np.ndarray, np.ndarray]
 
 def _text_field(strings: Sequence[str]) -> _Field:
     """Each string followed by ``,``, as UTF-8 bytes back to back, and the
-    byte length of each. The strings hold no ``,`` (`_require_plain_ids`),
+    byte length of each. The strings hold no ``,`` (`_check_plain_ids`),
     so the commas mark where each one ends."""
     data = np.frombuffer((",".join(strings) + ",").encode(), np.uint8)
     return data, np.diff(np.flatnonzero(data == ord(",")), prepend=-1)
@@ -646,7 +660,7 @@ def _write_csv(
 
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
     """Write the graph's edges as canonical CSV in canonical edge order."""
-    _require_plain_ids(graph.user_ids + graph.item_ids)
+    _check_plain_ids(graph.user_ids + graph.item_ids)
 
     def block_fields(rows: slice) -> list[_Field]:
         users = map(graph.user_ids.__getitem__, graph.edge_user[rows].tolist())
@@ -668,7 +682,8 @@ def write_scores_csv(
     Values are written with `FLOAT_DIGITS` decimals, byte for byte as
     Python's ``f"{v:.9f}"`` writes them.
     """
-    _require_plain_ids(ids)
+    if not isinstance(ids, _PlainIds):
+        _check_plain_ids(ids)
     scores = np.asarray(values, np.float64)
     if scores.shape != (len(ids),):
         raise ValueError(f"values of shape {scores.shape} for {len(ids)} ids")

@@ -53,22 +53,12 @@ DEPTH = 3
 _RIDGE = 1e-10
 
 __all__ = [
-    "debias_weight",
     "iterations_needed",
     "SolverConfig",
     "IterationStats",
     "SolverResult",
-    "iterate_once",
     "solve",
 ]
-
-
-def debias_weight(weight, alpha, bias):
-    """Correct a raw weight by a damped bias share, clipped into [0, 1].
-
-    Works elementwise on arrays as well as on scalars.
-    """
-    return np.clip(weight - alpha * bias, 0.0, 1.0)
 
 
 def iterations_needed(alpha: float, epsilon: float) -> int:
@@ -324,20 +314,6 @@ def _seed(graph: RatingGraph, initial_bias) -> np.ndarray:
     return bias
 
 
-def iterate_once(
-    graph: RatingGraph,
-    bias: np.ndarray,
-    config: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous update; returns (new rating, new bias).
-
-    Every rating is computed from the incoming bias vector before any bias
-    is refreshed, so the result is independent of edge traversal order.
-    """
-    step = _Sweeps(graph, config).evaluate(_seed(graph, bias))
-    return step.rating, step.image
-
-
 def solve(
     graph: RatingGraph,
     config: SolverConfig | None = None,
@@ -351,6 +327,9 @@ def solve(
     per-item means, and stops once the L1 norm of the current iterate's
     residual T(x) - x drops below `config.epsilon` or `config.max_iterations`
     iterates have been accepted.
+
+    With ``max_iterations=1`` the result is one sweep from the starting
+    bias b: `rating` is R(b) and `bias` is T(b).
 
     `threads` has no effect: it is checked (>= 1) and otherwise ignored.
     It stays only for the benchmark harness, which still passes it, and is

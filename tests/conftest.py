@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from truerating import RatingGraph
+from truerating import RatingGraph, SolverConfig, build_report, solve
 
 
 def make_random_graph(seed: int, max_users: int = 10, max_items: int = 10) -> RatingGraph:
@@ -30,6 +32,37 @@ def make_random_graph(seed: int, max_users: int = 10, max_items: int = 10) -> Ra
         v,
         rng.random(u.size),
     )
+
+
+def one_sweep(graph: RatingGraph, bias, config: SolverConfig):
+    """R(b) and T(b), the ratings and biases of one sweep from `bias`."""
+    result = solve(graph, replace(config, max_iterations=1), initial_bias=bias)
+    return result.rating, result.bias
+
+
+def debiased(weights, alpha: float, bias) -> np.ndarray:
+    """Each weight corrected by `alpha` times its rater's bias and clipped
+    into [0, 1]: the ratings of one sweep on a graph where user k alone
+    rates item k."""
+    n = len(weights)
+    keys = [str(k) for k in range(n)]
+    graph = RatingGraph(keys, keys, np.arange(n), np.arange(n), weights)
+    rating, _ = one_sweep(graph, bias, SolverConfig(alpha=alpha))
+    return rating
+
+
+def report_over(predicted: dict, truth: dict):
+    """`build_report` of `predicted`'s scores against `truth`, on a
+    one-user graph whose items are `predicted`'s ids in key order."""
+    n = len(predicted)
+    graph = RatingGraph(
+        ["u"] if n else [],
+        list(predicted),
+        np.zeros(n, dtype=np.int64),
+        np.arange(n),
+        np.full(n, 0.5),
+    )
+    return build_report(graph, list(predicted.values()), truth, label="scores")
 
 
 @pytest.fixture

@@ -19,8 +19,6 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
     iterations_needed,
-    mse,
-    rating_map,
     solve,
     solve_linear,
 )
@@ -304,9 +302,13 @@ def test_criterion_8_debiasing_beats_mean_baseline():
             noise_sigma=0.05, seed=seed,
         )
         truth = dict(zip(instance.graph.item_ids, instance.true_rating))
-        mean_mse = mse(rating_map(instance.graph, instance.graph.item_means()), truth)
+        mean_mse = build_report(
+            instance.graph, instance.graph.item_means(), truth, label="mean"
+        ).mse_overall
         result = solve(instance.graph, SolverConfig(alpha=0.99, epsilon=1e-9))
-        debias_mse = mse(rating_map(instance.graph, result.rating), truth)
+        debias_mse = build_report(
+            instance.graph, result.rating, truth, label="debias"
+        ).mse_overall
         margin = mean_mse - debias_mse
         worst_margin = margin if worst_margin is None else min(worst_margin, margin)
         wins += int(debias_mse <= mean_mse)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from truerating import ingest_ratings, solve_linear
-from truerating import cli, evaluate
+from truerating import cli, evaluate, ingest
 from truerating.cli import main
 
 
@@ -147,6 +147,27 @@ class TestRunWrapper:
         assert not (out / "bias.csv").exists()
         assert not (out / "manifest.json").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_each_written_id_checked_once(
+        self, tmp_path, two_user_file, command, monkeypatch
+    ):
+        # The up-front check hands the writers ids they take as checked,
+        # however many files list them.
+        scanned = []
+        check = ingest._check_plain_ids
+
+        def counting(ids):
+            scanned.extend(ids)
+            check(ids)
+
+        monkeypatch.setattr(ingest, "_check_plain_ids", counting)
+        argv = command_argv(command, tmp_path, two_user_file)
+        if command == "eval":
+            argv += ["--alpha", "0.5", "--alpha", "0.9"]
+        assert run(*argv, "--out", tmp_path / "run") == 0
+        expected = ["m1"] if command == "eval" else ["u1", "u2", "m1"]
+        assert scanned == expected
 
     @pytest.mark.parametrize(
         "command, flag, value, message",

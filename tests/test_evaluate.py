@@ -3,21 +3,26 @@ import json
 
 import numpy as np
 import pytest
+from conftest import report_over
 
 from truerating import (
     RatingGraph,
     SolverConfig,
     align_truth,
-    bin_deviation,
     build_report,
     degree_bins,
     generate_planted,
     histogram,
-    mse,
-    rank_error,
-    rating_map,
     solve,
 )
+
+
+def mse(predicted, truth):
+    return report_over(predicted, truth).mse_overall
+
+
+def rank_error(predicted, truth):
+    return report_over(predicted, truth).rank_error_overall
 
 
 class TestMse:
@@ -34,13 +39,8 @@ class TestMse:
         assert mse(predicted, truth) == pytest.approx(0.25)
 
     def test_empty_intersection(self):
-        with pytest.raises(ValueError, match="no common items"):
+        with pytest.raises(ValueError, match="shares no items"):
             mse({"a": 0.1}, {"b": 0.2})
-
-    def test_symmetric(self):
-        a = {"x": 0.1, "y": 0.8, "z": 0.4}
-        b = {"y": 0.2, "z": 0.9, "w": 0.5}
-        assert mse(a, b) == mse(b, a)
 
 
 class TestRankError:
@@ -51,8 +51,9 @@ class TestRankError:
         assert rank_error({"a": 0.9, "b": 0.5}, {"a": 0.1, "b": 0.8}) == 1.0
 
     def test_requires_two_common(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            rank_error({"a": 0.9}, {"a": 0.1})
+        report = report_over({"a": 0.9, "b": 0.5}, {"a": 0.1})
+        assert report.rank_error_overall is None
+        assert report.rank_error_per_bin == {}
 
     def test_monotone_transform_invariant(self):
         predicted = {"a": 0.11, "b": 0.72, "c": 0.35, "d": 0.64}
@@ -93,29 +94,27 @@ class TestBinDeviation:
         config = SolverConfig(
             alpha=0.5, alpha_overrides={i: 0.0 for i in range(g.num_users)}
         )
-        result = solve(g, config)
-        for dev, rel in bin_deviation(g, result).values():
-            assert dev == 0.0
-            assert rel == 0.0
+        report = build_report(g, solve(g, config).rating, label="trusted")
+        assert set(report.bindev) == set(report.relbindev)
+        assert set(report.bindev.values()) == {0.0}
+        assert set(report.relbindev.values()) == {0.0}
 
     def test_two_user_single_item(self, two_user_graph):
         result = solve(two_user_graph, SolverConfig(alpha=0.5, epsilon=1e-10))
-        table = bin_deviation(two_user_graph, result)
-        assert set(table) == {2}  # the item has two ratings
-        dev, rel = table[2]
-        assert dev == pytest.approx(0.0, abs=1e-12)
-        assert rel == pytest.approx(0.0, abs=1e-12)
+        report = build_report(two_user_graph, result.rating, label="debias")
+        assert set(report.bindev) == {2}  # the item has two ratings
+        assert report.bindev[2] == pytest.approx(0.0, abs=1e-12)
+        assert report.relbindev[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_misaligned_vector_rejected(self, two_user_graph):
-        result = solve(two_user_graph, SolverConfig(alpha=0.5))
-        result.rating = np.zeros(3)
         with pytest.raises(ValueError, match="misaligned"):
-            bin_deviation(two_user_graph, result)
+            build_report(two_user_graph, np.zeros(3), label="debias")
 
     def test_bins_without_items_omitted(self):
         g = RatingGraph.from_edges([("u1", "m1", 0.5), ("u2", "m1", 0.6)])
         result = solve(g, SolverConfig(alpha=0.5))
-        assert set(bin_deviation(g, result)) == {2}
+        report = build_report(g, result.rating, label="debias")
+        assert set(report.bindev) == set(report.relbindev) == {2}
 
     def test_sparse_bins_deviate_more_than_popular_ones(self):
         # With noisy raters, items with few ratings keep more bias in their
@@ -125,9 +124,9 @@ class TestBinDeviation:
         for seed in range(10):
             g = _heterogeneous_degree_graph(seed)
             result = solve(g, SolverConfig(alpha=0.99, epsilon=1e-9))
-            table = bin_deviation(g, result)
-            low = np.mean([table[k][0] for k in table if k <= 3])
-            high = np.mean([table[k][0] for k in table if k >= 6])
+            table = build_report(g, result.rating, label="debias").bindev
+            low = np.mean([table[k] for k in table if k <= 3])
+            high = np.mean([table[k] for k in table if k >= 6])
             wins += low > high
         assert wins >= 8
 
@@ -191,15 +190,6 @@ class TestHistogram:
             histogram([0.1], 0.0, (0.0, 1.0))
         with pytest.raises(ValueError, match="range"):
             histogram([0.1], 0.1, (1.0, 0.0))
-
-
-class TestRatingMap:
-    def test_zips_item_ids(self, two_user_graph):
-        assert rating_map(two_user_graph, [0.5]) == {"m1": 0.5}
-
-    def test_length_checked(self, two_user_graph):
-        with pytest.raises(ValueError, match="misaligned"):
-            rating_map(two_user_graph, [0.5, 0.6])
 
 
 class TestBuildReport:

@@ -1,23 +1,20 @@
 """The dense-array accuracy metrics against the dict-based reference.
 
-For any input, `mse`, `rank_error` and every `build_report` field must be
-exactly equal to the reference's (same bits, no tolerance), or both must
-raise the same error.
+For any input, every `build_report` field must be exactly equal to the
+reference's (same bits, no tolerance), or both must raise the same error;
+its overall MSE and rank error must also equal the reference's two-map
+`mse` and `rank_error`.
 """
 
 import json
 
 import numpy as np
+import pytest
+from conftest import report_over
 from hypothesis import given, settings, strategies as st
 
 import reference_evaluate as reference
-from truerating import (
-    RatingGraph,
-    align_truth,
-    build_report,
-    mse,
-    rank_error,
-)
+from truerating import RatingGraph, align_truth, build_report
 
 # Unicode ids, so code-point order matters; hypothesis lists come in any
 # order, so ascending-id order usually differs from first appearance.
@@ -67,13 +64,11 @@ def score_maps(draw):
 
 
 def outcome(function, *args, **kwargs):
-    """A metric's result as exactly comparable values, or its error."""
+    """A report as exactly comparable values, or its error."""
     try:
         result = function(*args, **kwargs)
     except ValueError as exc:
         return ("error", type(exc).__name__, str(exc))
-    if isinstance(result, float):
-        return ("value", type(result), result.hex())
     payload = result.to_dict()
     return ("report", payload, json.dumps(payload))
 
@@ -85,12 +80,26 @@ class TestMatchesReference:
     @parity
     @given(maps=score_maps())
     def test_mse(self, maps):
-        assert outcome(mse, *maps) == outcome(reference.mse, *maps)
+        pred, truth = maps
+        if not set(pred) & set(truth):
+            with pytest.raises(ValueError, match="shares no items"):
+                report_over(pred, truth)
+            return
+        mse = report_over(pred, truth).mse_overall
+        assert mse.hex() == reference.mse(pred, truth).hex()
 
     @parity
     @given(maps=score_maps())
     def test_rank_error(self, maps):
-        assert outcome(rank_error, *maps) == outcome(reference.rank_error, *maps)
+        pred, truth = maps
+        common = len(set(pred) & set(truth))
+        if not common:
+            return  # refused, as `test_mse` checks
+        rank = report_over(pred, truth).rank_error_overall
+        if common < 2:
+            assert rank is None
+        else:
+            assert rank.hex() == reference.rank_error(pred, truth).hex()
 
     @parity
     @given(data=st.data())
@@ -148,4 +157,5 @@ class TestMatchesReference:
         # to neighbouring floats with some libms; the reference squares
         # with Python's `**`.
         pred, truth = {"a": 0.343805606955381}, {"a": 0.0}
-        assert mse(pred, truth).hex() == reference.mse(pred, truth).hex()
+        mse = report_over(pred, truth).mse_overall
+        assert mse.hex() == reference.mse(pred, truth).hex()

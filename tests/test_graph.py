@@ -5,8 +5,6 @@ from truerating import (
     NUM_BINS,
     RatingGraph,
     RatingScale,
-    bin_label,
-    bin_of,
     degree_bins,
     degree_histogram,
 )
@@ -36,6 +34,10 @@ class TestRatingScale:
         assert all(a < b for a, b in zip(normalized, normalized[1:]))
 
 
+def bin_of(n: int) -> int:
+    return int(degree_bins([n])[0])
+
+
 class TestBins:
     def test_anchor_values(self):
         assert bin_of(1) == 1
@@ -51,30 +53,21 @@ class TestBins:
         assert bin_of(1024) == NUM_BINS
 
     def test_monotone(self):
-        values = [bin_of(n) for n in range(1, 3000)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
+        values = degree_bins(np.arange(1, 3000))
+        assert (np.diff(values) >= 0).all()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            bin_of(0)
+            degree_bins([0])
         with pytest.raises(ValueError):
-            bin_of(-3)
+            degree_bins([5, -3])
 
     def test_vectorized_matches_scalar(self):
+        # Bin k holds the counts of bit length k, the last bin the rest.
         rng = np.random.default_rng(42)
         degrees = rng.integers(1, 5000, size=500)
-        expected = np.array([bin_of(int(n)) for n in degrees])
+        expected = [min(int(n).bit_length(), NUM_BINS) for n in degrees]
         np.testing.assert_array_equal(degree_bins(degrees), expected)
-
-    def test_labels(self):
-        assert bin_label(1) == "1"
-        assert bin_label(2) == "2-3"
-        assert bin_label(10) == "512-1023"
-        assert bin_label(11) == ">1023"
-        with pytest.raises(ValueError):
-            bin_label(0)
-        with pytest.raises(ValueError):
-            bin_label(12)
 
 
 class TestRatingGraphConstruction:

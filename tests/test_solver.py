@@ -1,32 +1,32 @@
 import numpy as np
 import pytest
-from conftest import make_random_graph
+from conftest import debiased, make_random_graph, one_sweep
 
 from truerating import (
     RatingGraph,
     SolverConfig,
-    debias_weight,
     generate_planted,
-    iterate_once,
     iterations_needed,
     solve,
 )
 
 
 class TestDebiasWeight:
+    """The rating half of a sweep corrects each weight and clips it."""
+
     def test_interior(self):
-        assert debias_weight(0.6, 0.5, 0.4) == pytest.approx(0.4)
+        assert debiased([0.6], 0.5, [0.4]) == pytest.approx([0.4])
 
     def test_upper_clamp(self):
-        assert debias_weight(0.9, 1.0, -0.3) == 1.0
+        assert debiased([0.9], 0.5, [-0.3]).tolist() == [1.0]
 
     def test_lower_clamp(self):
-        assert debias_weight(0.2, 1.0, 0.5) == 0.0
+        assert debiased([0.2], 0.5, [0.5]).tolist() == [0.0]
 
     def test_elementwise(self):
         w = np.array([0.6, 0.9, 0.2])
         b = np.array([0.4, -0.3, 0.5])
-        np.testing.assert_allclose(debias_weight(w, 1.0, b), [0.2, 1.0, 0.0])
+        np.testing.assert_allclose(debiased(w, 0.5, b), [0.4, 1.0, 0.0])
 
 
 class TestIterationsNeeded:
@@ -77,20 +77,22 @@ class TestSolverConfig:
 
 
 class TestIterateOnce:
+    """One sweep: `solve` capped at one accepted iterate."""
+
     def test_single_edge_fixed_point(self):
         g = RatingGraph.from_edges([("u1", "m1", 0.7)])
-        rating, bias = iterate_once(g, np.zeros(1), SolverConfig(alpha=0.3))
+        rating, bias = one_sweep(g, np.zeros(1), SolverConfig(alpha=0.3))
         np.testing.assert_allclose(rating, [0.7])
         np.testing.assert_allclose(bias, [0.0])
 
     def test_two_user_fixed_point(self, two_user_graph):
-        rating, bias = iterate_once(
+        rating, bias = one_sweep(
             two_user_graph, np.zeros(2), SolverConfig(alpha=0.5)
         )
         np.testing.assert_allclose(rating, [0.5])
         np.testing.assert_allclose(bias, [0.5, -0.5])
         # Already the fixed point: iterating again must not move.
-        rating2, bias2 = iterate_once(two_user_graph, bias, SolverConfig(alpha=0.5))
+        rating2, bias2 = one_sweep(two_user_graph, bias, SolverConfig(alpha=0.5))
         np.testing.assert_allclose(rating2, rating)
         np.testing.assert_allclose(bias2, bias)
 
@@ -99,16 +101,16 @@ class TestIterateOnce:
         config = SolverConfig(
             alpha=0.7, alpha_overrides={i: 0.0 for i in range(g.num_users)}
         )
-        rating, _ = iterate_once(g, np.zeros(g.num_users), config)
+        rating, _ = one_sweep(g, np.zeros(g.num_users), config)
         np.testing.assert_array_equal(rating, g.item_means())
 
     def test_bias_length_checked(self, two_user_graph):
         with pytest.raises(ValueError, match="shape"):
-            iterate_once(two_user_graph, np.zeros(3), SolverConfig())
+            one_sweep(two_user_graph, np.zeros(3), SolverConfig())
 
     def test_bias_range_checked(self, two_user_graph):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            iterate_once(two_user_graph, np.array([1.5, 0.0]), SolverConfig())
+            one_sweep(two_user_graph, np.array([1.5, 0.0]), SolverConfig())
 
 
 class TestSolve:

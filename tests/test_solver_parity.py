@@ -8,10 +8,10 @@ so their results may differ by at most 2 * epsilon / (1 - alpha).
 
 import numpy as np
 import pytest
-from conftest import make_random_graph
+from conftest import make_random_graph, one_sweep
 
 import reference_solver as reference
-from truerating import RatingGraph, SolverConfig, iterate_once, solve
+from truerating import RatingGraph, SolverConfig, solve
 from truerating.solver import _History, _Sweeps
 
 
@@ -147,7 +147,7 @@ class TestDegenerateHistory:
         assert np.isfinite(result.bias).all()
         assert np.isfinite(result.rating).all()
         assert np.array_equal(result.rating, graph.item_means())
-        _, plain_bias = iterate_once(graph, np.zeros(graph.num_users), config)
+        _, plain_bias = one_sweep(graph, np.zeros(graph.num_users), config)
         assert np.array_equal(result.bias, plain_bias)
 
     def test_zero_differences_fall_back_to_plain_step(self):
@@ -237,14 +237,14 @@ class TestSummationOrder:
         def term(u, w):
             return min(max(w - alpha[u] * bias[u], 0.0), 1.0)
 
-        rating, _ = iterate_once(graph, np.array(bias), config)
+        rating, _ = one_sweep(graph, np.array(bias), config)
         assert rating.tolist() == _left_to_right_means(graph, term)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bias_adds_items_in_ascending_item_order(self, seed):
         graph = _shuffled(make_random_graph(seed, 30, 12), seed)
         start = np.random.default_rng(seed).uniform(-1.0, 1.0, graph.num_users)
-        rating, bias = iterate_once(graph, start, SolverConfig(alpha=0.9))
+        rating, bias = one_sweep(graph, start, SolverConfig(alpha=0.9))
         rating = rating.tolist()
         expected = _left_to_right_means(
             graph, lambda v, w: w - rating[v], per_user=True
