@@ -15,9 +15,10 @@ Subcommands:
 Exit codes: 0 success, 2 stopped at max iterations without converging,
 3 oracle check inapplicable because clamping fired, 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
-outputs. A run writes its outputs, and last a manifest that records how to
-reproduce it, under temporary names, and renames them all into place
-together once the manifest is written.
+outputs on one machine at the same BLAS thread count. A run writes its
+outputs, and last a manifest that records how to reproduce it, under
+temporary names, and renames them all into place together once the
+manifest is written.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _now_iso() -> str:
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -110,31 +111,39 @@ def _staged(outdir: Path):
             path.temporary.unlink(missing_ok=True)
 
 
+#: The flags that name a file a command reads: the manifest's ``inputs``.
+_INPUT_FLAGS = ("ratings", "truth", "alpha_overrides")
+
+
 def _run(args) -> int:
     """Run one ``cmd_*`` and write its manifest; returns the exit code.
 
     The command gets the stager of the run's one `_staged` block and
-    returns its exit code and its ``inputs``, ``params`` and ``results``
-    dicts, from which ``manifest.json`` is built here and only here.
-    Rerunning with the recorded command, params and inputs reproduces every
-    output byte for byte; only the timing fields differ. The manifest is
-    the last file staged, so the outputs and the manifest are renamed into
-    place together, and a command that raises leaves neither.
+    returns its exit code and its ``results`` dict. ``manifest.json`` is
+    built here and only here: ``inputs`` and ``params`` are the parsed
+    flags as given, in the parser's order, all but ``--out``. Rerunning
+    with the recorded command, inputs and params reproduces every output
+    byte for byte; only the timing fields differ. The manifest is the last
+    file staged, so the outputs and the manifest are renamed into place
+    together, and a command that raises leaves neither.
     """
     started = time.monotonic()
     started_at = _now_iso()
     outdir = Path(args.out)
+    flags = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
     with _staged(outdir) as (out, staged):
-        code, inputs, params, results = args.func(args, out)
-        path = out("manifest.json")
-        _write_json(path, {
+        code, results = args.func(args, out)
+        _write_json(out("manifest.json"), {
             "command": args.command,
             "version": __version__,
             "outdir": str(outdir),
-            "inputs": inputs,
-            "params": params,
+            "inputs": {k: v for k, v in flags.items() if k in _INPUT_FLAGS},
+            "params": {k: v for k, v in flags.items() if k not in _INPUT_FLAGS},
             "outputs": [p.final.name for p in staged],
-            "results": results,
+            "results": {**results, "exit_code": code},
             "started_at": started_at,
             "finished_at": _now_iso(),
             "wall_seconds": round(time.monotonic() - started, 6),
@@ -142,22 +151,20 @@ def _run(args) -> int:
     return code
 
 
-def _parse_scale(text: str, flag: str) -> RatingScale:
-    lo, _, hi = text.partition(":")
-    try:
-        return RatingScale(float(lo), float(hi))
-    except ValueError as exc:
-        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
-
-
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad {what} {text!r}; expected lo:hi")
+    lo, _, hi = text.partition(":")
     try:
         return float(lo), float(hi)
     except ValueError:
         raise ValueError(f"bad {what} {text!r}; expected lo:hi") from None
+
+
+def _parse_scale(text: str, flag: str) -> RatingScale:
+    pair = _parse_pair(text, flag)
+    try:
+        return RatingScale(*pair)
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _user_values(path: str, graph: RatingGraph, what: str) -> np.ndarray:
@@ -239,13 +246,15 @@ def _trace_json(result) -> list[dict]:
     ]
 
 
-def _solve_record(result) -> dict:
-    """How one solve went, as the manifest records it."""
+def _solve_record(result, config: SolverConfig) -> dict:
+    """How one solve went, and the iteration cap it ran under, as the
+    manifest records it."""
     keys = ("converged", "iterations", "sweeps", "clamped")
-    return {key: getattr(result, key) for key in keys}
+    record = {key: getattr(result, key) for key in keys}
+    return {**record, "max_iterations": config.max_iterations}
 
 
-def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
+def cmd_solve(args, out) -> tuple[int, dict]:
     # Validate parameters and read inputs before creating any output.
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
@@ -280,31 +289,17 @@ def cmd_solve(args, out) -> tuple[int, dict, dict, dict]:
             f"did not converge within {config.max_iterations} iterations",
             file=sys.stderr,
         )
-    inputs = {
-        "ratings": str(args.ratings),
-        "alpha_overrides": args.alpha_overrides,
-    }
-    params = {
-        "alpha": config.alpha,
-        "epsilon": config.epsilon,
-        "max_iterations": config.max_iterations,
-        "scale": args.scale,
-        "delimiter": args.delimiter,
-        "duplicates": args.duplicates,
-        "seed_bias": args.seed_bias,
-    }
     results = {
-        **_solve_record(result),
+        **_solve_record(result, config),
         "users": graph.num_users,
         "items": graph.num_items,
         "edges": graph.num_edges,
-        "exit_code": code,
     }
-    return code, inputs, params, results
+    return code, results
 
 
-def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
-    alphas = args.alpha if args.alpha else [0.99]
+def cmd_eval(args, out) -> tuple[int, dict]:
+    alphas = args.alpha or [0.99]
     configs = [
         SolverConfig(alpha=a, epsilon=args.epsilon, max_iterations=args.max_iters)
         for a in alphas
@@ -336,7 +331,7 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
             bias=result.bias,
         )
         methods.append((report, f"alpha_{tag}", result.rating))
-        solves[f"alpha_{tag}"] = _solve_record(result)
+        solves[f"alpha_{tag}"] = _solve_record(result, config)
 
     for report, tag, rating in methods:
         write_scores_csv(
@@ -362,21 +357,10 @@ def cmd_eval(args, out) -> tuple[int, dict, dict, dict]:
     }
     _write_json(out("report.json"), payload)
 
-    inputs = {"ratings": str(args.ratings), "truth": str(args.truth)}
-    params = {
-        "alphas": alphas,
-        "epsilon": args.epsilon,
-        "max_iterations": [c.max_iterations for c in configs],
-        "scale": args.scale,
-        "truth_scale": args.truth_scale,
-        "delimiter": args.delimiter,
-        "duplicates": args.duplicates,
-    }
-    results = {"solves": solves, "common_items": methods[0][0].common_items}
-    return 0, inputs, params, results
+    return 0, {"solves": solves, "common_items": methods[0][0].common_items}
 
 
-def cmd_synth(args, out) -> tuple[int, dict, dict, dict]:
+def cmd_synth(args, out) -> tuple[int, dict]:
     instance = generate_planted(
         args.users,
         args.items,
@@ -399,20 +383,10 @@ def cmd_synth(args, out) -> tuple[int, dict, dict, dict]:
         instance.graph.user_ids,
         instance.true_bias,
     )
-    params = {
-        "users": args.users,
-        "items": args.items,
-        "density": args.density,
-        "bias_range": args.bias_range,
-        "quality_range": args.quality_range,
-        "noise_sigma": args.noise_sigma,
-        "seed": args.seed,
-    }
-    results = {"edges": instance.graph.num_edges}
-    return 0, {}, params, results
+    return 0, {"edges": instance.graph.num_edges}
 
 
-def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
+def cmd_oracle_check(args, out) -> tuple[int, dict]:
     if not args.tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     # Run the iterative side well past the comparison tolerance: stopping at
@@ -455,17 +429,7 @@ def cmd_oracle_check(args, out) -> tuple[int, dict, dict, dict]:
     )
     if status != "ok":
         print(f"oracle check: {status}", file=sys.stderr)
-    inputs = {"ratings": str(args.ratings)}
-    params = {
-        "alpha": args.alpha,
-        "tolerance": args.tolerance,
-        "epsilon": epsilon,
-        "scale": args.scale,
-        "delimiter": args.delimiter,
-        "duplicates": args.duplicates,
-    }
-    results = {"status": status, "exit_code": code}
-    return code, inputs, params, results
+    return code, {"status": status, "epsilon": epsilon}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -499,6 +463,17 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _add_stopping_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--epsilon", type=float, default=1e-6,
+                        help="L1 stopping threshold on bias change")
+    parser.add_argument(
+        "--max-iters",
+        type=int,
+        default=None,
+        help="iteration cap (default: iterations_needed(alpha, epsilon))",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="truerating",
@@ -517,14 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="CSV of user_id,alpha rows; each value in [0, alpha]",
     )
-    p.add_argument("--epsilon", type=float, default=1e-6,
-                   help="L1 stopping threshold on bias change")
-    p.add_argument(
-        "--max-iters",
-        type=int,
-        default=None,
-        help="iteration cap (default: iterations_needed(alpha, epsilon))",
-    )
+    _add_stopping_flags(p)
     p.add_argument(
         "--seed-bias",
         default="zeros",
@@ -549,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="damping factor; repeat for several methods (default 0.99)",
     )
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=None)
+    _add_stopping_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a planted synthetic instance")

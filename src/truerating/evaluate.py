@@ -90,19 +90,24 @@ class _Bins:
         return {k: float(ordered[span].mean()) for k, span in self.spans}
 
 
+#: Ratings below this are left out of relbindev, so every ratio is
+#: finite; a rating below it prints as 0.000000000.
+RELATIVE_FLOOR = 0.5e-9
+
+
 def _deviation_by_bin(
     rating: np.ndarray, means: np.ndarray, bins: _Bins
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Per bin, the mean of |rating - mean| and, over the bin's items with
-    nonzero rating, the mean of |rating - mean| / rating (0.0 without
-    any). Bins with no items are omitted."""
+    rating at least `RELATIVE_FLOOR`, the mean of |rating - mean| / rating
+    (0.0 without any). Bins with no items are omitted."""
     deviation = np.abs(rating - means)[bins.order]
     rating = rating[bins.order]
     absolute, relative = {}, {}
     for k, span in bins.spans:
         dev, rate = deviation[span], rating[span]
-        nonzero = rate != 0.0
-        ratio = dev[nonzero] / rate[nonzero]
+        kept = rate >= RELATIVE_FLOOR
+        ratio = dev[kept] / rate[kept]
         absolute[k] = float(dev.mean())
         relative[k] = float(ratio.mean()) if ratio.size else 0.0
     return absolute, relative
@@ -268,7 +273,7 @@ def build_report(
         rank_error_per_bin=rank_bins,
         bindev=bindev,
         relbindev=relbindev,
-        relbindev_skipped=int(np.count_nonzero(rating == 0.0)),
+        relbindev_skipped=int(np.count_nonzero(rating < RELATIVE_FLOOR)),
         common_items=common_items,
         bias_histogram=(
             None

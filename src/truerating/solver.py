@@ -33,7 +33,9 @@ rating half keyed by item, the bias half keyed by user.
 Determinism: `np.bincount` adds its weights in array order, so every
 rating accumulates its terms in ascending user order and every bias in
 ascending item order, and the Anderson arithmetic runs on whole vectors.
-So repeated runs are bit-identical.
+So repeated runs are bit-identical at the same BLAS thread count: the
+Anderson step's dot products go through BLAS, whose threads may split
+them in another order.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ import numpy as np
 from truerating import EvalReport, RatingGraph, histogram
 from truerating.graph import degree_bins
 
+#: Ratings below this are left out of relbindev, so every ratio is finite.
+RELATIVE_FLOOR = 0.5e-9
+
 
 def _rank(scores: Mapping[str, float], keys: list[str]) -> dict[str, int]:
     # Rank 1 = highest score; ties broken by ascending external id.
@@ -75,10 +78,10 @@ def _deviation_by_bin(
         members = bins == k
         dev = float(deviation[members].mean())
         member_ratings = rating[members]
-        nonzero = member_ratings != 0.0
-        if nonzero.any():
+        kept = member_ratings >= RELATIVE_FLOOR
+        if kept.any():
             rel = float(
-                (deviation[members][nonzero] / member_ratings[nonzero]).mean()
+                (deviation[members][kept] / member_ratings[kept]).mean()
             )
         else:
             rel = 0.0
@@ -133,7 +136,7 @@ def build_report(
         rank_error_per_bin=rank_bins,
         bindev={k: dev for k, (dev, _) in by_bin.items()},
         relbindev={k: rel for k, (_, rel) in by_bin.items()},
-        relbindev_skipped=int(np.count_nonzero(rating == 0.0)),
+        relbindev_skipped=int(np.count_nonzero(rating < RELATIVE_FLOOR)),
         common_items=len(common),
         bias_histogram=(
             None

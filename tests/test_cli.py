@@ -1,3 +1,4 @@
+import argparse
 import json
 from datetime import datetime
 from pathlib import Path
@@ -54,33 +55,55 @@ MANIFEST_KEYS = [
     "started_at", "finished_at", "wall_seconds",
 ]
 #: Each command's manifest ``inputs``, ``params`` and ``results`` keys, in
-#: order.
+#: order: the parsed flags in the parser's order, then what the command
+#: computed.
 MANIFEST_SECTIONS = {
     "solve": (
         ["ratings", "alpha_overrides"],
-        ["alpha", "epsilon", "max_iterations", "scale", "delimiter",
-         "duplicates", "seed_bias"],
-        ["converged", "iterations", "sweeps", "clamped", "users", "items",
-         "edges", "exit_code"],
+        ["scale", "delimiter", "duplicates", "alpha", "epsilon", "max_iters",
+         "seed_bias"],
+        ["converged", "iterations", "sweeps", "clamped", "max_iterations",
+         "users", "items", "edges", "exit_code"],
     ),
     "eval": (
         ["ratings", "truth"],
-        ["alphas", "epsilon", "max_iterations", "scale", "truth_scale",
-         "delimiter", "duplicates"],
-        ["solves", "common_items"],
+        ["scale", "delimiter", "duplicates", "truth_scale", "alpha", "epsilon",
+         "max_iters"],
+        ["solves", "common_items", "exit_code"],
     ),
     "synth": (
         [],
         ["users", "items", "density", "bias_range", "quality_range",
          "noise_sigma", "seed"],
-        ["edges"],
+        ["edges", "exit_code"],
     ),
     "oracle-check": (
         ["ratings"],
-        ["alpha", "tolerance", "epsilon", "scale", "delimiter", "duplicates"],
-        ["status", "exit_code"],
+        ["scale", "delimiter", "duplicates", "alpha", "tolerance"],
+        ["status", "epsilon", "exit_code"],
     ),
 }
+#: The keys of each solve record in a manifest's ``results``.
+SOLVE_RECORD = ["converged", "iterations", "sweeps", "clamped", "max_iterations"]
+
+
+def replay_argv(manifest: dict) -> list[str]:
+    """The command line a manifest records, without --out: each entry of
+    its ``inputs`` and ``params`` as ``--flag=value``, a list as one flag
+    per element, and None left out."""
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flag = {
+        action.dest: max(action.option_strings, key=len)
+        for action in commands.choices[manifest["command"]]._actions
+    }
+    argv = [manifest["command"]]
+    for key, value in {**manifest["inputs"], **manifest["params"]}.items():
+        values = value if isinstance(value, list) else [value]
+        argv += [f"{flag[key]}={v}" for v in values if v is not None]
+    return argv
 
 
 class TestRunWrapper:
@@ -99,7 +122,7 @@ class TestRunWrapper:
             solves = manifest["results"]["solves"]
             assert list(solves) == ["alpha_0.5", "alpha_0.9"]
             for record in solves.values():
-                assert list(record) == ["converged", "iterations", "sweeps", "clamped"]
+                assert list(record) == SOLVE_RECORD
         assert manifest["command"] == command
         assert manifest["outdir"] == str(out)
         started = datetime.fromisoformat(manifest["started_at"])
@@ -109,6 +132,30 @@ class TestRunWrapper:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             manifest["outputs"]
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_replays_from_manifest(self, tmp_path, two_user_file, command):
+        # The command line rebuilt from the manifest alone gives the same
+        # outputs, byte for byte, and records the same inputs and params.
+        argv = command_argv(command, tmp_path, two_user_file)
+        if command == "solve":
+            overrides = tmp_path / "overrides.csv"
+            overrides.write_text("user_id,alpha\nu1,0.5\n", encoding="utf-8")
+            argv += ["--alpha-overrides", overrides, "--seed-bias", "const:0.1",
+                     "--max-iters", "50"]
+        if command == "eval":
+            argv += ["--alpha", "0.5", "--alpha", "0.9"]
+        if command == "synth":
+            argv += ["--bias-range=-0.1:0.1", "--noise-sigma", "0.05"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*argv, "--out", first) == 0
+        recorded = json.loads((first / "manifest.json").read_text())
+        assert run(*replay_argv(recorded), "--out", second) == 0
+        replayed = json.loads((second / "manifest.json").read_text())
+        for key in ("command", "inputs", "params", "outputs"):
+            assert replayed[key] == recorded[key]
+        for name in recorded["outputs"][:-1]:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
     def test_malformed_ratings_writes_no_manifest(self, tmp_path, command, capsys):

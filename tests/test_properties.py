@@ -6,6 +6,7 @@ histograms conserve mass, graph views stay consistent, and the solver
 contracts iteration over iteration regardless of the starting point.
 """
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from truerating import (
     iterations_needed,
     solve,
     SolverConfig,
+    build_report,
 )
 
 from conftest import debiased, make_random_graph, report_over
@@ -158,3 +160,23 @@ class TestMetricProperties:
         report = report_over(truth, truth)
         assert report.rank_error_overall == 0.0
         assert math.isfinite(report.mse_overall)
+
+    @given(ratings=st.lists(unit, min_size=1, max_size=8))
+    def test_report_is_strict_json(self, ratings):
+        # Subnormal ratings included: no figure may overflow to inf.
+        graph = RatingGraph(
+            ["u"], [f"m{j}" for j in range(len(ratings))],
+            np.zeros(len(ratings), dtype=np.int64), np.arange(len(ratings)),
+            np.full(len(ratings), 0.5),
+        )
+        report = build_report(graph, ratings, label="m")
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_subnormal_rating_left_out_of_relbindev(self):
+        graph = RatingGraph(
+            ["u"], ["a", "b"], np.zeros(2, dtype=np.int64), np.arange(2),
+            np.full(2, 0.5),
+        )
+        report = build_report(graph, [5e-324, 0.5], label="m")
+        assert report.relbindev == {1: 0.0}
+        assert report.relbindev_skipped == 1
