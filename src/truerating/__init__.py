@@ -13,7 +13,6 @@ from .graph import (
     RatingGraph,
     RatingScale,
     degree_bins,
-    degree_histogram,
 )
 from .ingest import (
     MOVIELENS_FORMAT,
@@ -48,7 +47,6 @@ __all__ = [
     "RatingGraph",
     "RatingScale",
     "degree_bins",
-    "degree_histogram",
     "MOVIELENS_FORMAT",
     "DelimitedFormat",
     "IngestError",

@@ -121,11 +121,12 @@ def _run(args) -> int:
     The command gets the stager of the run's one `_staged` block and
     returns its exit code and its ``results`` dict. ``manifest.json`` is
     built here and only here: ``inputs`` and ``params`` are the parsed
-    flags as given, in the parser's order, all but ``--out``. Rerunning
-    with the recorded command, inputs and params reproduces every output
-    byte for byte; only the timing fields differ. The manifest is the last
-    file staged, so the outputs and the manifest are renamed into place
-    together, and a command that raises leaves neither.
+    flags as given, in the parser's order, all but ``--out``, with
+    ``outdir`` and each input path made absolute. Rerunning with the
+    recorded command, inputs and params, from any directory, reproduces
+    every output byte for byte; only the timing fields differ. The
+    manifest is the last file staged, so the outputs and the manifest are
+    renamed into place together, and a command that raises leaves neither.
     """
     started = time.monotonic()
     started_at = _now_iso()
@@ -139,8 +140,11 @@ def _run(args) -> int:
         _write_json(out("manifest.json"), {
             "command": args.command,
             "version": __version__,
-            "outdir": str(outdir),
-            "inputs": {k: v for k, v in flags.items() if k in _INPUT_FLAGS},
+            "outdir": os.path.abspath(outdir),
+            "inputs": {
+                k: None if v is None else os.path.abspath(v)
+                for k, v in flags.items() if k in _INPUT_FLAGS
+            },
             "params": {k: v for k, v in flags.items() if k not in _INPUT_FLAGS},
             "outputs": [p.final.name for p in staged],
             "results": {**results, "exit_code": code},

@@ -21,7 +21,6 @@ __all__ = [
     "RatingScale",
     "degree_bins",
     "RatingGraph",
-    "degree_histogram",
 ]
 
 #: Items are grouped by how many ratings they received: bin k covers
@@ -227,12 +226,3 @@ class RatingGraph:
             f"RatingGraph(users={self.num_users}, items={self.num_items}, "
             f"edges={self.num_edges})"
         )
-
-
-def degree_histogram(graph: RatingGraph) -> np.ndarray:
-    """Count items per rating-count bin; index k holds bin k+1's count."""
-    counts = np.zeros(NUM_BINS, dtype=np.int64)
-    if graph.num_items:
-        bins = degree_bins(graph.item_degrees)
-        counts += np.bincount(bins - 1, minlength=NUM_BINS)
-    return counts

@@ -11,21 +11,20 @@ Two on-disk layouts are supported:
 `ingest_ratings` sniffs the canonical header so its own output round-trips
 without extra flags.
 
-Files are parsed as columns, every check (field count, empty ids, numeric,
-finite and in-scale values, weights in [0, 1], duplicates) is a reduction
-over whole columns, and values are converted with a single
-``astype(np.float64)``. The file is read once as bytes. If every byte is
+There are two parsers, and both give the same graph or truth table for
+any file. The byte path reads the file once as bytes. If every byte is
 printable ASCII other than the space, a line break or a one-byte
 delimiter, as in MovieLens logs and this package's own CSV, nothing needs
 stripping or decoding: line breaks and delimiters are found by numpy
-scans, each field is gathered into a fixed-width ``S`` column, and ids are
-numbered with `np.unique`. Any other file (padding whitespace, non-ASCII
-ids, control bytes) is read again as text and cut as numpy ``StringDType``
-columns with ``np.strings.partition`` and ``np.strings.strip``. Both paths
-give the same graph. Neither keeps line numbers: only when a check fails
-is the file read again line by line, and that rescan raises an
-`IngestError` carrying the file path and the 1-based line number of the
-first bad record.
+scans, each field is gathered into a fixed-width ``S`` column, ids are
+numbered with `np.unique`, values are converted with a single
+``astype(np.float64)``, and every check (field count, empty ids, finite
+and in-scale values, weights in [0, 1], duplicates) is a reduction over
+whole columns. The byte path keeps no line numbers. Any other file
+(padding whitespace, non-ASCII ids, control bytes), and any file that
+fails a check there, is read by the line parser: once, as text, line by
+line. It either returns the result or raises an `IngestError` carrying
+the file path and the 1-based line number of the first bad record.
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
@@ -37,8 +36,11 @@ are formatted by Python, so every byte matches ``f"{v:.9f}"``.
 from __future__ import annotations
 
 import codecs
+import math
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +66,6 @@ _NUMBER = f"{{:.{FLOAT_DIGITS}f}}\n"
 
 #: Rows the CSV writers format at a time; it bounds their temporaries.
 _BLOCK_ROWS = 8192
-
-_STRING = np.dtypes.StringDType()
 
 
 class IngestError(ValueError):
@@ -105,13 +105,14 @@ def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
                 yield lineno, line
 
 
-class _Rescan(Exception):
-    """A columnar check failed; the line-by-line rescan names the line."""
+class _Refused(Exception):
+    """The byte path cannot give the file's result; the line parser reads
+    the file."""
 
 
 def _require(ok) -> None:
     if not ok:
-        raise _Rescan
+        raise _Refused
 
 
 # The printable ASCII bytes other than the space, 0x21 to 0x7E.
@@ -121,8 +122,11 @@ _PRINTABLE_LO, _PRINTABLE_COUNT = 0x21, 0x7E - 0x21 + 1
 def _byte_columns(
     data: bytes, fmt: DelimitedFormat, count: int, sniff: bool
 ) -> tuple[list[np.ndarray], bool, bool] | None:
-    """`_columns` for a file of printable ASCII, with fixed-width `S`
-    columns, or None if the gate refuses the file.
+    """The first `count` `fmt` fields of each non-blank line of a file of
+    printable ASCII, as fixed-width `S` columns, whether the first line is
+    non-blank, and whether the file is canonical CSV; or None if the gate
+    refuses the file. With `sniff`, a first non-blank line that is the
+    canonical header is dropped and the lines are split on ``,``.
 
     The gate admits a file whose bytes, after the BOM and ``\\r`` breaks
     are gone, are all printable ASCII other than the space, line breaks,
@@ -225,69 +229,19 @@ def _gather(
     return cells.view(f"S{width}").ravel()
 
 
-def _columns(
+def _byte_file(
     path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool = False
 ) -> tuple[list[np.ndarray], bool, bool]:
-    """The first `count` stripped `fmt` fields of each non-blank line,
-    whether the first line is non-blank, and whether the file is canonical
-    CSV: with `sniff`, a first non-blank line that is the canonical header
-    is dropped and the lines are split on ``,``.
-
-    A file `_byte_columns` admits gives `S` columns; any other file is read
-    again as text by `_string_columns`.
-    """
+    """`_byte_columns` of the file at `path`; raises `_Refused` if the
+    gate refuses the file."""
     with open(path, "rb") as handle:
         parsed = _byte_columns(handle.read(), fmt, count, sniff)
-    if parsed is None:
-        parsed = _string_columns(path, fmt, count, sniff)
+    _require(parsed is not None)
     return parsed
 
 
-def _string_columns(
-    path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool
-) -> tuple[list[np.ndarray], bool, bool]:
-    """`_columns` with `StringDType` columns, for any file.
-
-    Lines break on exactly the breaks `_lines` uses: ``\\n``, ``\\r`` and
-    ``\\r\\n``; `str.splitlines` would also split on ``\\x0b``,
-    ``\\x1c``, ``\\u2028`` and others. The array of whole lines lives
-    only in here, and only until the first cut; each cut's separators and
-    unstripped field are dropped as soon as they are used, which lowers
-    the peak. Fields are stripped by `str.strip`: `np.strings.strip` would
-    also strip NUL.
-    """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        text = handle.read()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    del text
-    first_line_kept = bool(lines[0].strip())
-    records = list(filter(str.strip, lines))
-    del lines
-    canonical = sniff and bool(records) and (
-        tuple(_CANONICAL_FORMAT.split(records[0])) == CANONICAL_HEADER
-    )
-    if canonical:
-        fmt = _CANONICAL_FORMAT
-        del records[0]
-    rest = np.array(records, dtype=_STRING)
-    del records
-    sep = np.array(fmt.delimiter, dtype=_STRING)
-    columns = []
-    for k in range(count):
-        field, found, rest = np.strings.partition(rest, sep)
-        if k < count - 1:
-            _require(_nonempty(found))
-        del found
-        columns.append(np.array(list(map(str.strip, field.tolist())), _STRING))
-        del field
-    return columns, first_line_kept, canonical
-
-
 def _nonempty(column: np.ndarray) -> bool:
-    # `np.strings.str_len` does not count NULs at the end of a string.
-    return bool((column != column.dtype.type()).all())
+    return bool((column != b"").all())
 
 
 def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
@@ -302,19 +256,10 @@ def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Distinct ids in first-appearance order, and each row's dense index."""
-    if column.dtype.kind == "S":
-        return _dense_byte_ids(column)
-    keys = column.tolist()
-    index = dict(zip(dict.fromkeys(keys), range(len(keys))))
-    rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-    return list(index), rows
-
-
-def _dense_byte_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """`_dense_ids` for an `S` column: ids of up to 8 bytes are sorted as
-    one zero-padded `uint64` each, longer ones as bytes, and only the
-    distinct ids are decoded."""
+    """Distinct ids of an `S` column in first-appearance order, and each
+    row's dense index. Ids of up to 8 bytes are sorted as one zero-padded
+    `uint64` each, longer ones as bytes, and only the distinct ids are
+    decoded."""
     width = column.dtype.itemsize
     keys = column
     if width <= 8:
@@ -334,15 +279,15 @@ def _dense_byte_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     return column[first[order]].astype(str).tolist(), rank[inverse]
 
 
-def _rating_columns(
+def _byte_ratings(
     path: str | Path,
     fmt: DelimitedFormat,
     scale: RatingScale | None,
     keep_first: bool,
 ) -> RatingGraph:
-    """Columnar `ingest_ratings`; raises `_Rescan` or `ValueError` instead
-    of an `IngestError`."""
-    (user, item, raw), _, canonical = _columns(path, fmt, 3, sniff=True)
+    """`ingest_ratings` on the byte path; raises `_Refused` or `ValueError`
+    where the line parser must read the file instead."""
+    (user, item, raw), _, canonical = _byte_file(path, fmt, 3, sniff=True)
     _require(_nonempty(user) and _nonempty(item))
     weight = _values(raw, None if canonical else scale)
     # Before `keep_first` drops rows: a dropped row must be valid too.
@@ -350,64 +295,109 @@ def _rating_columns(
     user_ids, u = _dense_ids(user)
     item_ids, v = _dense_ids(item)
     if keep_first:
-        _, first = np.unique(u * len(item_ids) + v, return_index=True)
-        first.sort()
+        first = _first_rows(u, v, len(item_ids))
         u, v, weight = u[first], v[first], weight[first]
     # Under strict, the constructor's sorted-neighbour check is the one
-    # duplicate check; its error sends the file to the rescan.
+    # duplicate check; its error sends the file to the line parser.
     return RatingGraph(user_ids, item_ids, u, v, weight)
 
 
-def _locate_rating_error(
+def _first_rows(u: np.ndarray, v: np.ndarray, n_items: int) -> np.ndarray:
+    """The rows where each (user, item) pair first appears, ascending."""
+    _, first = np.unique(u * n_items + v, return_index=True)
+    first.sort()
+    return first
+
+
+def _range_error(value: float, raw: str, scale: RatingScale | None) -> str:
+    """Why `_line_ratings` refuses `value`, read from the field `raw`: it
+    is not finite, outside `scale`, or, with no scale, outside [0, 1]."""
+    if not math.isfinite(value):
+        return f"non-finite rating value {raw!r}"
+    if scale is None:
+        return f"normalized weight {value} outside [0, 1]"
+    try:
+        scale.normalize(value)
+    except ValueError as exc:
+        return str(exc)
+    raise ValueError(f"{value!r} lies inside {scale}")
+
+
+def _line_ratings(
     path: str | Path,
     fmt: DelimitedFormat,
     scale: RatingScale | None,
-    strict: bool,
-) -> None:
-    """Read a rating file line by line; raise at its first bad record."""
-    seen: dict[tuple[str, str], int] = {}
-    canonical = False
-    first = True
-    for lineno, line in _lines(path):
-        if first:
-            first = False
-            if tuple(_CANONICAL_FORMAT.split(line)) == CANONICAL_HEADER:
-                canonical = True
-                continue
-        use_fmt = _CANONICAL_FORMAT if canonical else fmt
-        fields = use_fmt.split(line)
-        if len(fields) < 3:
-            raise IngestError(
-                path, lineno, f"expected at least 3 fields, got {len(fields)}"
-            )
-        user_id, item_id, raw = fields[0], fields[1], fields[2]
-        if not user_id or not item_id:
-            raise IngestError(path, lineno, "empty user or item id")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise IngestError(path, lineno, f"bad rating value {raw!r}") from None
-        if not np.isfinite(value):
-            raise IngestError(path, lineno, f"non-finite rating value {raw!r}")
-        if not canonical and scale is not None:
-            try:
-                value = scale.normalize(value)
-            except ValueError as exc:
-                raise IngestError(path, lineno, str(exc)) from None
-        if not 0.0 <= value <= 1.0:
-            raise IngestError(
-                path, lineno, f"normalized weight {value} outside [0, 1]"
-            )
-        if strict:
-            pair = (user_id, item_id)
-            if pair in seen:
+    keep_first: bool,
+) -> RatingGraph:
+    """`ingest_ratings` line by line, for any file: the graph, or an
+    `IngestError` at the first bad line.
+
+    Each record goes into `array` columns, not an object per line: its
+    dense user and item index, its raw value and its line number.
+    Repeated pairs are found over those columns afterwards, and also
+    before a bad line's error is raised, so the first bad line wins.
+    """
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    us, vs, linenos = array("q"), array("q"), array("q")
+    values = array("d")
+    sep = fmt.delimiter
+    lines = _lines(path)
+    head = next(lines, None)
+    if head is not None:
+        if tuple(_CANONICAL_FORMAT.split(head[1])) == CANONICAL_HEADER:
+            sep, scale = _CANONICAL_FORMAT.delimiter, None
+        else:
+            lines = chain([head], lines)
+    lo, hi = (0.0, 1.0) if scale is None else (scale.min_raw, scale.max_raw)
+    error = None
+    try:
+        for lineno, line in lines:
+            fields = line.split(sep, 3)
+            if len(fields) < 3:
                 raise IngestError(
-                    path,
-                    lineno,
-                    f"duplicate rating for user {user_id!r} and item "
-                    f"{item_id!r} (first seen at line {seen[pair]})",
+                    path, lineno, f"expected at least 3 fields, got {len(fields)}"
                 )
-            seen[pair] = lineno
+            user_id = fields[0].strip()
+            item_id = fields[1].strip()
+            if not user_id or not item_id:
+                raise IngestError(path, lineno, "empty user or item id")
+            raw = fields[2].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                raise IngestError(path, lineno, f"bad rating value {raw!r}") from None
+            if not lo <= value <= hi:
+                raise IngestError(path, lineno, _range_error(value, raw, scale))
+            us.append(user_index.setdefault(user_id, len(user_index)))
+            vs.append(item_index.setdefault(item_id, len(item_index)))
+            values.append(value)
+            linenos.append(lineno)
+    except IngestError as exc:
+        error = exc
+
+    user_ids, item_ids = list(user_index), list(item_index)
+    u, v = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
+    first = _first_rows(u, v, len(item_ids))
+    if not keep_first and first.size < u.size:
+        repeated = np.ones(u.size, bool)
+        repeated[first] = False
+        later = int(np.argmax(repeated))
+        earlier = int(np.argmax((u == u[later]) & (v == v[later])))
+        raise IngestError(
+            path,
+            linenos[later],
+            f"duplicate rating for user {user_ids[u[later]]!r} and item "
+            f"{item_ids[v[later]]!r} (first seen at line {linenos[earlier]})",
+        )
+    if error is not None:
+        raise error
+    # The float operations of `RatingScale.normalize`; with no scale they
+    # leave every value as it is.
+    weight = (np.frombuffer(values) - lo) / (hi - lo)
+    if keep_first:
+        u, v, weight = u[first], v[first], weight[first]
+    return RatingGraph(user_ids, item_ids, u, v, weight)
 
 
 def ingest_ratings(
@@ -426,43 +416,45 @@ def ingest_ratings(
     """
     if duplicate_policy not in ("strict", "keep_first"):
         raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
+    keep_first = duplicate_policy == "keep_first"
     try:
-        return _rating_columns(path, fmt, scale, duplicate_policy == "keep_first")
-    except (_Rescan, ValueError) as exc:
-        _locate_rating_error(path, fmt, scale, duplicate_policy == "strict")
-        raise IngestError(path, 0, str(exc)) from None
+        return _byte_ratings(path, fmt, scale, keep_first)
+    except (_Refused, ValueError):
+        pass
+    return _line_ratings(path, fmt, scale, keep_first)
 
 
-def _truth_columns(
+def _byte_truth(
     path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
 ) -> dict[str, float]:
-    """Columnar `ingest_ground_truth`; raises `_Rescan` or `ValueError`
-    instead of an `IngestError`."""
-    (key, raw), first_line_kept, _ = _columns(path, fmt, 2)
+    """`ingest_ground_truth` on the byte path; raises `_Refused` or
+    `ValueError` where the line parser must read the file instead."""
+    (key, raw), first_line_kept, _ = _byte_file(path, fmt, 2)
     if first_line_kept:
         try:
             float(raw[0])
         except ValueError:
             key, raw = key[1:], raw[1:]
     _require(_nonempty(key))
-    keys = (key.astype(str) if key.dtype.kind == "S" else key).tolist()
+    keys = key.astype(str).tolist()
     values = dict(zip(keys, _values(raw, scale).tolist()))
     _require(len(values) == len(keys))
     return values
 
 
-def _locate_truth_error(
+def _line_truth(
     path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
-) -> None:
-    """Read a truth file line by line; raise at its first bad record."""
-    seen: set[str] = set()
+) -> dict[str, float]:
+    """`ingest_ground_truth` line by line, for any file: the table, or an
+    `IngestError` at the first bad line."""
+    values: dict[str, float] = {}
     for lineno, line in _lines(path):
-        fields = fmt.split(line)
+        fields = line.split(fmt.delimiter, 2)
         if len(fields) < 2:
             raise IngestError(
                 path, lineno, f"expected at least 2 fields, got {len(fields)}"
             )
-        key, raw = fields[0], fields[1]
+        key, raw = fields[0].strip(), fields[1].strip()
         try:
             value = float(raw)
         except ValueError:
@@ -471,16 +463,17 @@ def _locate_truth_error(
             raise IngestError(path, lineno, f"bad value {raw!r}") from None
         if not key:
             raise IngestError(path, lineno, "empty id")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise IngestError(path, lineno, f"non-finite value {raw!r}")
         if scale is not None:
             try:
-                scale.normalize(value)
+                value = scale.normalize(value)
             except ValueError as exc:
                 raise IngestError(path, lineno, str(exc)) from None
-        if key in seen:
+        if key in values:
             raise IngestError(path, lineno, f"duplicate id {key!r}")
-        seen.add(key)
+        values[key] = value
+    return values
 
 
 def ingest_ground_truth(
@@ -497,10 +490,10 @@ def ingest_ground_truth(
     error.
     """
     try:
-        return _truth_columns(path, fmt, scale)
-    except (_Rescan, ValueError) as exc:
-        _locate_truth_error(path, fmt, scale)
-        raise IngestError(path, 0, str(exc)) from None
+        return _byte_truth(path, fmt, scale)
+    except (_Refused, ValueError):
+        pass
+    return _line_truth(path, fmt, scale)
 
 
 def _unwritable(key: str) -> str | None:

@@ -1,12 +1,14 @@
 import argparse
 import json
+import os
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from truerating import ingest_ratings, solve_linear
+from truerating import ingest_ratings, solve, solve_linear
 from truerating import cli, evaluate, ingest
 from truerating.cli import main
 
@@ -134,9 +136,12 @@ class TestRunWrapper:
         )
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_replays_from_manifest(self, tmp_path, two_user_file, command):
+    def test_replays_from_manifest(self, tmp_path, two_user_file, command,
+                                   monkeypatch):
         # The command line rebuilt from the manifest alone gives the same
-        # outputs, byte for byte, and records the same inputs and params.
+        # outputs, byte for byte, and records the same inputs and params,
+        # also when the first run named its files relative to a directory
+        # the replay does not run in.
         argv = command_argv(command, tmp_path, two_user_file)
         if command == "solve":
             overrides = tmp_path / "overrides.csv"
@@ -148,8 +153,15 @@ class TestRunWrapper:
         if command == "synth":
             argv += ["--bias-range=-0.1:0.1", "--noise-sigma", "0.05"]
         first, second = tmp_path / "first", tmp_path / "second"
-        assert run(*argv, "--out", first) == 0
+        monkeypatch.chdir(tmp_path)
+        relative = [os.path.relpath(a) if isinstance(a, Path) else a for a in argv]
+        assert run(*relative, "--out", "first") == 0
         recorded = json.loads((first / "manifest.json").read_text())
+        assert recorded["outdir"] == str(first)
+        assert all(os.path.isabs(p) for p in recorded["inputs"].values() if p)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
         assert run(*replay_argv(recorded), "--out", second) == 0
         replayed = json.loads((second / "manifest.json").read_text())
         for key in ("command", "inputs", "params", "outputs"):
@@ -620,20 +632,57 @@ class TestEvalCommand:
 
 
 class TestOracleCheckCommand:
-    def test_clamp_free_instance_passes(self, tmp_path):
+    @pytest.fixture
+    def clamp_free(self, tmp_path):
+        """The ratings of a small planted instance on which no clamp fires."""
         instance = tmp_path / "syn"
         run("synth", "--users", "10", "--items", "10", "--density", "1",
             "--bias-range=-0.1:0.1", "--quality-range", "0.2:0.8",
             "--seed", "5", "--out", instance)
+        return instance / "ratings.csv"
+
+    def test_clamp_free_instance_passes(self, tmp_path, clamp_free):
         out = tmp_path / "oracle"
         code = run(
-            "oracle-check", "--ratings", instance / "ratings.csv",
+            "oracle-check", "--ratings", clamp_free,
             "--alpha", "0.9", "--tolerance", "1e-8", "--out", out,
         )
         assert code == 0
         payload = json.loads((out / "oracle.json").read_text())
         assert payload["status"] == "ok"
         assert payload["max_bias_diff"] <= 1e-8
+
+    def test_mismatch_exits_one(self, tmp_path, clamp_free, capsys):
+        # No float64 solve agrees with the linear solution to 1e-20.
+        out = tmp_path / "oracle"
+        code = run("oracle-check", "--ratings", clamp_free, "--alpha", "0.9",
+                   "--tolerance", "1e-20", "--out", out)
+        assert code == 1
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["status"] == "mismatch"
+        assert max(payload["max_bias_diff"], payload["max_rating_diff"]) > 1e-20
+        assert "oracle check: mismatch" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["exit_code"] == 1
+
+    def test_non_converged_exits_two(self, tmp_path, clamp_free, monkeypatch,
+                                     capsys):
+        # One iteration cannot reach the check's epsilon.
+        def one_iteration(graph, config):
+            return solve(graph, replace(config, max_iterations=1))
+
+        monkeypatch.setattr(cli, "solve", one_iteration)
+        out = tmp_path / "oracle"
+        code = run("oracle-check", "--ratings", clamp_free, "--alpha", "0.9",
+                   "--out", out)
+        assert code == 2
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["status"] == "non-converged"
+        assert payload["iterations"] == 1 and not payload["clamped"]
+        assert payload["max_bias_diff"] is None
+        assert "oracle check: non-converged" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["exit_code"] == 2
 
     def test_clamping_instance_inapplicable(self, tmp_path):
         ratings = tmp_path / "clamp.csv"

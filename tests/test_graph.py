@@ -6,7 +6,6 @@ from truerating import (
     RatingGraph,
     RatingScale,
     degree_bins,
-    degree_histogram,
 )
 
 
@@ -104,6 +103,26 @@ class TestRatingGraphConstruction:
         with pytest.raises(ValueError, match="isolated"):
             RatingGraph(["u1", "u2"], ["m1"], np.array([0]), np.array([0]), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "users, items, u, v, w, message",
+        [
+            (["u1", "u1"], ["m1"], [0, 1], [0, 0], [0.5, 0.5], "duplicate user ids"),
+            (["u1"], ["m1", "m1"], [0, 0], [0, 1], [0.5, 0.5], "duplicate item ids"),
+            (["u1"], ["m1"], [0, 0], [0], [0.5], "equally sized"),
+            (["u1"], ["m1"], [[0]], [[0]], [[0.5]], "1-d"),
+            (["u1"], ["m1"], [1], [0], [0.5], "user index out of range"),
+            (["u1"], ["m1"], [-1], [0], [0.5], "user index out of range"),
+            (["u1"], ["m1"], [0], [1], [0.5], "item index out of range"),
+            (["u1"], ["m1"], [0], [-1], [0.5], "item index out of range"),
+            (["u1"], ["m1", "m2"], [0], [0], [0.5], "isolated item"),
+        ],
+        ids=["user-ids", "item-ids", "sizes", "2-d", "user-high", "user-low",
+             "item-high", "item-low", "isolated-item"],
+    )
+    def test_constructor_refusals(self, users, items, u, v, w, message):
+        with pytest.raises(ValueError, match=message):
+            RatingGraph(users, items, np.array(u), np.array(v), np.array(w))
+
     def test_empty_graph(self):
         g = RatingGraph.from_edges([])
         assert g.num_users == 0 and g.num_items == 0 and g.num_edges == 0
@@ -154,21 +173,3 @@ class TestRatingGraphViews:
             [("u1", "m1", 1.0), ("u2", "m1", 0.0), ("u1", "m2", 0.4)]
         )
         np.testing.assert_allclose(g.item_means(), [0.5, 0.4])
-
-
-class TestDegreeHistogram:
-    def test_single_twice_rated_item(self):
-        g = RatingGraph.from_edges([("u1", "m1", 0.5), ("u2", "m1", 0.6)])
-        counts = degree_histogram(g)
-        assert counts[1] == 1
-        assert counts.sum() == 1
-
-    def test_counts_sum_to_items(self):
-        from conftest import make_random_graph
-
-        for seed in range(8):
-            g = make_random_graph(seed, max_users=20, max_items=20)
-            assert degree_histogram(g).sum() == g.num_items
-
-    def test_empty_graph(self):
-        assert degree_histogram(RatingGraph.from_edges([])).sum() == 0

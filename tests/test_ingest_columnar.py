@@ -25,8 +25,7 @@ from truerating.ingest import _lines
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
 PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
-# Near misses: not whitespace, so `str.strip` keeps them, though
-# `np.strings.strip` strips NUL.
+# Near misses: not whitespace, so `str.strip` keeps them.
 NEAR_MISSES = ["\x00"]
 # Every break `_lines` splits on, and characters `str.splitlines` would
 # also split on but a rating file must not.
@@ -350,17 +349,17 @@ ascii_truth_files = st.one_of(
 )
 
 
-def fallbacks():
-    """Spy on the `StringDType` cut, the path for files the gate refuses."""
-    return mock.patch.object(
-        ingest, "_string_columns", wraps=ingest._string_columns
-    )
+def fallbacks(parser="_line_ratings"):
+    """Spy on a line parser, the path for files the gate refuses or that
+    fail a check on the byte path."""
+    return mock.patch.object(ingest, parser, wraps=getattr(ingest, parser))
 
 
 class TestBytePathMatchesReference:
     # An empty id between two "::" delimiters makes "::::", whose matches
     # overlap; the gate refuses that and no other file these strategies
-    # write.
+    # write. A file that fails a check is read again by the line parser,
+    # which names the bad line.
     @parity
     @given(case=ascii_rating_files, policy=st.sampled_from(["strict", "keep_first"]))
     def test_ratings(self, tmp_path, case, policy):
@@ -370,25 +369,26 @@ class TestBytePathMatchesReference:
         with fallbacks() as spy:
             got = outcome(ingest_ratings, path, **kwargs)
         assert got == outcome(reference.ingest_ratings, path, **kwargs)
-        assert spy.call_count == ("::::" in text)
+        assert spy.call_count == ("::::" in text or got[0] == "error")
 
     @parity
     @given(case=ascii_truth_files)
     def test_ground_truth(self, tmp_path, case):
         text, kwargs = case
         path = write(tmp_path / "t.csv", text)
-        with fallbacks() as spy:
+        with fallbacks("_line_truth") as spy:
             got = outcome(ingest_ground_truth, path, **kwargs)
         assert got == outcome(reference.ingest_ground_truth, path, **kwargs)
-        assert spy.call_count == ("::::" in text)
+        assert spy.call_count == ("::::" in text or got[0] == "error")
 
 
 class TestRouting:
-    def test_gated_files_skip_the_string_cut(self, tmp_path, monkeypatch):
-        def no_string_cut(path, *args):
-            raise AssertionError(f"{path} reached the StringDType cut")
+    def test_gated_files_skip_the_line_parser(self, tmp_path, monkeypatch):
+        def no_line_parser(path, *args):
+            raise AssertionError(f"{path} reached the line parser")
 
-        monkeypatch.setattr("truerating.ingest._string_columns", no_string_cut)
+        monkeypatch.setattr("truerating.ingest._line_ratings", no_line_parser)
+        monkeypatch.setattr("truerating.ingest._line_truth", no_line_parser)
         raw = write(tmp_path / "r.dat",
                     "\ufeffu1::m1::5::978300760\r\n\r\nu2::m1::3\ruser-000000012::m2::1")
         assert ingest_ratings(raw, scale=RatingScale(1, 5)).num_edges == 3
@@ -440,11 +440,7 @@ class TestRouting:
             calls.append(path)
             return _lines(path)
 
-        def no_string_cut(path, *args):
-            raise AssertionError(f"{path} reached the StringDType cut")
-
         monkeypatch.setattr("truerating.ingest._lines", counting)
-        monkeypatch.setattr("truerating.ingest._string_columns", no_string_cut)
         path = write(tmp_path / "r.dat", "u1::m1::5\nu2::m1::x\nu1::m1::5\n")
         expected = outcome(reference.ingest_ratings, path, scale=RatingScale(1, 5))
         assert expected[:3] == ("error", str(path), 2)
@@ -478,13 +474,28 @@ class TestFastPath:
         assert calls == [path]
 
 
+def traced_ingest(path):
+    """The graph of one ingest of `path`, its traced peak, and the bytes of
+    the graph's arrays."""
+    tracemalloc.start()
+    try:
+        graph = ingest_ratings(path, scale=RatingScale(1, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(
+        getattr(graph, name).nbytes
+        for name in type(graph).__slots__
+        if isinstance(getattr(graph, name), np.ndarray)
+    )
+    return graph, peak, arrays
+
+
 class TestMemory:
-    def test_peak_within_small_multiple_of_graph_arrays(self, tmp_path):
-        # A 49,383-line raw log. Peak traced allocation of one ingest,
-        # measured on CPython 3.11 / numpy 2.4: the line-by-line reference
-        # parser peaked at 21.3 MiB, 11.2x the 1.91 MiB of the graph's
-        # arrays; the columnar parser at 10.7 MiB, 5.6x. The bound of 8x
-        # sits between the two.
+    @pytest.fixture
+    def log_lines(self):
+        """A 49,383-line raw log, one ``user::item::stars::time`` string
+        per line, without the line break."""
         rng = np.random.default_rng(0)
         n = 50_000
         pairs = np.unique(rng.integers(0, 2000, n) * 1000
@@ -493,22 +504,41 @@ class TestMemory:
         users, items = np.divmod(pairs, 1000)
         stars = rng.uniform(1, 5, pairs.size)
         stamps = rng.integers(900_000_000, 1_100_000_000, pairs.size)
-        path = tmp_path / "ratings.dat"
-        path.write_text("".join(
-            f"{u}::{i}::{r:.6f}::{t}\n"
+        return [
+            f"{u}::{i}::{r:.6f}::{t}"
             for u, i, r, t in zip(users.tolist(), items.tolist(),
                                   stars.tolist(), stamps.tolist())
-        ))
-        tracemalloc.start()
-        try:
-            graph = ingest_ratings(path, scale=RatingScale(1, 5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        arrays = sum(
-            getattr(graph, name).nbytes
-            for name in type(graph).__slots__
-            if isinstance(getattr(graph, name), np.ndarray)
-        )
-        assert graph.num_edges == pairs.size
+        ]
+
+    def test_peak_within_small_multiple_of_graph_arrays(self, tmp_path, log_lines):
+        # Peak traced allocation of one ingest, measured on CPython 3.11 /
+        # numpy 2.4: the line-by-line reference parser peaked at 21.3 MiB,
+        # 11.2x the 1.91 MiB of the graph's arrays; the columnar parser at
+        # 10.7 MiB, 5.6x. The bound of 8x sits between the two.
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join(line + "\n" for line in log_lines))
+        graph, peak, arrays = traced_ingest(path)
+        assert graph.num_edges == len(log_lines)
         assert peak <= 8 * arrays, f"peak {peak} B for {arrays} B of arrays"
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda line: "\u00fc" + line, id="non-ascii-id"),
+        pytest.param(lambda line: line.replace("::", ":: ", 1), id="padded-field"),
+    ])
+    def test_line_parser_peak_within_small_multiple_of_graph_arrays(
+        self, tmp_path, log_lines, change
+    ):
+        # The same log with its first line changed so that the byte gate
+        # refuses the file. On CPython 3.11 / numpy 2.4 the line parser
+        # peaks at 4.1x the graph's arrays; the numpy `StringDType` cut it
+        # replaced peaked at 7.8x with the non-ASCII id and 6.1x with the
+        # padded field. The bound of 6x sits between the two.
+        log_lines[0] = change(log_lines[0])
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join(line + "\n" for line in log_lines),
+                        encoding="utf-8")
+        with fallbacks() as spy:
+            graph, peak, arrays = traced_ingest(path)
+        assert spy.call_count == 1
+        assert graph.num_edges == len(log_lines)
+        assert peak <= 6 * arrays, f"peak {peak} B for {arrays} B of arrays"

@@ -13,10 +13,11 @@ from truerating import generate_planted
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Helpers that duplicated `build_report`, `solve` and `degree_bins`, and
-#: were removed in their favour.
+#: were removed in their favour, and `degree_histogram`, which nothing
+#: called.
 REMOVED = {
     "mse", "rank_error", "_aligned", "bin_deviation", "rating_map",
-    "debias_weight", "iterate_once", "bin_of", "bin_label",
+    "debias_weight", "iterate_once", "bin_of", "bin_label", "degree_histogram",
 }
 
 SUBMODULES = sorted(
