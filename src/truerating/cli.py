@@ -112,7 +112,7 @@ def _staged(outdir: Path):
 
 
 #: The flags that name a file a command reads: the manifest's ``inputs``.
-_INPUT_FLAGS = ("ratings", "truth", "alpha_overrides")
+_INPUT_FLAGS = ("ratings", "truth", "alpha_overrides", "seed_bias")
 
 
 def _run(args) -> int:
@@ -171,46 +171,18 @@ def _parse_scale(text: str, flag: str) -> RatingScale:
         raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
-def _user_values(path: str, graph: RatingGraph, what: str) -> np.ndarray:
-    """Read a ``user_id,value`` file as a per-user vector, NaN where the
-    file gives a user no value."""
+def _user_values(
+    path: str, graph: RatingGraph, what: str, missing: float = np.nan
+) -> np.ndarray:
+    """Read a ``user_id,value`` file as a per-user vector, `missing` where
+    the file gives a user no value."""
     table = ingest_ground_truth(path)
     unknown = sorted(table.keys() - set(graph.user_ids))
     if unknown:
         raise ValueError(
             f"{what} file names users absent from the graph: {unknown[:5]}"
         )
-    return np.array([table.get(u, np.nan) for u in graph.user_ids], np.float64)
-
-
-def _parse_seed_bias(spec: str) -> float | str | None:
-    """Check a ``--seed-bias`` spec without reading any file: None for
-    ``zeros``, the constant of ``const:<c>``, the path of ``file:<path>``."""
-    if spec == "zeros":
-        return None
-    if spec.startswith("const:"):
-        try:
-            value = float(spec.removeprefix("const:"))
-        except ValueError:
-            raise ValueError(f"bad --seed-bias {spec!r}") from None
-        if not -1.0 <= value <= 1.0:
-            raise ValueError(f"bad --seed-bias {spec!r}; c must be in [-1, 1]")
-        return value
-    if spec.startswith("file:"):
-        return spec.removeprefix("file:")
-    raise ValueError(
-        f"bad --seed-bias {spec!r}; expected zeros, const:<c>, or file:<path>"
-    )
-
-
-def _seed_bias(seed: float | str | None, graph: RatingGraph):
-    """The starting bias vector for a parsed ``--seed-bias`` spec."""
-    if seed is None:
-        return None
-    if isinstance(seed, float):
-        return np.full(graph.num_users, seed, dtype=np.float64)
-    seeds = _user_values(seed, graph, "seed bias")
-    return np.where(np.isnan(seeds), 0.0, seeds)
+    return np.array([table.get(u, missing) for u in graph.user_ids], np.float64)
 
 
 def _alpha_overrides(
@@ -263,13 +235,15 @@ def cmd_solve(args, out) -> tuple[int, dict]:
     base = SolverConfig(
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
     )
-    seed = _parse_seed_bias(args.seed_bias)
     graph = _ingest(args)
     user_ids = _require_plain_ids(graph.user_ids)
     item_ids = _require_plain_ids(graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
-    initial = _seed_bias(seed, graph)
+    initial = (
+        None if args.seed_bias is None
+        else _user_values(args.seed_bias, graph, "seed bias", missing=0.0)
+    )
 
     result = solve(graph, config, initial_bias=initial)
 
@@ -499,8 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stopping_flags(p)
     p.add_argument(
         "--seed-bias",
-        default="zeros",
-        help="initial bias: zeros, const:<c>, or file:<user_id,bias CSV>",
+        metavar="FILE",
+        help="CSV of user_id,bias rows, each in [-1, 1], to start from, such "
+        "as an earlier run's bias.csv; unlisted users start at 0 "
+        "(default: every user at 0)",
     )
     p.set_defaults(func=cmd_solve)
 

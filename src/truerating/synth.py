@@ -22,6 +22,8 @@ from .graph import RatingGraph
 
 __all__ = ["PlantedInstance", "generate_planted"]
 
+MAX_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -41,14 +43,13 @@ def generate_planted(
     quality_range: tuple[float, float] = (0.25, 0.75),
     noise_sigma: float = 0.0,
     seed: int | None = None,
-    max_retries: int = 100,
 ) -> PlantedInstance:
     """Generate a planted instance.
 
     Biases are uniform on `bias_range` (within [-1, 1]), item qualities
     uniform on `quality_range` (within [0, 1]), and each user-item pair is
     observed independently with probability `density`. The adjacency is
-    resampled up to `max_retries` times until no user or item is isolated.
+    resampled up to `MAX_RETRIES` times until no user or item is isolated.
     Noise is Gaussian with standard deviation `noise_sigma`; with zero
     noise the ranges must satisfy quality + bias in [0, 1] so the planted
     weights survive unclipped. Draw order is fixed (bias, quality,
@@ -78,14 +79,14 @@ def generate_planted(
     bias = rng.uniform(b_lo, b_hi, size=num_users)
     quality = rng.uniform(q_lo, q_hi, size=num_items)
 
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         mask = rng.random((num_users, num_items)) < density
         if mask.any(axis=1).all() and mask.any(axis=0).all():
             break
     else:
         raise ValueError(
             f"could not sample an adjacency without isolated nodes in "
-            f"{max_retries} attempts (density {density} too sparse)"
+            f"{MAX_RETRIES} attempts (density {density} too sparse)"
         )
 
     edge_user, edge_item = np.nonzero(mask)

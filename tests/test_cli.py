@@ -46,9 +46,17 @@ FLAGS_CHECKED_BEFORE_INGEST = [
       for command in ("solve", "eval", "oracle-check")
       for value in ("0", "1.5")],
     ("eval", "--truth-scale", "5:1", "bad --truth-scale '5:1'"),
-    ("solve", "--seed-bias", "bogus", "bad --seed-bias 'bogus'"),
-    ("solve", "--seed-bias", "const:5", "bad --seed-bias 'const:5'"),
 ]
+
+
+def solve_file_flags(tmp_path) -> list:
+    """``solve``'s file flags but --ratings, each naming a small valid
+    file for the two-user graph."""
+    overrides = tmp_path / "overrides.csv"
+    overrides.write_text("user_id,alpha\nu1,0.5\n", encoding="utf-8")
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("user_id,bias\nu2,-0.1\n", encoding="utf-8")
+    return ["--alpha-overrides", overrides, "--seed-bias", seeds]
 
 
 #: The manifest's top-level keys, in order.
@@ -61,9 +69,8 @@ MANIFEST_KEYS = [
 #: computed.
 MANIFEST_SECTIONS = {
     "solve": (
-        ["ratings", "alpha_overrides"],
-        ["scale", "delimiter", "duplicates", "alpha", "epsilon", "max_iters",
-         "seed_bias"],
+        ["ratings", "alpha_overrides", "seed_bias"],
+        ["scale", "delimiter", "duplicates", "alpha", "epsilon", "max_iters"],
         ["converged", "iterations", "sweeps", "clamped", "max_iterations",
          "users", "items", "edges", "exit_code"],
     ),
@@ -144,10 +151,7 @@ class TestRunWrapper:
         # the replay does not run in.
         argv = command_argv(command, tmp_path, two_user_file)
         if command == "solve":
-            overrides = tmp_path / "overrides.csv"
-            overrides.write_text("user_id,alpha\nu1,0.5\n", encoding="utf-8")
-            argv += ["--alpha-overrides", overrides, "--seed-bias", "const:0.1",
-                     "--max-iters", "50"]
+            argv += [*solve_file_flags(tmp_path), "--max-iters", "50"]
         if command == "eval":
             argv += ["--alpha", "0.5", "--alpha", "0.9"]
         if command == "synth":
@@ -168,6 +172,28 @@ class TestRunWrapper:
             assert replayed[key] == recorded[key]
         for name in recorded["outputs"][:-1]:
             assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
+    def test_inputs_name_every_file_read(
+        self, tmp_path, two_user_file, command, monkeypatch
+    ):
+        # Given every file flag it takes, a command opens for reading
+        # exactly the files its manifest lists under ``inputs``.
+        opened = set()
+
+        def recording(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                opened.add(os.path.abspath(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", recording, raising=False)
+        argv = command_argv(command, tmp_path, two_user_file)
+        if command == "solve":
+            argv += solve_file_flags(tmp_path)
+        out = tmp_path / "run"
+        assert run(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert opened == {p for p in manifest["inputs"].values() if p}
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
     def test_malformed_ratings_writes_no_manifest(self, tmp_path, command, capsys):
@@ -336,10 +362,14 @@ class TestSolveCommand:
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
 
     def test_constant_seed_bias(self, tmp_path, two_user_file):
+        # A seed file that starts every user at one constant reaches the
+        # fixed point of the default zero start.
+        seeds = tmp_path / "seeds.csv"
+        seeds.write_text("user_id,bias\nu1,0.25\nu2,0.25\n", encoding="utf-8")
         out = tmp_path / "seeded"
         code = run(
             "solve", "--ratings", two_user_file, "--alpha", "0.5",
-            "--seed-bias", "const:0.25", "--out", out,
+            "--seed-bias", seeds, "--out", out,
         )
         assert code == 0
         assert "u1,0.5" in (out / "bias.csv").read_text()
@@ -350,16 +380,54 @@ class TestSolveCommand:
         out = tmp_path / "fseed"
         code = run(
             "solve", "--ratings", two_user_file, "--alpha", "0.5",
-            "--seed-bias", f"file:{seeds}", "--out", out,
+            "--seed-bias", seeds, "--out", out,
         )
         assert code == 0
 
-    def test_bad_seed_bias_spec(self, tmp_path, two_user_file):
+    def test_seed_bias_outside_range_rejected(
+        self, tmp_path, two_user_file, capsys
+    ):
+        seeds = tmp_path / "seeds.csv"
+        seeds.write_text("user_id,bias\nu1,1.5\n", encoding="utf-8")
+        out = tmp_path / "out"
         code = run(
             "solve", "--ratings", two_user_file,
-            "--seed-bias", "garbage", "--out", tmp_path / "x",
+            "--seed-bias", seeds, "--out", out,
         )
         assert code == 1
+        assert "initial bias values must lie in [-1, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_warm_start_from_own_bias(self, tmp_path):
+        # Seeded with a converged run's bias.csv, a solve needs fewer
+        # iterates and stops within the iteration error of both runs,
+        # 2*eps/(1-alpha), of the same ratings.
+        alpha, epsilon = 0.9, 1e-8
+        assert run(
+            "synth", "--users", "40", "--items", "30", "--density", "0.3",
+            "--noise-sigma", "0.1", "--seed", "3", "--out", tmp_path / "synth",
+        ) == 0
+        solve_argv = [
+            "solve", "--ratings", tmp_path / "synth" / "ratings.csv",
+            "--alpha", alpha, "--epsilon", epsilon,
+        ]
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert run(*solve_argv, "--out", cold) == 0
+        assert run(
+            *solve_argv, "--seed-bias", cold / "bias.csv", "--out", warm
+        ) == 0
+
+        def iterations(out):
+            manifest = json.loads((out / "manifest.json").read_text())
+            return manifest["results"]["iterations"]
+
+        def ratings(out):
+            return np.loadtxt(out / "ratings.csv", delimiter=",", skiprows=1)
+
+        assert iterations(warm) < iterations(cold)
+        gap = np.max(np.abs(ratings(warm)[:, 1] - ratings(cold)[:, 1]))
+        # Each CSV rounds to 9 decimals.
+        assert gap <= 2 * epsilon / (1 - alpha) + 1e-9
 
     def test_alpha_overrides_all_trusted(self, tmp_path, two_user_file):
         overrides = tmp_path / "trust.csv"
@@ -427,11 +495,10 @@ class TestSolveCommand:
     ):
         values = tmp_path / "values.csv"
         values.write_text("user_id,value\nu1,0.1\nghost,0.2\n", encoding="utf-8")
-        spec = f"file:{values}" if flag == "--seed-bias" else values
         out = tmp_path / "out"
         code = run(
             "solve", "--ratings", two_user_file, "--alpha", "0.5",
-            flag, spec, "--out", out,
+            flag, values, "--out", out,
         )
         assert code == 1
         assert "names users absent from the graph" in capsys.readouterr().err
@@ -445,7 +512,7 @@ class TestSolveCommand:
         out = tmp_path / "seeded"
         code = run(
             "solve", "--ratings", two_user_file, "--max-iters", "0",
-            "--seed-bias", f"file:{seeds}", "--out", out,
+            "--seed-bias", seeds, "--out", out,
         )
         assert code == 2
         assert (out / "bias.csv").read_text() == (

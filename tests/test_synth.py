@@ -44,7 +44,7 @@ class TestGeneratePlanted:
 
     def test_retry_budget_exhausted(self):
         with pytest.raises(ValueError, match="too sparse"):
-            generate_planted(40, 40, 1e-6, seed=0, max_retries=5)
+            generate_planted(40, 40, 1e-6, seed=0)
 
     def test_infeasible_noiseless_ranges(self):
         with pytest.raises(ValueError, match="infeasible"):
