@@ -119,7 +119,8 @@ def histogram(
     """Fixed-width bucket counts over `value_range`.
 
     Values outside the range are clamped into the end buckets, so the
-    counts always sum to the number of values.
+    counts always sum to the number of values. A non-finite value has no
+    bucket and raises `ValueError`.
     """
     if not bucket_width > 0.0:
         raise ValueError(f"bucket width must be positive, got {bucket_width}")
@@ -128,6 +129,8 @@ def histogram(
         raise ValueError(f"empty value range [{lo}, {hi}]")
     num_buckets = max(1, math.ceil((hi - lo) / bucket_width - 1e-9))
     values = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(values).all():
+        raise ValueError("histogram values must be finite")
     if values.size == 0:
         return np.zeros(num_buckets, dtype=np.int64)
     idx = np.floor((values - lo) / bucket_width).astype(np.int64)
@@ -229,7 +232,8 @@ def build_report(
     yields MSE but no rank error). Pass the `align_truth` result when
     scoring several methods on one graph; a plain mapping is aligned here.
     `bias` is the method's per-user vector, absent for the plain-mean
-    baseline.
+    baseline. A non-finite rating or bias raises `ValueError` (the bias
+    through `histogram`).
     """
     rating = np.asarray(rating, dtype=np.float64)
     if rating.shape != (graph.num_items,):
@@ -237,6 +241,8 @@ def build_report(
             f"rating vector of length {rating.shape} misaligned with graph "
             f"({graph.num_items} items)"
         )
+    if not np.isfinite(rating).all():
+        raise ValueError("rating vector holds a non-finite value")
 
     mse_overall = None
     rank_overall = None

@@ -11,8 +11,8 @@ Two on-disk layouts are supported:
 `ingest_ratings` sniffs the canonical header so its own output round-trips
 without extra flags.
 
-There are two parsers, and both give the same graph or truth table for
-any file. The byte path reads the file once as bytes. If every byte is
+Rating files have two parsers, and both give the same graph for any
+file. The byte path reads the file once as bytes. If every byte is
 printable ASCII other than the space, a line break or a one-byte
 delimiter, as in MovieLens logs and this package's own CSV, nothing needs
 stripping or decoding: line breaks and delimiters are found by numpy
@@ -23,8 +23,12 @@ and in-scale values, weights in [0, 1], duplicates) is a reduction over
 whole columns. The byte path keeps no line numbers. Any other file
 (padding whitespace, non-ASCII ids, control bytes), and any file that
 fails a check there, is read by the line parser: once, as text, line by
-line. It either returns the result or raises an `IngestError` carrying
+line. It either returns the graph or raises an `IngestError` carrying
 the file path and the 1-based line number of the first bad record.
+
+`ingest_ground_truth` reads the ``id<sep>value`` tables (ground truth,
+per-user alpha overrides and seed biases) line by line only: they hold
+one row per item or user, so their parse is small next to the log's.
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
@@ -120,13 +124,13 @@ _PRINTABLE_LO, _PRINTABLE_COUNT = 0x21, 0x7E - 0x21 + 1
 
 
 def _byte_columns(
-    data: bytes, fmt: DelimitedFormat, count: int, sniff: bool
-) -> tuple[list[np.ndarray], bool, bool] | None:
-    """The first `count` `fmt` fields of each non-blank line of a file of
-    printable ASCII, as fixed-width `S` columns, whether the first line is
-    non-blank, and whether the file is canonical CSV; or None if the gate
-    refuses the file. With `sniff`, a first non-blank line that is the
-    canonical header is dropped and the lines are split on ``,``.
+    data: bytes, fmt: DelimitedFormat
+) -> tuple[list[np.ndarray], bool]:
+    """The first three `fmt` fields of each non-blank line of a file of
+    printable ASCII, as fixed-width `S` columns, and whether the file is
+    canonical CSV; raises `_Refused` if the gate refuses the file. A first
+    non-blank line that is the canonical header is dropped, and the lines
+    are then split on ``,``.
 
     The gate admits a file whose bytes, after the BOM and ``\\r`` breaks
     are gone, are all printable ASCII other than the space, line breaks,
@@ -140,8 +144,7 @@ def _byte_columns(
     for a smaller file).
     """
     sep = fmt.delimiter
-    if not sep.isascii() or "\n" in sep or "\r" in sep:
-        return None
+    _require(sep.isascii() and "\n" not in sep and "\r" not in sep)
     if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8):]
     if b"\r" in data:
@@ -157,8 +160,7 @@ def _byte_columns(
     if len(sep) == 1 and not 0 <= ord(sep) - _PRINTABLE_LO < _PRINTABLE_COUNT:
         extra = np.flatnonzero(text == ord(sep))
         admitted += extra.size
-    if admitted != text.size:
-        return None
+    _require(admitted == text.size)
 
     starts = np.concatenate(([0], breaks + 1))
     ends = np.append(breaks, text.size)
@@ -168,15 +170,13 @@ def _byte_columns(
         spaces = np.searchsorted(extra, ends) - np.searchsorted(extra, starts)
         kept &= spaces < ends - starts
         del spaces
-    first_line_kept = bool(kept[0])
     starts, ends = starts[kept], ends[kept]
     del kept
-    canonical = sniff and starts.size > 0 and tuple(
+    canonical = starts.size > 0 and tuple(
         _CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode("ascii"))
     ) == CANONICAL_HEADER
     if canonical:
-        if extra is not None and extra.size:
-            return None
+        _require(extra is None or not extra.size)
         sep = _CANONICAL_FORMAT.delimiter
         starts, ends = starts[1:], ends[1:]
 
@@ -189,12 +189,11 @@ def _byte_columns(
         hit &= text[j:j + span] == sep[j]
     cuts = np.flatnonzero(hit)
     del hit
-    if len(sep) > 1 and (np.diff(cuts) < len(sep)).any():
-        return None
+    _require(len(sep) == 1 or (np.diff(cuts) >= len(sep)).all())
     # Line i's first delimiter is cuts[first[i]]; a cut at the end of the
     # text bounds the last field of a line with no delimiter after it.
     first = np.searchsorted(cuts, starts)
-    _require((np.searchsorted(cuts, ends) - first >= count - 1).all())
+    _require((np.searchsorted(cuts, ends) - first >= 2).all())
     cuts = np.append(cuts, text.size)
 
     # A field is no longer than its line, so padding the text by the
@@ -204,55 +203,25 @@ def _byte_columns(
     limit = max(2 * text.size, 1 << 20)
     del text, data
     columns = []
-    for k in range(count):
+    for k in range(3):
         stop = cuts[first + k]
-        if k == count - 1:
+        if k == 2:
             stop = np.minimum(stop, ends)
-        column = _gather(padded, starts, stop - starts, limit)
-        if column is None:
-            return None
-        columns.append(column)
+        columns.append(_gather(padded, starts, stop - starts, limit))
         starts = stop + len(sep)
-    return columns, first_line_kept, canonical
+    return columns, canonical
 
 
 def _gather(
     padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: int
-) -> np.ndarray | None:
-    """The fields at `starts` with `lengths` as one fixed-width `S` column,
-    or None if that column would take more than `limit` bytes."""
+) -> np.ndarray:
+    """The fields at `starts` with `lengths` as one fixed-width `S` column;
+    raises `_Refused` if that column would take more than `limit` bytes."""
     width = max(int(lengths.max(initial=0)), 1)
-    if width * lengths.size > limit:
-        return None
+    _require(width * lengths.size <= limit)
     cells = sliding_window_view(padded, width)[starts]
     cells[np.arange(width) >= lengths[:, None]] = 0
     return cells.view(f"S{width}").ravel()
-
-
-def _byte_file(
-    path: str | Path, fmt: DelimitedFormat, count: int, sniff: bool = False
-) -> tuple[list[np.ndarray], bool, bool]:
-    """`_byte_columns` of the file at `path`; raises `_Refused` if the
-    gate refuses the file."""
-    with open(path, "rb") as handle:
-        parsed = _byte_columns(handle.read(), fmt, count, sniff)
-    _require(parsed is not None)
-    return parsed
-
-
-def _nonempty(column: np.ndarray) -> bool:
-    return bool((column != b"").all())
-
-
-def _values(raw: np.ndarray, scale: RatingScale | None) -> np.ndarray:
-    """Parse a value column, check it is finite and apply `scale`."""
-    value = raw.astype(np.float64)
-    _require(np.isfinite(value).all())
-    if scale is not None:
-        _require(((value >= scale.min_raw) & (value <= scale.max_raw)).all())
-        # The float operations of `RatingScale.normalize`, so the bits match.
-        value = (value - scale.min_raw) / scale.span
-    return value
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -287,10 +256,16 @@ def _byte_ratings(
 ) -> RatingGraph:
     """`ingest_ratings` on the byte path; raises `_Refused` or `ValueError`
     where the line parser must read the file instead."""
-    (user, item, raw), _, canonical = _byte_file(path, fmt, 3, sniff=True)
-    _require(_nonempty(user) and _nonempty(item))
-    weight = _values(raw, None if canonical else scale)
-    # Before `keep_first` drops rows: a dropped row must be valid too.
+    with open(path, "rb") as handle:
+        (user, item, raw), canonical = _byte_columns(handle.read(), fmt)
+    _require((user != b"").all() and (item != b"").all())
+    weight = raw.astype(np.float64)
+    # Before `keep_first` drops rows: a dropped row must be valid too. NaN
+    # and the infinities fail every one of these comparisons.
+    if scale is not None and not canonical:
+        _require(((weight >= scale.min_raw) & (weight <= scale.max_raw)).all())
+        # The float operations of `RatingScale.normalize`, so the bits match.
+        weight = (weight - scale.min_raw) / scale.span
     _require(((weight >= 0.0) & (weight <= 1.0)).all())
     user_ids, u = _dense_ids(user)
     item_ids, v = _dense_ids(item)
@@ -424,29 +399,20 @@ def ingest_ratings(
     return _line_ratings(path, fmt, scale, keep_first)
 
 
-def _byte_truth(
-    path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
+def ingest_ground_truth(
+    path: str | Path,
+    *,
+    fmt: DelimitedFormat = _CANONICAL_FORMAT,
+    scale: RatingScale | None = None,
 ) -> dict[str, float]:
-    """`ingest_ground_truth` on the byte path; raises `_Refused` or
-    `ValueError` where the line parser must read the file instead."""
-    (key, raw), first_line_kept, _ = _byte_file(path, fmt, 2)
-    if first_line_kept:
-        try:
-            float(raw[0])
-        except ValueError:
-            key, raw = key[1:], raw[1:]
-    _require(_nonempty(key))
-    keys = key.astype(str).tolist()
-    values = dict(zip(keys, _values(raw, scale).tolist()))
-    _require(len(values) == len(keys))
-    return values
+    """Parse ``id<sep>value`` reference scores into ``{id: value}``, in
+    file order, line by line: the table, or an `IngestError` at the first
+    bad line.
 
-
-def _line_truth(
-    path: str | Path, fmt: DelimitedFormat, scale: RatingScale | None
-) -> dict[str, float]:
-    """`ingest_ground_truth` line by line, for any file: the table, or an
-    `IngestError` at the first bad line."""
+    A first line whose value field is not numeric is treated as a header.
+    `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
+    error.
+    """
     values: dict[str, float] = {}
     for lineno, line in _lines(path):
         fields = line.split(fmt.delimiter, 2)
@@ -474,26 +440,6 @@ def _line_truth(
             raise IngestError(path, lineno, f"duplicate id {key!r}")
         values[key] = value
     return values
-
-
-def ingest_ground_truth(
-    path: str | Path,
-    *,
-    fmt: DelimitedFormat = _CANONICAL_FORMAT,
-    scale: RatingScale | None = None,
-) -> dict[str, float]:
-    """Parse ``id<sep>value`` reference scores into ``{id: value}``, in
-    file order.
-
-    A first line whose value field is not numeric is treated as a header.
-    `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
-    error.
-    """
-    try:
-        return _byte_truth(path, fmt, scale)
-    except (_Refused, ValueError):
-        pass
-    return _line_truth(path, fmt, scale)
 
 
 def _unwritable(key: str) -> str | None:

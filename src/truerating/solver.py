@@ -185,22 +185,17 @@ class _Sweeps:
     def __init__(self, graph: RatingGraph, config: SolverConfig) -> None:
         self.graph = graph
         self.count = 0
-        # Without overrides every factor is alpha, and multiplying by the
-        # scalar gives the same products as a per-edge array would.
-        self.alpha = config.alpha
-        if config.alpha_overrides:
-            alpha_user = _per_user_alpha(
-                graph, config.alpha, config.alpha_overrides
-            )
-            self.alpha = alpha_user[graph.edge_user]
+        self.alpha = _per_user_alpha(
+            graph, config.alpha, config.alpha_overrides or {}
+        )
         self.item_deg = graph.item_degrees.astype(np.float64)
         self.user_deg = graph.user_degrees.astype(np.float64)
 
     def rating_step(self, bias: np.ndarray) -> tuple[np.ndarray, bool]:
         """rating_j = mean over j's raters of clip(w - alpha_i * bias_i)."""
         g = self.graph
-        adjusted = bias[g.edge_user]
-        np.multiply(self.alpha, adjusted, out=adjusted)
+        # alpha_i * bias_i once per user, then gathered onto the edges.
+        adjusted = (self.alpha * bias)[g.edge_user]
         np.subtract(g.edge_weight, adjusted, out=adjusted)
         clamped = bool(adjusted.size) and bool(
             adjusted.min() < 0.0 or adjusted.max() > 1.0

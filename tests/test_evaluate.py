@@ -191,6 +191,12 @@ class TestHistogram:
         with pytest.raises(ValueError, match="range"):
             histogram([0.1], 0.1, (1.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            histogram([0.5, bad], 0.05, (0.0, 1.0))
+
 
 class TestBuildReport:
     def _instance(self):
@@ -272,6 +278,17 @@ class TestBuildReport:
         report = build_report(two_user_graph, [0.0], label="degenerate")
         assert report.relbindev_skipped == 1
         assert report.relbindev == {2: 0.0}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # A report of NaN or infinite figures would break strict JSON.
+        graph = RatingGraph.from_edges([("u1", "m1", 1.0), ("u2", "m2", 0.0)])
+        truth = {"m1": 0.5, "m2": 0.25}
+        with pytest.raises(ValueError, match="rating vector holds a non-finite"):
+            build_report(graph, [bad, 0.5], truth, label="m")
+        with pytest.raises(ValueError, match="finite"):
+            build_report(graph, [0.5, 0.5], label="m", bias=[0.0, bad])
 
     def test_json_serializable(self):
         inst, result, truth = self._instance()

@@ -179,11 +179,16 @@ class TestSweepPlans:
         assert np.array_equal(graph.edge_user, expected)
 
     def test_uniform_alpha_needs_no_per_edge_array(self):
+        # One factor per user, with or without overrides; the rating sweep
+        # gathers alpha_i * bias_i onto the edges.
         graph = make_random_graph(2)
-        assert isinstance(_Sweeps(graph, SolverConfig()).alpha, float)
+        assert graph.num_edges != graph.num_users
+        alpha = _Sweeps(graph, SolverConfig(alpha=0.5)).alpha
+        assert alpha.shape == (graph.num_users,) and (alpha == 0.5).all()
         with_override = SolverConfig(alpha=0.5, alpha_overrides={0: 0.25})
         alpha = _Sweeps(graph, with_override).alpha
-        assert alpha.shape == (graph.num_edges,)
+        assert alpha.shape == (graph.num_users,)
+        assert alpha[0] == 0.25 and (alpha[1:] == 0.5).all()
 
 
 def _shuffled(graph: RatingGraph, seed: int) -> RatingGraph:
