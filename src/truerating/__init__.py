@@ -6,66 +6,22 @@ corrected for the rater's bias. The two quantities are mutually recursive and
 are solved by a damped fixed-point iteration with a guaranteed geometric
 convergence rate, plus a matrix-free linear oracle for cross-checking,
 a planted-bias synthetic generator, and an evaluation suite.
+
+The package exports every library module's `__all__`. `cli`, the
+command-line front end, is not imported here.
 """
 
-from .graph import (
-    NUM_BINS,
-    RatingGraph,
-    RatingScale,
-    degree_bins,
-)
-from .ingest import (
-    MOVIELENS_FORMAT,
-    DelimitedFormat,
-    IngestError,
-    ingest_ground_truth,
-    ingest_ratings,
-    write_ratings_csv,
-    write_scores_csv,
-)
-from .solver import (
-    IterationStats,
-    SolverConfig,
-    SolverResult,
-    iterations_needed,
-    solve,
-)
-from .oracle import solve_linear
-from .synth import PlantedInstance, generate_planted
-from .evaluate import (
-    EvalReport,
-    TruthAlignment,
-    align_truth,
-    build_report,
-    histogram,
-)
+from . import evaluate, graph, ingest, oracle, solver, synth
+from .graph import *  # noqa: F403
+from .ingest import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .evaluate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUM_BINS",
-    "RatingGraph",
-    "RatingScale",
-    "degree_bins",
-    "MOVIELENS_FORMAT",
-    "DelimitedFormat",
-    "IngestError",
-    "ingest_ground_truth",
-    "ingest_ratings",
-    "write_ratings_csv",
-    "write_scores_csv",
-    "IterationStats",
-    "SolverConfig",
-    "SolverResult",
-    "iterations_needed",
-    "solve",
-    "solve_linear",
-    "PlantedInstance",
-    "generate_planted",
-    "EvalReport",
-    "TruthAlignment",
-    "align_truth",
-    "build_report",
-    "histogram",
-    "__version__",
+    *graph.__all__, *ingest.__all__, *solver.__all__, *oracle.__all__,
+    *synth.__all__, *evaluate.__all__, "__version__",
 ]

@@ -15,9 +15,10 @@ Subcommands:
 Exit codes: 0 success, 2 stopped at max iterations without converging,
 3 oracle check inapplicable because clamping fired, 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
-outputs on one machine at the same BLAS thread count. A run writes its
-outputs, and last a manifest that records how to reproduce it, under
-temporary names, and renames them all into place together once the
+outputs on one machine, at any BLAS thread count; identity across machines
+is unverified, since numpy's SIMD loops may differ between CPUs. A run
+writes its outputs, and last a manifest that records how to reproduce it,
+under temporary names, and renames them all into place together once the
 manifest is written.
 """
 
@@ -41,7 +42,7 @@ from .graph import RatingGraph, RatingScale
 from .ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
-    _require_plain_ids,
+    _check_plain_ids,
     ingest_ground_truth,
     ingest_ratings,
     write_ratings_csv,
@@ -236,8 +237,7 @@ def cmd_solve(args, out) -> tuple[int, dict]:
         alpha=args.alpha, epsilon=args.epsilon, max_iterations=args.max_iters
     )
     graph = _ingest(args)
-    user_ids = _require_plain_ids(graph.user_ids)
-    item_ids = _require_plain_ids(graph.item_ids)
+    _check_plain_ids(graph.user_ids + graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
     initial = (
@@ -250,13 +250,13 @@ def cmd_solve(args, out) -> tuple[int, dict]:
     write_scores_csv(
         out("bias.csv"),
         ("user_id", "bias"),
-        user_ids,
+        graph.user_ids,
         result.bias,
     )
     write_scores_csv(
         out("ratings.csv"),
         ("item_id", "true_rating"),
-        item_ids,
+        graph.item_ids,
         result.rating,
     )
     _write_json(out("trace.json"), _trace_json(result))
@@ -292,7 +292,7 @@ def cmd_eval(args, out) -> tuple[int, dict]:
             )
     truth_scale = _parse_scale(args.truth_scale, "--truth-scale")
     graph = _ingest(args)
-    item_ids = _require_plain_ids(graph.item_ids)
+    _check_plain_ids(graph.item_ids)
     truth = align_truth(
         graph, ingest_ground_truth(args.truth, scale=truth_scale)
     )
@@ -315,7 +315,7 @@ def cmd_eval(args, out) -> tuple[int, dict]:
         write_scores_csv(
             out(f"ratings_{tag}.csv"),
             ("item_id", "true_rating"),
-            item_ids,
+            graph.item_ids,
             rating,
         )
         with open(out(f"bins_{tag}.csv"), "w", encoding="utf-8", newline="") as fh:

@@ -26,7 +26,7 @@ fails a check there, is read by the line parser: once, as text, line by
 line. It either returns the graph or raises an `IngestError` carrying
 the file path and the 1-based line number of the first bad record.
 
-`ingest_ground_truth` reads the ``id<sep>value`` tables (ground truth,
+`ingest_ground_truth` reads the ``id,value`` tables (ground truth,
 per-user alpha overrides and seed biases) line by line only: they hold
 one row per item or user, so their parse is small next to the log's.
 
@@ -402,12 +402,11 @@ def ingest_ratings(
 def ingest_ground_truth(
     path: str | Path,
     *,
-    fmt: DelimitedFormat = _CANONICAL_FORMAT,
     scale: RatingScale | None = None,
 ) -> dict[str, float]:
-    """Parse ``id<sep>value`` reference scores into ``{id: value}``, in
-    file order, line by line: the table, or an `IngestError` at the first
-    bad line.
+    """Parse ``id,value`` reference scores into ``{id: value}``, in file
+    order, line by line: the table, or an `IngestError` at the first bad
+    line.
 
     A first line whose value field is not numeric is treated as a header.
     `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
@@ -415,7 +414,7 @@ def ingest_ground_truth(
     """
     values: dict[str, float] = {}
     for lineno, line in _lines(path):
-        fields = line.split(fmt.delimiter, 2)
+        fields = line.split(",", 2)
         if len(fields) < 2:
             raise IngestError(
                 path, lineno, f"expected at least 2 fields, got {len(fields)}"
@@ -455,21 +454,9 @@ def _unwritable(key: str) -> str | None:
     return None
 
 
-class _PlainIds(tuple):
-    """Ids that `_require_plain_ids` has passed: the writers take them
-    without checking them again."""
-
-    __slots__ = ()
-
-
-def _require_plain_ids(ids: Sequence[str]) -> _PlainIds:
-    """`ids` as `_PlainIds`; raises `ValueError` naming the first id that
-    would not read back as itself."""
-    _check_plain_ids(ids)
-    return _PlainIds(ids)
-
-
 def _check_plain_ids(ids: Sequence[str]) -> None:
+    """Raise `ValueError` naming the first id that would not read back as
+    itself from a CSV field."""
     # Ids are written verbatim. Readers break lines at "\n" and "\r",
     # split fields on a bare ",", strip each field and refuse an empty id,
     # so an id reads back as itself only if `_unwritable` finds no reason.
@@ -621,8 +608,7 @@ def write_scores_csv(
     Values are written with `FLOAT_DIGITS` decimals, byte for byte as
     Python's ``f"{v:.9f}"`` writes them.
     """
-    if not isinstance(ids, _PlainIds):
-        _check_plain_ids(ids)
+    _check_plain_ids(ids)
     scores = np.asarray(values, np.float64)
     if scores.shape != (len(ids),):
         raise ValueError(f"values of shape {scores.shape} for {len(ids)} ids")

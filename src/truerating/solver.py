@@ -32,10 +32,11 @@ rating half keyed by item, the bias half keyed by user.
 
 Determinism: `np.bincount` adds its weights in array order, so every
 rating accumulates its terms in ascending user order and every bias in
-ascending item order, and the Anderson arithmetic runs on whole vectors.
-So repeated runs are bit-identical at the same BLAS thread count: the
-Anderson step's dot products go through BLAS, whose threads may split
-them in another order.
+ascending item order, and the Anderson step's products over users are
+`np.einsum` loops, which never call BLAS. So repeated runs are
+bit-identical on one machine at any BLAS thread count. Identity across
+machines is unverified: einsum's SIMD loops may add in another order on
+another CPU.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ class _History:
     Row k of `dg` is a difference of residuals T(x) - x, row k of `df` the
     matching difference of T(x). Rows are overwritten in turn; the
     least-squares weights do not depend on their order. `gram` holds
-    ``dg @ dg.T``, updated by one row of dot products per push.
+    ``dg @ dg.T``, updated by one row of dot products per push. Products
+    over users are `np.einsum`, not ``@``, so that they never call BLAS
+    (see Determinism above).
     """
 
     def __init__(self, num_users: int) -> None:
@@ -250,7 +253,7 @@ class _History:
         np.subtract(new.image, old.image, out=self.df[k])
         self.size = min(self.size + 1, DEPTH)
         self.slot = (k + 1) % DEPTH
-        row = self.dg[:self.size] @ self.dg[k]
+        row = np.einsum("ij,j->i", self.dg[:self.size], self.dg[k])
         self.gram[k, :self.size] = row
         self.gram[:self.size, k] = row
 
@@ -263,12 +266,14 @@ class _History:
         gram = self.gram[:m, :m]
         ridge = _RIDGE * np.trace(gram) * np.eye(m)
         try:
-            gamma = np.linalg.solve(gram + ridge, self.dg[:m] @ current.residual)
+            gamma = np.linalg.solve(
+                gram + ridge, np.einsum("ij,j->i", self.dg[:m], current.residual)
+            )
         except np.linalg.LinAlgError:
             return None
         if not np.isfinite(gamma).all():
             return None
-        return current.image - gamma @ self.df[:m]
+        return current.image - np.einsum("i,ij->j", gamma, self.df[:m])
 
 
 def _advance(

@@ -21,8 +21,8 @@ from truerating.ingest import (
     CANONICAL_HEADER,
     MOVIELENS_FORMAT,
     DelimitedFormat,
+    _check_plain_ids,
     _lines,
-    _require_plain_ids,
 )
 
 _SCORE_ROW = "{},{:.9f}\n"
@@ -88,12 +88,11 @@ def ingest_ratings(
 def ingest_ground_truth(
     path: str | Path,
     *,
-    fmt: DelimitedFormat = _CANONICAL_FORMAT,
     scale: RatingScale | None = None,
 ) -> dict[str, float]:
     values: dict[str, float] = {}
     for lineno, line in _lines(path):
-        fields = fmt.split(line)
+        fields = _CANONICAL_FORMAT.split(line)
         if len(fields) < 2:
             raise IngestError(
                 path, lineno, f"expected at least 2 fields, got {len(fields)}"
@@ -121,7 +120,7 @@ def ingest_ground_truth(
 
 
 def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
-    _require_plain_ids(graph.user_ids + graph.item_ids)
+    _check_plain_ids(graph.user_ids + graph.item_ids)
     users = map(graph.user_ids.__getitem__, graph.edge_user.tolist())
     items = map(graph.item_ids.__getitem__, graph.edge_item.tolist())
     weights = graph.edge_weight.tolist()
@@ -136,7 +135,7 @@ def write_scores_csv(
     ids: list[str],
     values: np.ndarray,
 ) -> None:
-    _require_plain_ids(ids)
+    _check_plain_ids(ids)
     scores = np.asarray(values, np.float64).tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")

@@ -221,7 +221,13 @@ class TestRunWrapper:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "eval"])
-    def test_unwritable_id_refused_before_solving(self, tmp_path, command, capsys):
+    def test_unwritable_id_refused_before_solving(
+        self, tmp_path, command, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved a graph whose ids cannot be written")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
         ratings = tmp_path / "commas.dat"
         ratings.write_text(
             "u1::Toy Story, The::5\nu2::Toy Story, The::1\n", encoding="utf-8"
@@ -232,27 +238,6 @@ class TestRunWrapper:
         assert not (out / "bias.csv").exists()
         assert not (out / "manifest.json").exists()
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["solve", "eval"])
-    def test_each_written_id_checked_once(
-        self, tmp_path, two_user_file, command, monkeypatch
-    ):
-        # The up-front check hands the writers ids they take as checked,
-        # however many files list them.
-        scanned = []
-        check = ingest._check_plain_ids
-
-        def counting(ids):
-            scanned.extend(ids)
-            check(ids)
-
-        monkeypatch.setattr(ingest, "_check_plain_ids", counting)
-        argv = command_argv(command, tmp_path, two_user_file)
-        if command == "eval":
-            argv += ["--alpha", "0.5", "--alpha", "0.9"]
-        assert run(*argv, "--out", tmp_path / "run") == 0
-        expected = ["m1"] if command == "eval" else ["u1", "u2", "m1"]
-        assert scanned == expected
 
     @pytest.mark.parametrize(
         "command, flag, value, message",

@@ -130,8 +130,8 @@ truth_files = st.one_of(
               st.just(dict(scale=RatingScale(0, 100)))),
     st.tuples(files(",", 2, 0.0, 1.0, "item_id,true_rating"), st.just({})),
     st.tuples(files(",", 2, -5.0, 5.0, None), st.just({})),
-    st.tuples(files("::", 2, 1.0, 5.0, "item::score"),
-              st.just(dict(fmt=DelimitedFormat("::"), scale=RatingScale(1, 5)))),
+    st.tuples(files(",", 2, 1.0, 5.0, "item,score"),
+              st.just(dict(scale=RatingScale(1, 5)))),
 )
 
 
@@ -342,10 +342,9 @@ ascii_truth_files = st.one_of(
     st.tuples(ascii_files(",", 2, 0.0, 100.0, None),
               st.just(dict(scale=RatingScale(0, 100)))),
     st.tuples(ascii_files(",", 2, 0.0, 1.0, "item_id,true_rating"), st.just({})),
-    st.tuples(ascii_files("\t", 2, -5.0, 5.0, "item_id\ttrue_rating"),
-              st.just(dict(fmt=DelimitedFormat("\t")))),
-    st.tuples(ascii_files("::", 2, 1.0, 5.0, "item::score"),
-              st.just(dict(fmt=DelimitedFormat("::"), scale=RatingScale(1, 5)))),
+    st.tuples(ascii_files(",", 2, -5.0, 5.0, None), st.just({})),
+    st.tuples(ascii_files(",", 2, 1.0, 5.0, "item,score"),
+              st.just(dict(scale=RatingScale(1, 5)))),
 )
 
 

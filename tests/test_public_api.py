@@ -67,3 +67,16 @@ def test_export_lists(name):
         assert hasattr(module, export), f"{name}.__all__ names missing {export}"
     assert not REMOVED & set(module.__all__)
     assert not [attr for attr in REMOVED if hasattr(module, attr)]
+
+
+def test_package_exports_each_library_module_once():
+    # The package re-exports every library module's `__all__` and names
+    # nothing by hand; `cli`, the command-line front end, stays out.
+    exported = [
+        name
+        for sub in SUBMODULES if sub != "cli"
+        for name in importlib.import_module(f"truerating.{sub}").__all__
+    ]
+    assert sorted(truerating.__all__) == sorted([*exported, "__version__"])
+    assert len(set(truerating.__all__)) == len(truerating.__all__)
+    assert truerating.residual_linf is truerating.oracle.residual_linf

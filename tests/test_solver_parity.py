@@ -6,11 +6,17 @@ within alpha * epsilon / (1 - alpha) of the fixed point in the max norm,
 so their results may differ by at most 2 * epsilon / (1 - alpha).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import make_random_graph, one_sweep
 
 import reference_solver as reference
+import truerating
 from truerating import RatingGraph, SolverConfig, solve
 from truerating.solver import _History, _Sweeps
 
@@ -111,7 +117,54 @@ class TestAgainstPlainLoop:
         assert accelerated.iterations < accelerated.sweeps < 2 * accelerated.iterations
 
 
+# A 20k-user path with weights uniform in [0.2, 0.8], 20 iterates at
+# alpha = 0.99: long enough vectors for OpenBLAS to split a product
+# between threads, and enough iterates that candidates are both accepted
+# and rejected. Prints the counts and the result's bytes as hex digests.
+_THREADED_SOLVE = """
+import hashlib
+import numpy as np
+from truerating import RatingGraph, SolverConfig, solve
+
+n = 20_000
+users = np.repeat(np.arange(n), 2)
+items = users + np.tile([0, 1], n)
+weights = np.random.default_rng(7).uniform(0.2, 0.8, users.size)
+graph = RatingGraph([f"u{i}" for i in range(n)],
+                    [f"m{j}" for j in range(n + 1)], users, items, weights)
+result = solve(graph, SolverConfig(alpha=0.99, max_iterations=20))
+print(result.iterations, result.sweeps,
+      hashlib.sha256(result.bias.tobytes()).hexdigest(),
+      hashlib.sha256(result.rating.tobytes()).hexdigest())
+"""
+
+
+def _solve_with_blas_threads(threads: int) -> list[str]:
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    src = str(Path(truerating.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADED_SOLVE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.split()
+
+
 class TestDeterminism:
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="a BLAS library may cap its threads at the CPU count",
+    )
+    def test_bit_identical_at_any_blas_thread_count(self):
+        serial = _solve_with_blas_threads(1)
+        iterations, sweeps = int(serial[0]), int(serial[1])
+        assert iterations < sweeps < 2 * iterations  # accepted and rejected
+        assert _solve_with_blas_threads(2) == serial
+
     def test_bit_identical_across_threads_with_rejections(self, slow_path):
         graph, config, serial, _ = slow_path
         assert serial.sweeps > serial.iterations  # a candidate was rejected
