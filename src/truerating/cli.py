@@ -13,7 +13,8 @@ Subcommands:
                    linear solution; writes oracle.json
 
 Exit codes: 0 success, 2 stopped at max iterations without converging,
-3 oracle check inapplicable because clamping fired, 1 any other error.
+3 oracle check inapplicable because the returned iterate clamps (its
+ratings clipped a weight), 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
 outputs on one machine, at any BLAS thread count; identity across machines
 is unverified, since numpy's SIMD loops may differ between CPUs. A run

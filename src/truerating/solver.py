@@ -140,10 +140,10 @@ class SolverResult:
     For the last accepted iterate x, `rating` is R(x) and `bias` is
     T(x) = B(rating), so the bias equation holds exactly. `iterations`
     counts accepted iterates and `sweeps` the evaluations of the map,
-    rejected Anderson candidates included. `clamped` reports whether any
-    debiased weight of an accepted iterate left [0, 1] and had to be
-    clipped; clamp-free runs are exactly the ones the linear oracle
-    (`solve_linear`) can reproduce.
+    rejected Anderson candidates included. `clamped` reports whether
+    R(x) clipped a debiased weight into [0, 1] (False without an accepted
+    iterate); clips at earlier iterates do not count. Clamp-free answers
+    are exactly the ones the linear oracle (`solve_linear`) can reproduce.
     """
 
     bias: np.ndarray
@@ -173,6 +173,7 @@ class _Iterate:
     rating: np.ndarray    # R(x)
     image: np.ndarray     # T(x) = B(R(x))
     residual: np.ndarray  # T(x) - x
+    l1: float             # L1 norm of the residual
     linf: float           # max norm of the residual
     clamped: bool         # whether R(x) clipped a debiased weight
 
@@ -223,7 +224,9 @@ class _Sweeps:
         rating, clamped = self.rating_step(bias)
         image = self.bias_step(rating)
         residual = image - bias
-        return _Iterate(rating, image, residual, _linf(residual), clamped)
+        magnitude = np.abs(residual)
+        return _Iterate(rating, image, residual, float(magnitude.sum()),
+                        float(magnitude.max(initial=0.0)), clamped)
 
 
 class _History:
@@ -293,14 +296,6 @@ def _advance(
     return plain
 
 
-def _l1(delta: np.ndarray) -> float:
-    return float(np.sum(np.abs(delta))) if delta.size else 0.0
-
-
-def _linf(delta: np.ndarray) -> float:
-    return float(np.max(np.abs(delta))) if delta.size else 0.0
-
-
 def _seed(graph: RatingGraph, initial_bias) -> np.ndarray:
     if initial_bias is None:
         return np.zeros(graph.num_users, dtype=np.float64)
@@ -347,19 +342,17 @@ def solve(
     rating = graph.item_means()
     trace: list[IterationStats] = []
     converged = False
-    clamped = False
     current = None
     for step in range(1, config.max_iterations + 1):
         if current is None:
             current = sweeps.evaluate(bias)
         else:
             current = _advance(sweeps, history, current, config.alpha)
-        clamped |= current.clamped
         stats = IterationStats(
             iteration=step,
-            l1_bias_delta=_l1(current.residual),
+            l1_bias_delta=current.l1,
             linf_bias_delta=current.linf,
-            l1_rating_delta=_l1(current.rating - rating),
+            l1_rating_delta=float(np.abs(current.rating - rating).sum()),
         )
         trace.append(stats)
         bias, rating = current.image, current.rating
@@ -372,6 +365,6 @@ def solve(
         converged=converged,
         iterations=len(trace),
         sweeps=sweeps.count,
-        clamped=clamped,
+        clamped=current is not None and current.clamped,
         trace=trace,
     )

@@ -7,9 +7,10 @@ an item-major copy of the edges built here, a summation path of its own
 that adds each item's terms in the same ascending user order as the
 package's one pass over the canonical edges. It stops once the L1
 norm of the bias change drops below epsilon or the iteration cap is
-reached, and returns the last sweep's ratings and biases. Its first two
-iterations are the package's first two bit for bit; tests compare the
-accelerated solve against it beyond that.
+reached, and returns the last sweep's ratings and biases, with whether
+that sweep's ratings clipped a weight. Its first two iterations are the
+package's first two bit for bit; tests compare the accelerated solve
+against it beyond that.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def solve(
     clamped = False
     for step in range(1, config.max_iterations + 1):
         adjusted = by_item_weight - alpha_edge * bias[by_item_user]
-        clamped |= bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
+        clamped = bool((adjusted < 0.0).any() or (adjusted > 1.0).any())
         np.clip(adjusted, 0.0, 1.0, out=adjusted)
         new_rating = np.bincount(
             item_of_edge, weights=adjusted, minlength=n_items

@@ -749,6 +749,28 @@ class TestOracleCheckCommand:
         assert code == 3
         assert json.loads((out / "oracle.json").read_text())["status"] == "clamped"
 
+    def test_noisy_instance_clamp_free_at_its_answer(self, tmp_path):
+        # Early iterates on this instance clip a weight; the answer does not.
+        instance = tmp_path / "noisy"
+        assert run("synth", "--users", "60", "--items", "40", "--density", "0.3",
+                   "--noise-sigma", "0.1", "--seed", "17", "--out", instance) == 0
+        out = tmp_path / "oracle"
+        code = run("oracle-check", "--ratings", instance / "ratings.csv",
+                   "--out", out)
+        assert code == 0
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["status"] == "ok" and not payload["clamped"]
+        assert max(payload["max_bias_diff"], payload["max_rating_diff"]) <= 1e-8
+
+    def test_zero_tolerance_refused_before_output(self, tmp_path, clamp_free,
+                                                  capsys):
+        out = tmp_path / "oracle"
+        code = run("oracle-check", "--ratings", clamp_free, "--tolerance", "0",
+                   "--out", out)
+        assert code == 1
+        assert not out.exists()
+        assert "tolerance must be positive, got 0.0" in capsys.readouterr().err
+
     def test_graph_over_a_million_cells(self, tmp_path):
         # 2100 users x 500 items: more user-item cells than a dense system
         # of the graph could hold in a million, checked all the same.

@@ -26,6 +26,10 @@ class TestRatingScale:
         with pytest.raises(ValueError):
             RatingScale(5, 1)
 
+    def test_rejects_non_finite_endpoint(self):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            RatingScale(float("nan"), 5.0)
+
     def test_order_preserving(self):
         scale = RatingScale(0, 100)
         raws = np.linspace(0, 100, 23)

@@ -61,6 +61,11 @@ class TestIngestRatings:
         g = ingest_ratings(path, scale=RatingScale(1, 5), duplicate_policy="keep_first")
         assert list(g.edges()) == [("u1", "m1", 1.0)]
 
+    def test_unknown_duplicate_policy(self, tmp_path):
+        path = write(tmp_path / "r.dat", "u1::m1::5\n")
+        with pytest.raises(ValueError, match="unknown duplicate policy 'first'"):
+            ingest_ratings(path, duplicate_policy="first")
+
     def test_malformed_record_names_line(self, tmp_path):
         path = write(tmp_path / "r.dat", "u1::m1::5\nu2::m2\n")
         with pytest.raises(IngestError, match=r"r\.dat:2: expected at least 3"):

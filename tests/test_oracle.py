@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import make_random_graph
@@ -165,6 +167,20 @@ class TestOracleAgainstIterativeSolve:
             bias, rating = solve_linear(inst.graph, alpha)
             np.testing.assert_allclose(result.bias, bias, atol=1e-8)
             np.testing.assert_allclose(result.rating, rating, atol=1e-8)
+
+    def test_agreement_when_only_earlier_iterates_clamp(self):
+        # Noise makes an early iterate clip a weight, but not the answer,
+        # which therefore solves the linear system: `clamped` describes
+        # the returned iterate, not the path to it.
+        graph = generate_planted(60, 40, 0.3, noise_sigma=0.1, seed=17).graph
+        config = SolverConfig(alpha=0.99, epsilon=1e-12)
+        result = solve(graph, config)
+        assert result.converged and not result.clamped
+        assert any(solve(graph, replace(config, max_iterations=k)).clamped
+                   for k in range(1, result.iterations))
+        bias, rating = solve_linear(graph, 0.99)
+        np.testing.assert_allclose(result.bias, bias, atol=1e-8)
+        np.testing.assert_allclose(result.rating, rating, atol=1e-8)
 
     def test_oracle_wrong_when_clamping(self, clamping_graph):
         # With clamping active the linear model no longer describes the

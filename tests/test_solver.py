@@ -63,6 +63,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.5)
 
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SolverConfig(epsilon=0.0)
+
     def test_zero_max_iterations_allowed(self):
         assert SolverConfig(max_iterations=0).max_iterations == 0
         with pytest.raises(ValueError):
@@ -128,10 +132,20 @@ class TestSolve:
         for stats in result.trace:
             assert stats.l1_bias_delta >= stats.linf_bias_delta >= 0.0
 
+    def test_default_config(self):
+        g = make_random_graph(6, max_users=20, max_items=20)
+        default, explicit = solve(g), solve(g, SolverConfig())
+        assert np.array_equal(default.bias, explicit.bias)
+        assert np.array_equal(default.rating, explicit.rating)
+        assert default.trace == explicit.trace
+        assert default.sweeps == explicit.sweeps
+        assert default.clamped == explicit.clamped
+
     def test_zero_iterations_returns_start_state(self, two_user_graph):
         result = solve(two_user_graph, SolverConfig(max_iterations=0))
         assert not result.converged
         assert result.iterations == 0
+        assert not result.clamped
         assert result.trace == []
         np.testing.assert_array_equal(result.bias, [0.0, 0.0])
         np.testing.assert_array_equal(result.rating, two_user_graph.item_means())

@@ -212,6 +212,22 @@ class TestDegenerateHistory:
         history.push(point, point)  # a singular, all-zero Gram matrix
         assert history.candidate(point) is None
 
+    def test_non_finite_weights_fall_back_to_plain_steps(self, monkeypatch):
+        # Least-squares weights that come out NaN are refused like a
+        # singular system: every accepted iterate is then a plain step, the
+        # same sweep as the plain loop's, bit for bit.
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: np.full(len(b), np.nan)
+        )
+        graph = path_graph(200, seed=3)
+        config = SolverConfig(alpha=0.5, epsilon=1e-9, max_iterations=500)
+        result = solve(graph, config)
+        plain = reference.solve(graph, config)
+        assert result.converged and plain.converged
+        assert result.sweeps == result.iterations == plain.iterations
+        assert result.trace == plain.trace
+        assert_within(result, plain, config)
+
     def test_single_user_map_reaches_exact_fixed_point(self):
         # One user makes T a scalar map; later history rows are collinear.
         graph = RatingGraph.from_edges(
