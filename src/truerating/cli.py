@@ -42,6 +42,7 @@ from .evaluate import align_truth, build_report
 from .graph import RatingGraph, RatingScale
 from .ingest import (
     MOVIELENS_FORMAT,
+    _NUMBER,
     DelimitedFormat,
     _check_plain_ids,
     ingest_ground_truth,
@@ -328,7 +329,8 @@ def cmd_eval(args, out) -> tuple[int, dict]:
                 ("rank_error", report.rank_error_per_bin),
             ):
                 for bin_index in sorted(table):
-                    fh.write(f"{bin_index},{metric},{table[bin_index]:.9f}\n")
+                    value = _NUMBER.format(table[bin_index])
+                    fh.write(f"{bin_index},{metric},{value}\n")
 
     payload = {
         "methods": [report.to_dict() for report, *_ in methods],

@@ -131,8 +131,6 @@ def histogram(
     values = np.asarray(values, dtype=np.float64).ravel()
     if not np.isfinite(values).all():
         raise ValueError("histogram values must be finite")
-    if values.size == 0:
-        return np.zeros(num_buckets, dtype=np.int64)
     idx = np.floor((values - lo) / bucket_width).astype(np.int64)
     np.clip(idx, 0, num_buckets - 1, out=idx)
     return np.bincount(idx, minlength=num_buckets).astype(np.int64)

@@ -32,9 +32,12 @@ one row per item or user, so their parse is small next to the log's.
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
-decimals from its scaled float64 product; the few values that product
-cannot round with certainty (near a decimal tie, non-finite or very large)
-are formatted by Python, so every byte matches ``f"{v:.9f}"``.
+decimals from its scaled float64 product and laid out with one whole
+digit, which is all the values this package writes need. The few rows
+that product cannot round with certainty (near a decimal tie) get their
+digits from Python in the same columns, and a block holding a non-finite
+value or one of magnitude 9 or more is formatted by Python as a whole, so
+every byte matches ``f"{v:.9f}"``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ CANONICAL_HEADER = ("user_id", "item_id", "weight")
 
 #: Decimal places used for every weight/score this package writes.
 FLOAT_DIGITS = 9
-_NUMBER = f"{{:.{FLOAT_DIGITS}f}}\n"
+_NUMBER = f"{{:.{FLOAT_DIGITS}f}}"
 
 #: Rows the CSV writers format at a time; it bounds their temporaries.
 _BLOCK_ROWS = 8192
@@ -408,12 +411,13 @@ def ingest_ground_truth(
     order, line by line: the table, or an `IngestError` at the first bad
     line.
 
-    A first line whose value field is not numeric is treated as a header.
+    A first non-blank line whose value field is not numeric is treated as
+    a header.
     `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
     error.
     """
     values: dict[str, float] = {}
-    for lineno, line in _lines(path):
+    for index, (lineno, line) in enumerate(_lines(path)):
         fields = line.split(",", 2)
         if len(fields) < 2:
             raise IngestError(
@@ -423,7 +427,7 @@ def ingest_ground_truth(
         try:
             value = float(raw)
         except ValueError:
-            if lineno == 1:
+            if index == 0:
                 continue
             raise IngestError(path, lineno, f"bad value {raw!r}") from None
         if not key:
@@ -478,80 +482,65 @@ def _check_plain_ids(ids: Sequence[str]) -> None:
             )
 
 
-# The fixed-point formatter. Every integer below 2**52 is a float64, so a
-# rounded scaled value below it is exact, with at most `_WHOLE_DIGITS`
-# digits before the point; the fraction's digits fit a uint32.
+# The fixed-point formatter's layout: sign, one whole digit, ".", the
+# fraction and "\n".
 _SCALE = 10.0**FLOAT_DIGITS
-_EXACT_LIMIT = 2.0**52
-_WHOLE_DIGITS = len(str(2**52 // 10**FLOAT_DIGITS))
-_WHOLE_LIMITS = [10**k for k in range(1, _WHOLE_DIGITS)]
-# One value right-aligned: sign, whole digits, ".", fraction, "\n".
-_POINT = 1 + _WHOLE_DIGITS
-_NUMBER_WIDTH = _POINT + 1 + FLOAT_DIGITS + 1
+_NUMBER_WIDTH = 1 + 1 + 1 + FLOAT_DIGITS + 1
 
 _Field = tuple[np.ndarray, np.ndarray]
 
 
-def _text_field(strings: Sequence[str]) -> _Field:
-    """Each string followed by ``,``, as UTF-8 bytes back to back, and the
-    byte length of each. The strings hold no ``,`` (`_check_plain_ids`),
-    so the commas mark where each one ends."""
-    data = np.frombuffer((",".join(strings) + ",").encode(), np.uint8)
-    return data, np.diff(np.flatnonzero(data == ord(",")), prepend=-1)
+def _text_field(strings: Iterable[str], end: str = ",") -> _Field:
+    """Each string followed by `end`, as UTF-8 bytes back to back, and the
+    byte length of each. The strings hold no `end` (ids pass
+    `_check_plain_ids`), so it marks where each one ends."""
+    data = np.frombuffer((end.join(strings) + end).encode(), np.uint8)
+    return data, np.diff(np.flatnonzero(data == ord(end)), prepend=-1)
 
 
-def _put_digits(columns: np.ndarray, value: np.ndarray) -> None:
-    """Write the low decimal digits of `value` into the ASCII `columns`,
-    units digit last."""
-    for col in range(columns.shape[1] - 1, -1, -1):
-        quotient = value // 10
-        columns[:, col] = value - quotient * 10 + ord("0")
-        value = quotient
+def _number_field(values: np.ndarray) -> _Field:
+    """Each value as `_NUMBER` formats it, followed by ``\\n``.
 
-
-def _number_fields(values: np.ndarray) -> tuple[_Field, _Field]:
-    """Each value as `_NUMBER` formats it: the rows numpy formats and the
-    rows Python formats, as two fields each empty where the other is not.
-
-    numpy rounds p = v * 10**FLOAT_DIGITS to the nearest integer n. The
-    product is within |p| * 2**-53 of the exact one, so both round to n
-    unless p lies that close to a half-integer; those rows, non-finite
-    values and |p| >= 2**52 go to Python. The band is doubled to cover the
-    rounding of the distance itself.
+    numpy rounds p = |v| * 10**FLOAT_DIGITS to the nearest integer n. If
+    every n is below 9 * 10**FLOAT_DIGITS, each row is laid out in
+    `_NUMBER_WIDTH` columns, starting at the sign for rows with
+    `np.signbit` (so -0.0 and tiny negatives print "-0.0..."). The product
+    is within p * 2**-53 of the exact one, so both round to n unless p
+    lies that close to a half-integer; the band is doubled to cover the
+    rounding of the distance itself. Python formats |v| for those rows
+    into the same columns: below 9, neither rounding reaches 10. A block
+    holding a non-finite value or a larger one is formatted by Python as
+    a whole.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = values * _SCALE
+        scaled = np.abs(values) * _SCALE
         nearest = np.rint(scaled)
-        fast = (np.abs(scaled) < _EXACT_LIMIT) & (
-            np.abs(np.abs(scaled - nearest) - 0.5)
-            > np.abs(scaled) * 2.0**-51
-        )
-    whole, fraction = np.divmod(
-        np.where(fast, np.abs(nearest), 0.0).astype(np.uint64),
-        10**FLOAT_DIGITS,
-    )
-    whole = whole.astype(np.uint32)
-    digits = 1 + np.searchsorted(_WHOLE_LIMITS, whole, side="right")
+        if not (nearest < 9 * _SCALE).all():
+            return _text_field(map(_NUMBER.format, values.tolist()), "\n")
+    # n / _SCALE lies at least 1e-9 below the next integer, far beyond its
+    # rounding error, so the whole part and the fraction are exact.
+    whole = np.floor(nearest / _SCALE)
+    fraction = (nearest - whole * _SCALE).astype(np.uint32)
     text = np.empty((values.size, _NUMBER_WIDTH), np.uint8)
-    _put_digits(text[:, _POINT - digits.max(initial=1):_POINT], whole)
-    text[:, _POINT] = ord(".")
-    _put_digits(text[:, _POINT + 1:-1], fraction.astype(np.uint32))
+    text[:, 0] = ord("-")
+    text[:, 1] = whole + ord("0")
+    text[:, 2] = ord(".")
+    for col in range(_NUMBER_WIDTH - 2, 2, -1):
+        quotient = fraction // 10
+        text[:, col] = fraction - quotient * 10 + ord("0")
+        fraction = quotient
     text[:, -1] = ord("\n")
-    # The first column each row uses: its leading digit, or the sign
-    # before it (np.signbit, so -0.0 and tiny negatives print "-0.0...").
-    negative = np.signbit(values) & fast
-    first = np.where(fast, _POINT - digits - negative, _NUMBER_WIDTH)
-    text[negative, first[negative]] = ord("-")
+    tie = np.flatnonzero(
+        np.abs(np.abs(scaled - nearest) - 0.5) <= scaled * 2.0**-51
+    )
+    text[tie, 1:-1] = np.frombuffer(
+        "".join(map(_NUMBER.format, np.abs(values[tie]).tolist())).encode(),
+        np.uint8,
+    ).reshape(-1, _NUMBER_WIDTH - 2)
+    # The first column each row uses: the sign, or the digit after it.
+    first = 1 - np.signbit(values)
     used = np.arange(_NUMBER_WIDTH) >= first[:, None]
-    numpy_field = (text[used], _NUMBER_WIDTH - first)
-
-    slow = np.flatnonzero(~fast)
-    python_lengths = np.zeros(values.size, np.intp)
-    strings = list(map(_NUMBER.format, values[slow].tolist()))
-    python_lengths[slow] = list(map(len, strings))
-    python_field = (np.frombuffer("".join(strings).encode(), np.uint8),
-                    python_lengths)
-    return numpy_field, python_field
+    return text[used], _NUMBER_WIDTH - first
 
 
 def _rows(fields: Sequence[_Field]) -> np.ndarray:
@@ -564,8 +553,7 @@ def _rows(fields: Sequence[_Field]) -> np.ndarray:
     )
     out = np.empty(owner.size, np.uint8)
     for k, (data, _) in enumerate(fields):
-        if data.size:
-            out[owner == k] = data
+        out[owner == k] = data
     return out
 
 
@@ -591,8 +579,8 @@ def write_ratings_csv(graph: RatingGraph, path: str | Path) -> None:
     def block_fields(rows: slice) -> list[_Field]:
         users = map(graph.user_ids.__getitem__, graph.edge_user[rows].tolist())
         items = map(graph.item_ids.__getitem__, graph.edge_item[rows].tolist())
-        return [_text_field(list(users)), _text_field(list(items)),
-                *_number_fields(graph.edge_weight[rows])]
+        return [_text_field(users), _text_field(items),
+                _number_field(graph.edge_weight[rows])]
 
     _write_csv(path, CANONICAL_HEADER, graph.num_edges, block_fields)
 
@@ -614,6 +602,6 @@ def write_scores_csv(
         raise ValueError(f"values of shape {scores.shape} for {len(ids)} ids")
 
     def block_fields(rows: slice) -> list[_Field]:
-        return [_text_field(ids[rows]), *_number_fields(scores[rows])]
+        return [_text_field(ids[rows]), _number_field(scores[rows])]
 
     _write_csv(path, header, len(ids), block_fields)

@@ -91,7 +91,7 @@ def ingest_ground_truth(
     scale: RatingScale | None = None,
 ) -> dict[str, float]:
     values: dict[str, float] = {}
-    for lineno, line in _lines(path):
+    for index, (lineno, line) in enumerate(_lines(path)):
         fields = _CANONICAL_FORMAT.split(line)
         if len(fields) < 2:
             raise IngestError(
@@ -101,7 +101,7 @@ def ingest_ground_truth(
         try:
             value = float(raw)
         except ValueError:
-            if lineno == 1:
+            if index == 0:
                 continue
             raise IngestError(path, lineno, f"bad value {raw!r}") from None
         if not key:

@@ -426,6 +426,18 @@ class TestSolveCommand:
         # Every user trusted: the item keeps its plain mean rating.
         assert "m1,0.500000000" in (out / "ratings.csv").read_text()
 
+    def test_alpha_overrides_after_blank_line(self, tmp_path, two_user_file):
+        # The header is the first non-blank line, not physical line 1.
+        overrides = tmp_path / "trust.csv"
+        overrides.write_text("\nuser_id,alpha\nu1,0\nu2,0\n", encoding="utf-8")
+        out = tmp_path / "trusted"
+        code = run(
+            "solve", "--ratings", two_user_file, "--alpha", "0.5",
+            "--alpha-overrides", overrides, "--out", out,
+        )
+        assert code == 0
+        assert "m1,0.500000000" in (out / "ratings.csv").read_text()
+
     def test_alpha_override_file_leaves_others_at_alpha(
         self, tmp_path, two_user_file
     ):

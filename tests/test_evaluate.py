@@ -160,7 +160,7 @@ def _heterogeneous_degree_graph(seed: int) -> RatingGraph:
 class TestHistogram:
     def test_empty_vector(self):
         counts = histogram([], 0.25, (-1.0, 1.0))
-        assert counts.shape == (8,)
+        assert counts.shape == (8,) and counts.dtype == np.int64
         assert counts.sum() == 0
 
     def test_all_values_at_low_edge(self):

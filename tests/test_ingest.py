@@ -160,6 +160,16 @@ class TestGroundTruth:
         truth = ingest_ground_truth(path)
         assert len(truth) == 1 and truth["m1"] == 0.4
 
+    def test_header_after_blank_lines(self, tmp_path):
+        # The header is the first non-blank line, as in a rating file.
+        path = write(tmp_path / "t.csv", "\n  \nitem_id,true_rating\nm1,0.4\n")
+        assert ingest_ground_truth(path) == {"m1": 0.4}
+
+    def test_bad_value_on_second_non_blank_line(self, tmp_path):
+        path = write(tmp_path / "t.csv", "\nitem_id,true_rating\nm1,oops\n")
+        with pytest.raises(IngestError, match=r"t\.csv:3: bad value 'oops'"):
+            ingest_ground_truth(path)
+
     def test_empty_file(self, tmp_path):
         assert len(ingest_ground_truth(write(tmp_path / "t.csv", ""))) == 0
 

@@ -203,6 +203,8 @@ class TestMatchesReference:
             ("item_id,true_rating\nm1,0.4\n", {"m1": 0.4}),
             ("item_id,true_rating\n", {}),
             ("m1,0.4\nm2,0.5\n", {"m1": 0.4, "m2": 0.5}),
+            # The header is the first non-blank line.
+            ("\nitem_id,true_rating\nm1,0.4\n", {"m1": 0.4}),
         ],
     )
     def test_truth_first_line_header(self, tmp_path, text, expected):
@@ -215,8 +217,8 @@ class TestMatchesReference:
     @pytest.mark.parametrize(
         "text, message",
         [
-            # Only physical line 1 may be a header.
-            ("\nitem_id,true_rating\nm1,0.4\n", r"t\.csv:2: bad value 'true_rating'"),
+            # Only the first non-blank line may be a header.
+            ("\nitem_id,true_rating\nm1,oops\n", r"t\.csv:3: bad value 'oops'"),
             # A header still needs two fields.
             ("item_id\nm1,0.4\n", r"t\.csv:1: expected at least 2 fields, got 1"),
         ],

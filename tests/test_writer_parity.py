@@ -17,7 +17,8 @@ import reference_ingest as reference
 from truerating import RatingGraph, write_ratings_csv, write_scores_csv
 from truerating import ingest
 
-# p = v * 1e9 at or above 2**52 leaves the numpy path.
+# Past 2**52 / 1e9 a float64 product v * 1e9 no longer holds every
+# integer.
 LIMIT = 2**52 / 1e9
 SPECIAL = [
     0.0, -0.0, 1e-10, -1e-10, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 0.5, 1.0,
@@ -25,14 +26,15 @@ SPECIAL = [
     math.nextafter(LIMIT, 0.0), math.nextafter(LIMIT, math.inf), 1e7,
     -2.5e8, 1e300, 5e-324,
 ]
-# k / 2**m with m >= 10 and k odd puts v * 1e9 exactly on a half-integer:
-# ties that round to even.
+# k / 2**10 with k odd puts v * 1e9 exactly on a half-integer, a tie that
+# rounds to even; other m give other dyadic values.
 dyadic = st.builds(lambda k, m: k / 2**m,
                    st.integers(-2**24, 2**24), st.integers(0, 40))
 values = st.one_of(
     st.sampled_from(SPECIAL),
     dyadic,
     st.floats(-1.0, 1.0),
+    st.floats(-10.0, 10.0),
     st.floats(-2 * LIMIT, 2 * LIMIT),
     st.floats(),
 )
@@ -110,6 +112,50 @@ class TestMatchesReference:
         with pytest.raises(ValueError, match="for 2 ids"):
             write_scores_csv(path, ("id", "v"), ["a", "b"], [0.5])
         assert not path.exists()
+
+
+# numpy lays out a block with one whole digit only while every |v| rounds
+# below 9 at the ninth decimal; from 9.9999999995 on, |v| rounds to 10.
+WHOLE_DIGIT_EDGES = [
+    *(8.9999999995 + k * 1e-10 for k in range(11)),
+    math.nextafter(8.9999999995, 0.0), math.nextafter(9.0000000005, 10.0),
+    math.nextafter(9.0, 0.0), 9.9999999995,
+    math.nextafter(9.9999999995, 0.0), math.nextafter(9.9999999995, 10.0),
+    9.9999999996, 10.0,
+]
+BOUNDARIES = {
+    "whole-digit-edges": [*WHOLE_DIGIT_EDGES, *(-v for v in WHOLE_DIGIT_EDGES)],
+    # Odd k / 2**10 puts v * 1e9 on a half-integer: ties across (-9, 9).
+    "dyadic-ties": [k / 2**10 for k in range(1 - 9 * 2**10, 9 * 2**10, 142)],
+    "zeros": [0.0, -0.0, 5e-10, -5e-10, 0.0, -0.0],
+}
+
+
+def assert_scores_match(folder, scores, block):
+    keys = [str(k) for k in range(len(scores))]
+    scores = np.array(scores, np.float64)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        write_scores_csv(folder / "new.csv", ("id", "v"), keys, scores)
+    reference.write_scores_csv(folder / "ref.csv", ("id", "v"), keys, scores)
+    assert (folder / "new.csv").read_bytes() == (
+        folder / "ref.csv").read_bytes()
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @pytest.mark.parametrize("name", sorted(BOUNDARIES))
+    def test_boundary_values(self, tmp_path, name, block):
+        assert_scores_match(tmp_path, BOUNDARIES[name], block)
+
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @pytest.mark.parametrize("odd", [
+        math.nan, 1e300, -1e300, 9.0, -10.0, math.nextafter(9.0, 0.0),
+        -math.nextafter(9.0, 0.0), 8.9999999995,
+    ])
+    def test_one_odd_value_among_small_ones(self, tmp_path, odd, block):
+        scores = np.random.default_rng(0).uniform(-1.0, 1.0, 20)
+        scores[7] = odd
+        assert_scores_match(tmp_path, scores.tolist(), block)
 
 
 class TestMemory:
