@@ -11,20 +11,19 @@ Two on-disk layouts are supported:
 `ingest_ratings` sniffs the canonical header so its own output round-trips
 without extra flags.
 
-Rating files have two parsers, and both give the same graph for any
-file. The byte path reads the file once as bytes. If every byte is
-printable ASCII other than the space, a line break or a one-byte
-delimiter, as in MovieLens logs and this package's own CSV, nothing needs
-stripping or decoding: line breaks and delimiters are found by numpy
-scans, each field is gathered into a fixed-width ``S`` column, ids are
-numbered with `np.unique`, values are converted with a single
-``astype(np.float64)``, and every check (field count, empty ids, finite
-and in-scale values, weights in [0, 1], duplicates) is a reduction over
-whole columns. The byte path keeps no line numbers. Any other file
-(padding whitespace, non-ASCII ids, control bytes), and any file that
-fails a check there, is read by the line parser: once, as text, line by
-line. It either returns the graph or raises an `IngestError` carrying
-the file path and the 1-based line number of the first bad record.
+A rating file has one reader, for any UTF-8 file. It reads the file
+once as bytes: line breaks, delimiters and runs of ASCII whitespace are
+found by numpy scans, each field is trimmed and gathered into a
+fixed-width ``S`` column, ids are numbered with `np.unique`, values are
+converted with a single ``astype(np.float64)``, and every check (field
+count, empty ids, finite and in-scale values, weights in [0, 1],
+duplicates) is a reduction over whole columns. Only a file that is not
+plain ASCII needs text: its distinct ids are decoded and stripped by
+`str.strip`, ids equal after that are merged, and a value column numpy
+refuses is read by `float`, once per distinct field. Rows are mapped to
+lines only when a check fails: the `IngestError` carries the file path
+and the 1-based line number of the first bad record, or of the first
+byte that is not UTF-8.
 
 `ingest_ground_truth` reads the ``id,value`` tables (ground truth,
 per-user alpha overrides and seed biases) line by line only: they hold
@@ -43,11 +42,11 @@ every byte matches ``f"{v:.9f}"``.
 from __future__ import annotations
 
 import codecs
+import io
 import math
-from array import array
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -104,141 +103,107 @@ MOVIELENS_FORMAT = DelimitedFormat("::")
 _CANONICAL_FORMAT = DelimitedFormat(",")
 
 
-def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\r\n")
-            if line.strip():
-                yield lineno, line
-
-
-class _Refused(Exception):
-    """The byte path cannot give the file's result; the line parser reads
-    the file."""
-
-
-def _require(ok) -> None:
-    if not ok:
-        raise _Refused
-
-
-# The printable ASCII bytes other than the space, 0x21 to 0x7E.
-_PRINTABLE_LO, _PRINTABLE_COUNT = 0x21, 0x7E - 0x21 + 1
-
-
-def _byte_columns(
-    data: bytes, fmt: DelimitedFormat
-) -> tuple[list[np.ndarray], bool]:
-    """The first three `fmt` fields of each non-blank line of a file of
-    printable ASCII, as fixed-width `S` columns, and whether the file is
-    canonical CSV; raises `_Refused` if the gate refuses the file. A first
-    non-blank line that is the canonical header is dropped, and the lines
-    are then split on ``,``.
-
-    The gate admits a file whose bytes, after the BOM and ``\\r`` breaks
-    are gone, are all printable ASCII other than the space, line breaks,
-    or a one-byte delimiter. Such a file has no Unicode and, but for that
-    delimiter, no whitespace, so no field needs stripping and every cut is
-    a numpy scan. A whitespace delimiter such as a tab is handled where
-    `str.strip` would see it: a line of nothing else is blank. The gate
-    also refuses overlapping delimiter matches (``:::`` for ``::``), a
-    canonical file holding the admitted delimiter byte, and a column whose
-    widest field would make it larger than twice the file (or than 1 MiB,
-    for a smaller file).
-    """
-    sep = fmt.delimiter
-    _require(sep.isascii() and "\n" not in sep and "\r" not in sep)
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8):]
+def _text(path: str | Path) -> bytes:
+    """The bytes of the file at `path` without a BOM, every ``\\r\\n`` or
+    ``\\r`` turned into ``\\n``; raises `IngestError` at the line of the
+    first byte that is not UTF-8. The check decodes about 1 MiB at a time,
+    cut after a line break, so that the text it makes stays small."""
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    text = np.frombuffer(data, dtype=np.uint8)
-    # The gate counts the admitted bytes; uint8 subtraction wraps, so one
-    # comparison finds the printable ones.
-    breaks = np.flatnonzero(text == ord("\n"))
-    admitted = breaks.size + np.count_nonzero(
-        text - np.uint8(_PRINTABLE_LO) < _PRINTABLE_COUNT
-    )
-    extra = None
-    if len(sep) == 1 and not 0 <= ord(sep) - _PRINTABLE_LO < _PRINTABLE_COUNT:
-        extra = np.flatnonzero(text == ord(sep))
-        admitted += extra.size
-    _require(admitted == text.size)
+    start = len(data) if data.isascii() else 0
+    while start < len(data):
+        stop = data.find(b"\n", start + (1 << 20)) + 1 or len(data)
+        try:
+            data[start:stop].decode()
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, start + exc.start) + 1
+            raise IngestError(path, line, f"not UTF-8: {exc.reason}") from None
+        start = stop
+    return data
 
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, text.size)
-    del breaks
-    kept = ends > starts
-    if extra is not None and sep.isspace():
-        spaces = np.searchsorted(extra, ends) - np.searchsorted(extra, starts)
-        kept &= spaces < ends - starts
-        del spaces
-    starts, ends = starts[kept], ends[kept]
-    del kept
-    canonical = starts.size > 0 and tuple(
-        _CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode("ascii"))
-    ) == CANONICAL_HEADER
-    if canonical:
-        _require(extra is None or not extra.size)
-        sep = _CANONICAL_FORMAT.delimiter
-        starts, ends = starts[1:], ends[1:]
 
-    # Every match of the delimiter; matches that overlap would need
-    # `str.partition`'s leftmost rule, so such files are refused.
-    sep = sep.encode("ascii")
+def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
+    """The 1-based number and text of each non-blank line, decoded singly."""
+    for lineno, line in enumerate(io.BytesIO(_text(path)), start=1):
+        line = line.decode().rstrip("\n")
+        if line.strip():
+            yield lineno, line
+
+
+# The ASCII bytes that `str.strip` removes, but for the line break.
+_SPACE = np.array([b < 0x80 and b != 0x0A and chr(b).isspace() for b in range(256)])
+
+
+def _trim(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
+    """Move each span [start, stop) of `text` past the ASCII whitespace at
+    its ends, in place, by a byte a pass on the spans that still have some."""
+    for end, inside, step in ((starts, 0, 1), (stops, -1, -1)):
+        at = np.arange(starts.size)
+        while at.size:
+            at = at[starts[at] < stops[at]]
+            at = at[_SPACE[text[end[at] + inside]]]
+            end[at] += step
+
+
+def _matches(text: np.ndarray, sep: bytes) -> np.ndarray:
+    """Where `str.split` cuts `text` on `sep`: the leftmost matches that do
+    not overlap, then the end of `text`, which bounds the last field of a
+    line with no match after it. A match holding a line break would join
+    two lines, so a `sep` with one never matches."""
+    if b"\n" in sep:
+        return np.array([text.size])
     span = max(text.size - len(sep) + 1, 0)
     hit = text[:span] == sep[0]
     for j in range(1, len(sep)):
         hit &= text[j:j + span] == sep[j]
     cuts = np.flatnonzero(hit)
     del hit
-    _require(len(sep) == 1 or (np.diff(cuts) >= len(sep)).all())
-    # Line i's first delimiter is cuts[first[i]]; a cut at the end of the
-    # text bounds the last field of a line with no delimiter after it.
-    first = np.searchsorted(cuts, starts)
-    _require((np.searchsorted(cuts, ends) - first >= 2).all())
-    cuts = np.append(cuts, text.size)
-
-    # A field is no longer than its line, so padding the text by the
-    # longest line lets every field's window stay inside it.
-    padded = np.zeros(text.size + int((ends - starts).max(initial=0)) + 1, np.uint8)
-    padded[:text.size] = text
-    limit = max(2 * text.size, 1 << 20)
-    del text, data
-    columns = []
-    for k in range(3):
-        stop = cuts[first + k]
-        if k == 2:
-            stop = np.minimum(stop, ends)
-        columns.append(_gather(padded, starts, stop - starts, limit))
-        starts = stop + len(sep)
-    return columns, canonical
+    if (np.diff(cuts) < len(sep)).any():
+        # Only a `sep` that begins as it ends (``::`` in ``:::``) gets here.
+        kept, after = [], 0
+        for cut in cuts.tolist():
+            if cut >= after:
+                kept.append(cut)
+                after = cut + len(sep)
+        cuts = np.array(kept, np.int64)
+    return np.append(cuts, text.size)
 
 
 def _gather(
-    padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, limit: int
+    padded: np.ndarray, starts: np.ndarray, stops: np.ndarray, limit: int
 ) -> np.ndarray:
-    """The fields at `starts` with `lengths` as one fixed-width `S` column;
-    raises `_Refused` if that column would take more than `limit` bytes."""
+    """The fields at [starts, stops) of `padded` as one fixed-width `S`
+    column, or as `bytes` objects if that column would take more than
+    `limit` bytes."""
+    lengths = stops - starts
     width = max(int(lengths.max(initial=0)), 1)
-    _require(width * lengths.size <= limit)
+    if width * lengths.size > limit:
+        blob = padded.tobytes()
+        fields = [blob[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+        return np.array(fields, object)
     cells = sliding_window_view(padded, width)[starts]
     cells[np.arange(width) >= lengths[:, None]] = 0
     return cells.view(f"S{width}").ravel()
 
 
+def _decoded(field: bytes) -> str:
+    """A gathered field's text as `str.strip` leaves it."""
+    return field.replace(b"\xff", b"\x00").decode().strip()
+
+
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Distinct ids of an `S` column in first-appearance order, and each
-    row's dense index. Ids of up to 8 bytes are sorted as one zero-padded
-    `uint64` each, longer ones as bytes, and only the distinct ids are
-    decoded."""
-    width = column.dtype.itemsize
+    """Distinct ids of a column of fields in first-appearance order, and
+    each row's dense index. Ids of up to 8 bytes are sorted as one
+    zero-padded `uint64` each, longer ones as bytes. Only the distinct ids
+    are decoded; those not in ASCII are stripped, and merged if equal."""
     keys = column
-    if width <= 8:
+    width = column.dtype.itemsize
+    if column.dtype.kind == "S" and width <= 8:
         cells = np.zeros((column.size, 8), np.uint8)
         cells[:, :width] = column.view(np.uint8).reshape(-1, width)
         keys = cells.view(np.uint64).ravel()
-        del cells
     # `return_index` would force a stable sort, several times slower.
     distinct, inverse = np.unique(keys, return_inverse=True)
     first = np.full(distinct.size, keys.size)
@@ -248,36 +213,98 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return column[first[order]].astype(str).tolist(), rank[inverse]
+    ids = column[first[order]]
+    if ids.dtype.kind == "S":
+        with suppress(UnicodeDecodeError):
+            return ids.astype(str).tolist(), rank[inverse]
+    index: dict[str, int] = {}
+    merged = [index.setdefault(_decoded(i), len(index)) for i in ids.tolist()]
+    return list(index), np.array(merged, np.int64)[rank[inverse]]
 
 
-def _byte_ratings(
-    path: str | Path,
-    fmt: DelimitedFormat,
-    scale: RatingScale | None,
-    keep_first: bool,
-) -> RatingGraph:
-    """`ingest_ratings` on the byte path; raises `_Refused` or `ValueError`
-    where the line parser must read the file instead."""
-    with open(path, "rb") as handle:
-        (user, item, raw), canonical = _byte_columns(handle.read(), fmt)
-    _require((user != b"").all() and (item != b"").all())
-    weight = raw.astype(np.float64)
-    # Before `keep_first` drops rows: a dropped row must be valid too. NaN
-    # and the infinities fail every one of these comparisons.
-    if scale is not None and not canonical:
-        _require(((weight >= scale.min_raw) & (weight <= scale.max_raw)).all())
-        # The float operations of `RatingScale.normalize`, so the bits match.
-        weight = (weight - scale.min_raw) / scale.span
-    _require(((weight >= 0.0) & (weight <= 1.0)).all())
-    user_ids, u = _dense_ids(user)
-    item_ids, v = _dense_ids(item)
-    if keep_first:
-        first = _first_rows(u, v, len(item_ids))
-        u, v, weight = u[first], v[first], weight[first]
-    # Under strict, the constructor's sorted-neighbour check is the one
-    # duplicate check; its error sends the file to the line parser.
-    return RatingGraph(user_ids, item_ids, u, v, weight)
+def _values(column: np.ndarray) -> np.ndarray:
+    """Each field of `column` as `float` reads its stripped text, or NaN
+    where `float` refuses it. numpy reads ASCII as `float` does; a column
+    it refuses goes to `float` once per distinct field."""
+    with suppress(ValueError):
+        return column.astype(np.float64)
+    distinct, inverse = np.unique(column, return_inverse=True)
+    values = np.full(distinct.size, np.nan)
+    for k, field in enumerate(distinct.tolist()):
+        with suppress(ValueError):
+            values[k] = float(_decoded(field))
+    return values[inverse]
+
+
+def _columns(
+    path: str | Path, fmt: DelimitedFormat
+) -> tuple[list[np.ndarray], np.ndarray, int | None, bool]:
+    """The first three fields of each record of `path`, trimmed of ASCII
+    whitespace, as columns; which lines are records; the field count of
+    the first line with fewer than three, where the columns stop (None if
+    none); and whether a canonical CSV header opens the file, which makes
+    the lines after it records split on ``,``."""
+    data = _text(path)
+    text = np.frombuffer(data, np.uint8)
+    # One scan finds the line breaks, the ASCII whitespace and the NULs.
+    low = np.flatnonzero(text <= 0x20)
+    kind = text[low]
+    breaks, nuls, spaced = low[kind == 0x0A], low[kind == 0], _SPACE[kind].any()
+    del low, kind
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, text.size)
+    del breaks
+    # A line is blank if trimming leaves nothing, or if what it leaves
+    # begins and ends outside ASCII and its text strips to nothing.
+    solid = starts.copy(), ends.copy()
+    if spaced:
+        _trim(text, *solid)
+    kept = solid[1] > solid[0]
+    if not data.isascii():
+        maybe = kept & (text.take(solid[0], mode="clip") >= 0x80)
+        maybe &= text.take(solid[1] - 1, mode="clip") >= 0x80
+        for i in np.flatnonzero(maybe).tolist():
+            kept[i] = bool(data[solid[0][i]:solid[1][i]].decode().strip())
+    del solid
+    starts, ends = starts[kept], ends[kept]
+    canonical = starts.size > 0 and tuple(
+        _CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode())
+    ) == CANONICAL_HEADER
+    sep = (_CANONICAL_FORMAT if canonical else fmt).delimiter.encode()
+    if canonical:
+        kept[np.argmax(kept)] = False
+        starts, ends = starts[1:], ends[1:]
+
+    cuts = _matches(text, sep)
+    # Line i's first delimiter is cuts[first[i]]. Rows stop at the first
+    # line with fewer than three fields.
+    first = np.searchsorted(cuts, starts)
+    count = np.searchsorted(cuts, ends) - first
+    short = np.flatnonzero(count < 2)
+    fields = None
+    if short.size:
+        fields = int(count[short[0]]) + 1
+        starts, ends, first = (a[:short[0]] for a in (starts, ends, first))
+    del count, short
+
+    # A field is no longer than its line, so padding the text by the
+    # longest line lets every field's window stay inside it. `S` columns
+    # drop trailing NULs; UTF-8 never holds 0xFF, so it stands in for them.
+    padded = np.zeros(text.size + int((ends - starts).max(initial=0)) + 1, np.uint8)
+    padded[:text.size] = text
+    padded[nuls] = 0xFF
+    limit = max(2 * text.size, 1 << 20)
+    del text, data, nuls
+    columns = []
+    for k in range(3):
+        stop = cuts[first + k]
+        if k == 2:
+            stop = np.minimum(stop, ends)
+        if spaced:
+            _trim(padded, starts, stop)
+        columns.append(_gather(padded, starts, stop, limit))
+        starts = cuts[first + k] + len(sep)
+    return columns, kept, fields, canonical
 
 
 def _first_rows(u: np.ndarray, v: np.ndarray, n_items: int) -> np.ndarray:
@@ -287,9 +314,14 @@ def _first_rows(u: np.ndarray, v: np.ndarray, n_items: int) -> np.ndarray:
     return first
 
 
-def _range_error(value: float, raw: str, scale: RatingScale | None) -> str:
-    """Why `_line_ratings` refuses `value`, read from the field `raw`: it
-    is not finite, outside `scale`, or, with no scale, outside [0, 1]."""
+def _value_error(raw: str, scale: RatingScale | None) -> str:
+    """Why `ingest_ratings` refuses the value field `raw`: `float` refuses
+    it, or its value is not finite, outside `scale`, or, with no scale,
+    outside [0, 1]."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"bad rating value {raw!r}"
     if not math.isfinite(value):
         return f"non-finite rating value {raw!r}"
     if scale is None:
@@ -301,83 +333,6 @@ def _range_error(value: float, raw: str, scale: RatingScale | None) -> str:
     raise ValueError(f"{value!r} lies inside {scale}")
 
 
-def _line_ratings(
-    path: str | Path,
-    fmt: DelimitedFormat,
-    scale: RatingScale | None,
-    keep_first: bool,
-) -> RatingGraph:
-    """`ingest_ratings` line by line, for any file: the graph, or an
-    `IngestError` at the first bad line.
-
-    Each record goes into `array` columns, not an object per line: its
-    dense user and item index, its raw value and its line number.
-    Repeated pairs are found over those columns afterwards, and also
-    before a bad line's error is raised, so the first bad line wins.
-    """
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    us, vs, linenos = array("q"), array("q"), array("q")
-    values = array("d")
-    sep = fmt.delimiter
-    lines = _lines(path)
-    head = next(lines, None)
-    if head is not None:
-        if tuple(_CANONICAL_FORMAT.split(head[1])) == CANONICAL_HEADER:
-            sep, scale = _CANONICAL_FORMAT.delimiter, None
-        else:
-            lines = chain([head], lines)
-    lo, hi = (0.0, 1.0) if scale is None else (scale.min_raw, scale.max_raw)
-    error = None
-    try:
-        for lineno, line in lines:
-            fields = line.split(sep, 3)
-            if len(fields) < 3:
-                raise IngestError(
-                    path, lineno, f"expected at least 3 fields, got {len(fields)}"
-                )
-            user_id = fields[0].strip()
-            item_id = fields[1].strip()
-            if not user_id or not item_id:
-                raise IngestError(path, lineno, "empty user or item id")
-            raw = fields[2].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                raise IngestError(path, lineno, f"bad rating value {raw!r}") from None
-            if not lo <= value <= hi:
-                raise IngestError(path, lineno, _range_error(value, raw, scale))
-            us.append(user_index.setdefault(user_id, len(user_index)))
-            vs.append(item_index.setdefault(item_id, len(item_index)))
-            values.append(value)
-            linenos.append(lineno)
-    except IngestError as exc:
-        error = exc
-
-    user_ids, item_ids = list(user_index), list(item_index)
-    u, v = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
-    first = _first_rows(u, v, len(item_ids))
-    if not keep_first and first.size < u.size:
-        repeated = np.ones(u.size, bool)
-        repeated[first] = False
-        later = int(np.argmax(repeated))
-        earlier = int(np.argmax((u == u[later]) & (v == v[later])))
-        raise IngestError(
-            path,
-            linenos[later],
-            f"duplicate rating for user {user_ids[u[later]]!r} and item "
-            f"{item_ids[v[later]]!r} (first seen at line {linenos[earlier]})",
-        )
-    if error is not None:
-        raise error
-    # The float operations of `RatingScale.normalize`; with no scale they
-    # leave every value as it is.
-    weight = (np.frombuffer(values) - lo) / (hi - lo)
-    if keep_first:
-        u, v, weight = u[first], v[first], weight[first]
-    return RatingGraph(user_ids, item_ids, u, v, weight)
-
-
 def ingest_ratings(
     path: str | Path,
     *,
@@ -385,21 +340,65 @@ def ingest_ratings(
     scale: RatingScale | None = None,
     duplicate_policy: str = "strict",
 ) -> RatingGraph:
-    """Parse a rating file into a `RatingGraph`.
+    """Parse a rating file into a `RatingGraph`, or raise an `IngestError`
+    at its first bad line.
 
-    If the first line is the canonical ``user_id,item_id,weight`` header the
-    file is read as canonical CSV (weights already in [0, 1], `fmt` and
-    `scale` ignored). Otherwise each line must carry at least three `fmt`
-    fields, and `scale` (when given) maps raw ratings onto [0, 1].
+    If the first non-blank line is the canonical ``user_id,item_id,weight``
+    header the file is read as canonical CSV (weights already in [0, 1],
+    `fmt` and `scale` ignored). Otherwise each line must carry at least
+    three `fmt` fields, and `scale` (when given) maps raw ratings onto
+    [0, 1].
     """
     if duplicate_policy not in ("strict", "keep_first"):
         raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
-    keep_first = duplicate_policy == "keep_first"
-    try:
-        return _byte_ratings(path, fmt, scale, keep_first)
-    except (_Refused, ValueError):
-        pass
-    return _line_ratings(path, fmt, scale, keep_first)
+    (user, item, raw), kept, fields, canonical = _columns(path, fmt)
+    scale = None if canonical else scale
+    user_ids, u = _dense_ids(user)
+    item_ids, v = _dense_ids(item)
+    del user, item
+    weight = _values(raw)
+    lo, hi = (0.0, 1.0) if scale is None else (scale.min_raw, scale.max_raw)
+    # Before `keep_first` drops rows: a dropped row must be valid too. NaN,
+    # and so a field `float` refuses, fails both comparisons.
+    bad = ~((weight >= lo) & (weight <= hi))
+    for ids, index in ((user_ids, u), (item_ids, v)):
+        if "" in ids:
+            bad |= index == ids.index("")
+    fail = int(np.argmax(bad)) if bad.any() else u.size
+    if fail == u.size and fields is None:
+        # The float operations of `RatingScale.normalize`, so the bits
+        # match; with no scale they leave every value as it is.
+        weight = (weight - lo) / (hi - lo)
+        if duplicate_policy == "keep_first":
+            first = _first_rows(u, v, len(item_ids))
+            u, v, weight = u[first], v[first], weight[first]
+        try:
+            return RatingGraph(user_ids, item_ids, u, v, weight)
+        except ValueError:
+            # Under strict, the constructor's sorted-neighbour check is the
+            # one duplicate check of a file of valid records.
+            pass
+
+    # Rows map to lines only here: the first bad record, or a repeat before it.
+    lines = (np.flatnonzero(kept) + 1).tolist()
+    first = _first_rows(u[:fail], v[:fail], len(item_ids))
+    if duplicate_policy == "strict" and first.size < fail:
+        # `first` holds rows 0, 1, ... up to the first repeat.
+        later = int(np.argmax(np.append(first, fail) != np.arange(first.size + 1)))
+        earlier = int(np.argmax((u == u[later]) & (v == v[later])))
+        raise IngestError(
+            path,
+            lines[later],
+            f"duplicate rating for user {user_ids[u[later]]!r} and item "
+            f"{item_ids[v[later]]!r} (first seen at line {lines[earlier]})",
+        )
+    if fail == u.size:
+        message = f"expected at least 3 fields, got {fields}"
+    elif not user_ids[u[fail]] or not item_ids[v[fail]]:
+        message = "empty user or item id"
+    else:
+        message = _value_error(_decoded(raw[fail]), scale)
+    raise IngestError(path, lines[fail], message)
 
 
 def ingest_ground_truth(

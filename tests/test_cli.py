@@ -204,6 +204,22 @@ class TestRunWrapper:
         assert not (out / "manifest.json").exists()
         assert "bad.dat:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_input", ["ratings", "truth"])
+    def test_invalid_utf8_names_file_and_line(
+        self, tmp_path, two_user_file, bad_input, capsys
+    ):
+        bad = tmp_path / "bad-utf8.dat"
+        if bad_input == "ratings":
+            bad.write_bytes(b"u1::m1::5\nu2::m\xff1::3\n")
+            argv = ["solve", "--ratings", bad]
+        else:
+            bad.write_bytes(b"item_id,score\nm\xff1,0.5\n")
+            argv = ["eval", "--ratings", two_user_file, "--truth", bad]
+        out = tmp_path / "run"
+        assert run(*argv, "--out", out) == 1
+        assert not (out / "manifest.json").exists()
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, blocked",
         [("solve", "ratings.csv"), ("eval", "bins_mean.csv"),

@@ -86,6 +86,15 @@ class TestIngestRatings:
         with pytest.raises(IngestError, match=r"outside \[0, 1\]"):
             ingest_ratings(path)  # no scale given, 3 is not a weight
 
+    @pytest.mark.parametrize("before", [1, 150_000])
+    def test_invalid_utf8_names_line(self, tmp_path, before):
+        # 150,000 lines put the bad byte past the first MiB that the check
+        # decodes.
+        path = tmp_path / "r.dat"
+        path.write_bytes(b"u1::m1::5\r\n" * before + b"u2::m\xff1::3\r\n")
+        with pytest.raises(IngestError, match=rf"r\.dat:{before + 1}: not UTF-8"):
+            ingest_ratings(path, scale=RatingScale(1, 5))
+
     def test_custom_delimiter(self, tmp_path):
         path = write(tmp_path / "r.tsv", "u1\tm1\t4\n")
         g = ingest_ratings(path, fmt=DelimitedFormat("\t"), scale=RatingScale(1, 5))
@@ -172,6 +181,13 @@ class TestGroundTruth:
 
     def test_empty_file(self, tmp_path):
         assert len(ingest_ground_truth(write(tmp_path / "t.csv", ""))) == 0
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        # A lead byte followed by "," is cut short.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"item_id,true_rating\nm1,0.4\nm\xc3,0.5\n")
+        with pytest.raises(IngestError, match=r"t\.csv:3: not UTF-8: invalid cont"):
+            ingest_ground_truth(path)
 
     def test_duplicate_id(self, tmp_path):
         path = write(tmp_path / "t.csv", "m1,0.4\nm1,0.5\n")

@@ -6,7 +6,6 @@ the same `IngestError` (path, line and message).
 """
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
 )
-from truerating import ingest
 from truerating.ingest import _lines
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
@@ -31,6 +29,12 @@ NEAR_MISSES = ["\x00"]
 # also split on but a rating file must not.
 BREAKS = ["\n", "\r\n", "\r"]
 NOT_BREAKS = ["\x0b", "\x0c", "\x1c", "\u2028"]
+# Bytes that are not UTF-8, as the surrogates that `write` turns back into
+# them: 0xFF, a lone lead byte, and the first two bytes of "→".
+INVALID = ["\udcff", "\udcc3", "\udce2\udc86"]
+# A field far wider than the rest: enough rows of it make its column larger
+# than twice the file.
+WIDE = 1 << 19
 # Values `float` accepts in unusual spellings, and values it rejects.
 ODD_VALUES = ["-0", "1_000", "٣", "２", "1e400", "infinity", "-NaN", "nan",
               "inf", "6", "-1", "99", "1.0000000001", "4.000000001"]
@@ -96,18 +100,27 @@ def records(draw, sep, nfields, lo, hi, near=()):
 
 
 @st.composite
-def files(draw, sep, nfields, lo, hi, header):
+def files(draw, sep, nfields, lo, hi, header, near=NEAR_MISSES, wide=False):
     """Records joined by mixed breaks, maybe a BOM; `header` goes first,
     after optional blank lines, unless it is None. Half the files may hold
-    near misses."""
-    near = draw(st.sampled_from([(), NEAR_MISSES]))
+    near misses from `near`; some get a record with one `WIDE` field, if
+    `wide`, or a byte that is not UTF-8."""
+    near = draw(st.sampled_from([(), tuple(near)]))
     lines = draw(st.lists(records(sep, nfields, lo, hi, near), max_size=12))
+    if wide and draw(st.integers(0, 9)) == 0:
+        fields = ["u1", "m1", "3"]
+        k = draw(st.integers(0, 2))
+        fields[k] = "0" * WIDE + "3" if k == 2 else "w" * WIDE
+        lines.insert(draw(st.integers(0, len(lines))), sep.join(fields))
     if header is not None:
         blanks = draw(st.lists(padding, max_size=2))
         lines = [*blanks, draw(padded(header)), *lines]
     text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(INVALID)) + text[at:]
     if draw(st.booleans()):
         text = "\ufeff" + text
     return text
@@ -116,13 +129,21 @@ def files(draw, sep, nfields, lo, hi, header):
 # (file text, ingest_ratings keywords): raw logs on several scales and
 # delimiters, and canonical CSV, whose header makes `fmt` and `scale` moot.
 rating_files = st.one_of(
-    st.tuples(files("::", 3, 1.0, 5.0, None),
+    # ":" next to a "::" makes ":::" runs, whose matches overlap.
+    st.tuples(files("::", 3, 1.0, 5.0, None, [*NEAR_MISSES, ":"], wide=True),
               st.just(dict(scale=RatingScale(1, 5)))),
-    st.tuples(files("::", 3, 0.0, 1.0, None), st.just({})),
-    st.tuples(files(",", 3, 0.0, 1.0, None),
+    st.tuples(files("::", 3, 0.0, 1.0, None, wide=True), st.just({})),
+    st.tuples(files(",", 3, 0.0, 1.0, None, wide=True),
               st.just(dict(fmt=DelimitedFormat(","), scale=RatingScale(0.0, 1.0)))),
-    st.tuples(files(",", 3, 0.0, 1.0, "user_id , item_id,weight"),
+    st.tuples(files(",", 3, 0.0, 1.0, "user_id , item_id,weight", wide=True),
               st.sampled_from([{}, dict(scale=RatingScale(1, 5))])),
+    # A delimiter outside ASCII, one that `str.strip` removes, and a NUL.
+    st.tuples(files("\u2192", 3, 1.0, 5.0, None, wide=True),
+              st.just(dict(fmt=DelimitedFormat("\u2192"), scale=RatingScale(1, 5)))),
+    st.tuples(files("\u3000", 3, 0.0, 1.0, None, wide=True),
+              st.just(dict(fmt=DelimitedFormat("\u3000")))),
+    st.tuples(files("\x00", 3, 1.0, 5.0, None, wide=True),
+              st.just(dict(fmt=DelimitedFormat("\x00"), scale=RatingScale(1, 5)))),
 )
 # (file text, ingest_ground_truth keywords); a header may open the file.
 truth_files = st.one_of(
@@ -153,7 +174,8 @@ def outcome(parse, path, **kwargs):
 
 
 def write(path, text):
-    path.write_bytes(text.encode("utf-8"))
+    """Write `text` as UTF-8, each surrogate from `INVALID` as its byte."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -271,9 +293,10 @@ class TestMatchesReference:
         assert ingest_ratings(path, scale=RatingScale(1, 5)).num_edges == 2
 
 
-# Files every byte of which `_byte_columns` admits: printable ASCII without
-# spaces, a one-byte delimiter, line breaks and a BOM. Ids come on both
-# sides of the 8 bytes that `_dense_byte_ids` packs into one word.
+# Files of printable ASCII without spaces, a one-byte delimiter, line
+# breaks and a BOM, as MovieLens logs and this package's CSV are: numpy
+# alone reads their ids and values. Ids come on both sides of the 8 bytes
+# that `_dense_ids` packs into one word.
 ASCII_ODD = [value for value in ODD_VALUES if value.isascii()]
 ASCII_BAD = [value for value in BAD_VALUES if value.isascii()]
 ASCII_USERS = ["u1", "u2", "12345678", "user-000000012"]
@@ -299,7 +322,7 @@ def ascii_values(draw, lo, hi):
 
 @st.composite
 def ascii_records(draw, sep, nfields, lo, hi):
-    """One gate-passing line: usually a full record, sometimes short,
+    """One plain ASCII line: usually a full record, sometimes short,
     blank or with an empty id. Under a whitespace delimiter a line of
     delimiters alone is blank too."""
     kind = draw(st.sampled_from(["full"] * 12 + ["short", "blank", "empty"]))
@@ -318,7 +341,7 @@ def ascii_records(draw, sep, nfields, lo, hi):
 
 @st.composite
 def ascii_files(draw, sep, nfields, lo, hi, header):
-    """`files` of gate-passing lines."""
+    """`files` of plain ASCII lines."""
     lines = draw(st.lists(ascii_records(sep, nfields, lo, hi), max_size=12))
     if header is not None:
         lines = [*draw(st.lists(st.just(""), max_size=2)), header, *lines]
@@ -350,33 +373,20 @@ ascii_truth_files = st.one_of(
 )
 
 
-def fallbacks():
-    """Spy on the rating line parser, the path for files the gate refuses
-    or that fail a check on the byte path."""
-    return mock.patch.object(ingest, "_line_ratings", wraps=ingest._line_ratings)
-
-
 class TestBytePathMatchesReference:
-    # An empty id between two "::" delimiters makes "::::", whose matches
-    # overlap; the gate refuses that and no other file these strategies
-    # write. A file that fails a check is read again by the line parser,
-    # which names the bad line.
     @parity
     @given(case=ascii_rating_files, policy=st.sampled_from(["strict", "keep_first"]))
     def test_ratings(self, tmp_path, case, policy):
         text, kwargs = case
         path = write(tmp_path / "r.dat", text)
         kwargs = dict(kwargs, duplicate_policy=policy)
-        with fallbacks() as spy:
-            got = outcome(ingest_ratings, path, **kwargs)
-        assert got == outcome(reference.ingest_ratings, path, **kwargs)
-        assert spy.call_count == ("::::" in text or got[0] == "error")
+        assert outcome(ingest_ratings, path, **kwargs) == outcome(
+            reference.ingest_ratings, path, **kwargs
+        )
 
     @parity
     @given(case=ascii_truth_files)
     def test_ground_truth(self, tmp_path, case):
-        # Truth files have no byte path; gate-passing ones are checked
-        # against the reference like any other.
         text, kwargs = case
         path = write(tmp_path / "t.csv", text)
         assert outcome(ingest_ground_truth, path, **kwargs) == outcome(
@@ -384,91 +394,55 @@ class TestBytePathMatchesReference:
         )
 
 
-class TestRouting:
-    def test_gated_files_skip_the_line_parser(self, tmp_path, monkeypatch):
-        def no_line_parser(path, *args):
-            raise AssertionError(f"{path} reached the line parser")
+# Rating files with mixed breaks, padding, bytes outside ASCII, overlapping
+# delimiter matches, a wide field or a bad record, and what the reference
+# makes of them: a graph, or an error at that line.
+WIDE_LOG = "\n".join([f"{u}::m1::5" for u in range(60_000)] + ["u" * 40 + "::m1::5"])
+ONE_READ_CASES = [
+    pytest.param("\ufeffu1::m1::5::978300760\r\n\r\nu2::m1::3\ruser-000000012::m2::1",
+                 {}, "graph", id="bom-and-breaks"),
+    pytest.param("u1\tm1\t5\n\t\t\nu2\tm1\t3\n", dict(fmt=DelimitedFormat("\t")),
+                 "graph", id="tab-delimiter"),
+    pytest.param("user_id,item_id,weight\nu1,m1,0.5\n", {}, "graph", id="canonical"),
+    pytest.param("u1::m1:: 5\nu2::m1::3\n", {}, "graph", id="space"),
+    pytest.param("u1::m1::5\n\u00fc::m1::3\n", {}, "graph", id="non-ascii-id"),
+    pytest.param("u1::m1::5\x0c\nu2::m1::3\n", {}, "graph", id="form-feed"),
+    pytest.param("u1:::m1::5\nu2::m1::3\n", {}, "graph", id="overlapping-matches"),
+    pytest.param("\u00fc\x00m1\x005\nu2\x00m1\x003\n",
+                 dict(fmt=DelimitedFormat("\x00")), "graph", id="nul-delimiter"),
+    pytest.param("user_id,item_id,weight\t\nu1,m1,0.5\n",
+                 dict(fmt=DelimitedFormat("\t")), "graph", id="canonical-with-tab"),
+    # One id far wider than the rest makes its column larger than twice
+    # the file, so it is read as `bytes` objects.
+    pytest.param(WIDE_LOG, {}, "graph", id="wide-field"),
+    pytest.param("u1::m1::5\nu2::m1::x\nu1::m1::5\n", {}, 2, id="bad-value"),
+    pytest.param("u1::m1::5\nu1::m1::4\n", {}, 2, id="repeated-pair"),
+    pytest.param("u1::m1::5\nu2::m\udcff1::3\n", {}, 2, id="not-utf8"),
+    # A delimiter that holds a line break matches within no line.
+    pytest.param("u1::m1::5\nu2::m1::3\n", dict(fmt=DelimitedFormat("5\nu")), 1,
+                 id="delimiter-with-break"),
+]
 
-        monkeypatch.setattr("truerating.ingest._line_ratings", no_line_parser)
-        raw = write(tmp_path / "r.dat",
-                    "\ufeffu1::m1::5::978300760\r\n\r\nu2::m1::3\ruser-000000012::m2::1")
-        assert ingest_ratings(raw, scale=RatingScale(1, 5)).num_edges == 3
-        tabs = write(tmp_path / "r.tsv", "u1\tm1\t5\n\t\t\nu2\tm1\t3\n")
-        graph = ingest_ratings(tabs, fmt=DelimitedFormat("\t"), scale=RatingScale(1, 5))
-        assert graph.user_ids == ("u1", "u2") and graph.num_edges == 2
-        canonical = write(tmp_path / "r.csv", "user_id,item_id,weight\nu1,m1,0.5\n")
-        assert ingest_ratings(canonical).num_edges == 1
 
-    @pytest.mark.parametrize(
-        "text, kwargs",
-        [
-            ("u1::m1:: 5\nu2::m1::3\n", {}),                 # a space
-            ("u1::m1::5\n\u00fc::m1::3\n", {}),               # a non-ASCII id
-            ("u1::m1::5\x0c\nu2::m1::3\n", {}),               # a form feed
-            ("u1:::m1::5\nu2::m1::3\n", {}),                 # "::" matches overlap
-            # A NUL delimiter, which the cut must find as a separator.
-            ("\u00fc\x00m1\x005\nu2\x00m1\x003\n", dict(fmt=DelimitedFormat("\x00"))),
-            # A canonical file holding the tab its delimiter admitted.
-            ("user_id,item_id,weight\t\nu1,m1,0.5\n",
-             dict(fmt=DelimitedFormat("\t"))),
-        ],
-    )
-    def test_refused_files_fall_back(self, tmp_path, text, kwargs):
-        path = write(tmp_path / "r.dat", text)
-        kwargs = dict(kwargs, scale=RatingScale(1, 5))
-        with fallbacks() as spy:
-            got = outcome(ingest_ratings, path, **kwargs)
-        assert spy.call_count == 1
-        assert got == outcome(reference.ingest_ratings, path, **kwargs)
-        assert got[0] == "graph"
-
-    def test_wide_field_falls_back(self, tmp_path):
-        # One id far wider than the rest would make its column larger than
-        # twice the file, so the gate refuses the file.
-        lines = [f"{u}::m1::5" for u in range(60_000)] + ["u" * 40 + "::m1::5"]
-        path = write(tmp_path / "r.dat", "\n".join(lines))
-        with fallbacks() as spy:
-            graph = ingest_ratings(path, scale=RatingScale(1, 5))
-        assert spy.call_count == 1
-        assert graph.num_users == 60_001 and graph.user_ids[-1] == "u" * 40
-
-    def test_gated_bad_record_is_rescanned_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(path):
-            calls.append(path)
-            return _lines(path)
-
-        monkeypatch.setattr("truerating.ingest._lines", counting)
-        path = write(tmp_path / "r.dat", "u1::m1::5\nu2::m1::x\nu1::m1::5\n")
-        expected = outcome(reference.ingest_ratings, path, scale=RatingScale(1, 5))
-        assert expected[:3] == ("error", str(path), 2)
-        calls.clear()
-        assert outcome(ingest_ratings, path, scale=RatingScale(1, 5)) == expected
-        assert calls == [path]
+def no_rescan(path):
+    raise AssertionError(f"{path} was read line by line")
 
 
 class TestFastPath:
     def test_valid_files_are_not_rescanned(self, tmp_path, monkeypatch):
-        def no_rescan(path):
-            raise AssertionError(f"{path} was read line by line")
-
         monkeypatch.setattr("truerating.ingest._lines", no_rescan)
         ratings = write(tmp_path / "r.dat", "u1::m1::5\r\nu2::m1::3::9\n\nu1::m2::1")
         assert ingest_ratings(ratings, scale=RatingScale(1, 5)).num_edges == 3
 
-    def test_bad_file_is_rescanned(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(path):
-            calls.append(path)
-            return _lines(path)
-
-        monkeypatch.setattr("truerating.ingest._lines", counting)
-        path = write(tmp_path / "r.dat", "u1::m1::5\nu1::m1::4\n")
-        with pytest.raises(IngestError, match=r"r\.dat:2: duplicate"):
-            ingest_ratings(path, scale=RatingScale(1, 5))
-        assert calls == [path]
+    @pytest.mark.parametrize("text, kwargs, expected", ONE_READ_CASES)
+    def test_read_once(self, tmp_path, monkeypatch, text, kwargs, expected):
+        # No rating file, valid or bad, goes through `_lines`.
+        path = write(tmp_path / "r.dat", text)
+        kwargs = dict(kwargs, scale=RatingScale(1, 5))
+        want = outcome(reference.ingest_ratings, path, **kwargs)
+        assert want[0 if expected == "graph" else 2] == expected
+        monkeypatch.setattr("truerating.ingest._lines", no_rescan)
+        assert outcome(ingest_ratings, path, **kwargs) == want
 
 
 def traced_ingest(path):
@@ -522,20 +496,17 @@ class TestMemory:
         pytest.param(lambda line: "\u00fc" + line, id="non-ascii-id"),
         pytest.param(lambda line: line.replace("::", ":: ", 1), id="padded-field"),
     ])
-    def test_line_parser_peak_within_small_multiple_of_graph_arrays(
-        self, tmp_path, log_lines, change
-    ):
-        # The same log with its first line changed so that the byte gate
-        # refuses the file. On CPython 3.11 / numpy 2.4 the line parser
-        # peaks at 4.1x the graph's arrays; the numpy `StringDType` cut it
-        # replaced peaked at 7.8x with the non-ASCII id and 6.1x with the
-        # padded field. The bound of 6x sits between the two.
+    def test_peak_on_non_ascii_or_padded_log(self, tmp_path, log_lines, change):
+        # The same log with its first line changed so that its ids are
+        # decoded as text, or its fields trimmed. On CPython 3.11 / numpy
+        # 2.4 the reader peaks at 5.0x the graph's arrays on either; the
+        # line parser it replaced peaked at 4.1x, and the numpy
+        # `StringDType` cut before that at 7.8x with the non-ASCII id and
+        # 6.1x with the padded field. The bound of 6x sits below the latter.
         log_lines[0] = change(log_lines[0])
         path = tmp_path / "ratings.dat"
         path.write_text("".join(line + "\n" for line in log_lines),
                         encoding="utf-8")
-        with fallbacks() as spy:
-            graph, peak, arrays = traced_ingest(path)
-        assert spy.call_count == 1
+        graph, peak, arrays = traced_ingest(path)
         assert graph.num_edges == len(log_lines)
         assert peak <= 6 * arrays, f"peak {peak} B for {arrays} B of arrays"
