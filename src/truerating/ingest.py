@@ -15,15 +15,16 @@ A rating file has one reader, for any UTF-8 file. It reads the file
 once as bytes: line breaks, delimiters and runs of ASCII whitespace are
 found by numpy scans, each field is trimmed and gathered into a
 fixed-width ``S`` column, ids are numbered with `np.unique`, values are
-converted with a single ``astype(np.float64)``, and every check (field
-count, empty ids, finite and in-scale values, weights in [0, 1],
-duplicates) is a reduction over whole columns. Only a file that is not
-plain ASCII needs text: its distinct ids are decoded and stripped by
-`str.strip`, ids equal after that are merged, and a value column numpy
-refuses is read by `float`, once per distinct field. Rows are mapped to
-lines only when a check fails: the `IngestError` carries the file path
-and the 1-based line number of the first bad record, or of the first
-byte that is not UTF-8.
+converted by ``astype(np.float64)`` a block of rows at a time, and every
+check (field count, empty ids, finite and in-scale values, weights in
+[0, 1], duplicates) is a reduction over whole columns. Only a file that
+is not plain ASCII needs text: its distinct ids are decoded and stripped
+by `str.strip`, ids equal after that are merged, and a value block numpy
+refuses is read by `float`, once per distinct field; conversion stops
+after the first block that holds a bad value. Rows are mapped to lines
+only when a check fails: the `IngestError` carries the file path and the
+1-based line number of the first bad record, or of the first byte that
+is not UTF-8.
 
 `ingest_ground_truth` reads the ``id,value`` tables (ground truth,
 per-user alpha overrides and seed biases) line by line only: they hold
@@ -70,7 +71,8 @@ CANONICAL_HEADER = ("user_id", "item_id", "weight")
 FLOAT_DIGITS = 9
 _NUMBER = f"{{:.{FLOAT_DIGITS}f}}"
 
-#: Rows the CSV writers format at a time; it bounds their temporaries.
+#: Rows the CSV writers format, and value columns are converted, at a
+#: time; it bounds their temporaries.
 _BLOCK_ROWS = 8192
 
 
@@ -224,16 +226,25 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 def _values(column: np.ndarray) -> np.ndarray:
     """Each field of `column` as `float` reads its stripped text, or NaN
-    where `float` refuses it. numpy reads ASCII as `float` does; a column
-    it refuses goes to `float` once per distinct field."""
-    with suppress(ValueError):
-        return column.astype(np.float64)
-    distinct, inverse = np.unique(column, return_inverse=True)
-    values = np.full(distinct.size, np.nan)
-    for k, field in enumerate(distinct.tolist()):
+    where `float` refuses it, up to the first block of `_BLOCK_ROWS` rows
+    that holds a NaN; every row after that block is NaN too, as no row
+    there can be the first bad one. numpy reads ASCII as `float` does; a
+    block it refuses goes to `float` once per distinct field."""
+    values = np.full(column.size, np.nan)
+    for start in range(0, column.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         with suppress(ValueError):
-            values[k] = float(_decoded(field))
-    return values[inverse]
+            values[block] = column[block].astype(np.float64)
+            continue
+        distinct, inverse = np.unique(column[block], return_inverse=True)
+        parsed = np.full(distinct.size, np.nan)
+        for k, field in enumerate(distinct.tolist()):
+            with suppress(ValueError):
+                parsed[k] = float(_decoded(field))
+        values[block] = parsed[inverse]
+        if np.isnan(parsed).any():
+            break
+    return values
 
 
 def _columns(

@@ -23,8 +23,14 @@ candidate is accepted only if its max-norm residual is at most alpha times
 the current one; otherwise the history is cleared and the plain step T(x)
 is taken, whose residual the contraction shrinks by alpha (up to rounding).
 So every accepted iterate's residual shrinks at least by alpha, as under
-plain iteration, which is the same loop with an empty history. An accepted
-iterate costs one sweep, or two when a candidate was rejected first.
+plain iteration, which is the same loop with an empty history.
+
+Before a candidate is evaluated, the least-squares fit predicts its
+residual: g minus the same combination of residual differences. If that
+prediction already fails the safeguard's test, the candidate is screened
+out unevaluated and the plain step is taken and pushed onto the kept
+history. So an accepted iterate costs one sweep, or two when a candidate
+was evaluated and then refused.
 
 Each sweep reads the graph's one user-major edge list. Each half is one
 `np.bincount` over all edges followed by a divide by the degrees: the
@@ -140,7 +146,8 @@ class SolverResult:
     For the last accepted iterate x, `rating` is R(x) and `bias` is
     T(x) = B(rating), so the bias equation holds exactly. `iterations`
     counts accepted iterates and `sweeps` the evaluations of the map,
-    rejected Anderson candidates included. `clamped` reports whether
+    Anderson candidates evaluated and then refused included (a screened
+    candidate is never evaluated). `clamped` reports whether
     R(x) clipped a debiased weight into [0, 1] (False without an accepted
     iterate); clips at earlier iterates do not count. Clamp-free answers
     are exactly the ones the linear oracle (`solve_linear`) can reproduce.
@@ -260,9 +267,11 @@ class _History:
         self.gram[k, :self.size] = row
         self.gram[:self.size, k] = row
 
-    def candidate(self, current: _Iterate) -> np.ndarray | None:
+    def candidate(self, current: _Iterate, alpha: float) -> np.ndarray | None:
         """T(x) - gamma @ df, with gamma the least-squares weights that
-        minimise |g - gamma @ dg|; None without history or finite weights."""
+        minimise |g - gamma @ dg|. None without history or finite weights,
+        or when the predicted residual g - gamma @ dg fails the safeguard's
+        test: its max norm exceeds alpha times that of g."""
         m = self.size
         if not m:
             return None
@@ -276,6 +285,9 @@ class _History:
             return None
         if not np.isfinite(gamma).all():
             return None
+        predicted = current.residual - np.einsum("i,ij->j", gamma, self.dg[:m])
+        if np.abs(predicted).max(initial=0.0) > alpha * current.linf:
+            return None
         return current.image - np.einsum("i,ij->j", gamma, self.df[:m])
 
 
@@ -283,8 +295,10 @@ def _advance(
     sweeps: _Sweeps, history: _History, current: _Iterate, alpha: float
 ) -> _Iterate:
     """The next accepted iterate: the Anderson candidate if its residual
-    shrinks by alpha in the max norm, otherwise the plain step T(x)."""
-    candidate = history.candidate(current)
+    shrinks by alpha in the max norm, otherwise the plain step T(x). A
+    screened candidate costs no sweep and keeps the history; one evaluated
+    and refused clears it."""
+    candidate = history.candidate(current, alpha)
     if candidate is not None:
         trial = sweeps.evaluate(candidate)
         if trial.linf <= alpha * current.linf:

@@ -19,7 +19,7 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
 )
-from truerating.ingest import _lines
+from truerating.ingest import _BLOCK_ROWS, _decoded, _lines
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
 PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
@@ -445,6 +445,27 @@ class TestFastPath:
         assert outcome(ingest_ratings, path, **kwargs) == want
 
 
+class TestBadValue:
+    def test_python_reads_one_block_of_values(self, tmp_path, monkeypatch):
+        # 49,999 distinct values, then one that neither numpy nor `float`
+        # reads: only the last block's distinct values go to Python.
+        lines = [f"u{k}::m{k % 7}::{1 + k / 12_500:.6f}" for k in range(50_000)]
+        lines[-1] = "u49999::m0::x"
+        path = write(tmp_path / "r.dat", "\n".join(lines) + "\n")
+        kwargs = dict(scale=RatingScale(1, 5))
+        want = outcome(reference.ingest_ratings, path, **kwargs)
+        assert want[:3] == ("error", str(path), 50_000)
+        calls = []
+
+        def counted(field):
+            calls.append(field)
+            return _decoded(field)
+
+        monkeypatch.setattr("truerating.ingest._decoded", counted)
+        assert outcome(ingest_ratings, path, **kwargs) == want
+        assert len(calls) <= _BLOCK_ROWS
+
+
 def traced_ingest(path):
     """The graph of one ingest of `path`, its traced peak, and the bytes of
     the graph's arrays."""
@@ -483,9 +504,9 @@ class TestMemory:
 
     def test_peak_within_small_multiple_of_graph_arrays(self, tmp_path, log_lines):
         # Peak traced allocation of one ingest, measured on CPython 3.11 /
-        # numpy 2.4: the line-by-line reference parser peaked at 21.3 MiB,
-        # 11.2x the 1.91 MiB of the graph's arrays; the columnar parser at
-        # 10.7 MiB, 5.6x. The bound of 8x sits between the two.
+        # numpy 2.4: the line-by-line reference parser peaked at 20.1 MiB,
+        # 17.4x the 1.15 MiB of the graph's arrays; the columnar parser at
+        # 5.7 MiB, 5.0x. The bound of 8x sits between the two.
         path = tmp_path / "ratings.dat"
         path.write_text("".join(line + "\n" for line in log_lines))
         graph, peak, arrays = traced_ingest(path)

@@ -18,18 +18,25 @@ from conftest import make_random_graph, one_sweep
 import reference_solver as reference
 import truerating
 from truerating import RatingGraph, SolverConfig, solve
-from truerating.solver import _History, _Sweeps
+from truerating.solver import _advance, _History, _Iterate, _Sweeps
 
 
-def path_graph(num_users: int, seed: int) -> RatingGraph:
-    """User i rates items i and i+1: the slowest-mixing connected shape."""
+def path_graph(num_users: int, seed: int, noisy: bool = False) -> RatingGraph:
+    """User i rates items i and i+1: the slowest-mixing connected shape.
+
+    With `noisy`, weights are uniform in [0.2, 0.8] instead of quality plus
+    bias plus noise. The Anderson model then mispredicts often, so some
+    candidates are screened out and others are evaluated and refused."""
     rng = np.random.default_rng(seed)
     users = np.repeat(np.arange(num_users), 2)
     items = users + np.tile([0, 1], num_users)
-    quality = rng.uniform(0.3, 0.7, num_users + 1)
-    bias = rng.uniform(-0.2, 0.2, num_users)
-    noise = rng.normal(0.0, 0.05, users.size)
-    weights = np.clip(quality[items] + bias[users] + noise, 0.0, 1.0)
+    if noisy:
+        weights = rng.uniform(0.2, 0.8, users.size)
+    else:
+        quality = rng.uniform(0.3, 0.7, num_users + 1)
+        bias = rng.uniform(-0.2, 0.2, num_users)
+        noise = rng.normal(0.0, 0.05, users.size)
+        weights = np.clip(quality[items] + bias[users] + noise, 0.0, 1.0)
     return RatingGraph(
         [f"u{i}" for i in range(num_users)],
         [f"m{j}" for j in range(num_users + 1)],
@@ -56,6 +63,22 @@ def slow_path():
     graph = path_graph(2000, seed=0)
     config = SolverConfig(alpha=0.99, epsilon=1e-6, max_iterations=5000)
     return graph, config, solve(graph, config), reference.solve(graph, config)
+
+
+@pytest.fixture(scope="module")
+def noisy_path():
+    graph = path_graph(2000, seed=0, noisy=True)
+    config = SolverConfig(alpha=0.99, epsilon=1e-6, max_iterations=5000)
+    return graph, config, solve(graph, config), reference.solve(graph, config)
+
+
+@pytest.fixture(scope="module")
+def refusing_path():
+    """A noisy path whose solve evaluates and refuses candidates: 410
+    accepted iterates, 601 sweeps."""
+    graph = path_graph(2000, seed=7, noisy=True)
+    config = SolverConfig(alpha=0.99, epsilon=1e-6, max_iterations=5000)
+    return graph, config, solve(graph, config)
 
 
 class TestAgainstPlainLoop:
@@ -111,16 +134,58 @@ class TestAgainstPlainLoop:
         _, config, accelerated, _ = slow_path
         assert_contracts(accelerated, config.alpha)
 
-    def test_sweeps_count_rejected_candidates(self, slow_path):
-        _, _, accelerated, _ = slow_path
+    def test_sweeps_count_rejected_candidates(self, refusing_path):
+        _, _, accelerated = refusing_path
         assert len(accelerated.trace) == accelerated.iterations
         assert accelerated.iterations < accelerated.sweeps < 2 * accelerated.iterations
 
 
-# A 20k-user path with weights uniform in [0.2, 0.8], 20 iterates at
+class TestScreen:
+    # One row dg = [1, 10] against the residual g = [1, 0]: the
+    # least-squares fit predicts a residual of max norm 0.990 (to three
+    # places), so the candidate fails the safeguard's test at alpha 0.9
+    # and passes it at alpha 0.995.
+    @staticmethod
+    def toy(two_user_graph):
+        history = _History(2)
+        zero = np.zeros(2)
+        pushed = _Iterate(zero, np.array([0.25, -0.25]), np.array([1.0, 10.0]),
+                          11.0, 10.0, False)
+        history.push(pushed, _Iterate(zero, zero, zero, 0.0, 0.0, False))
+        image = np.array([0.5, -0.5])
+        current = _Iterate(np.zeros(1), image, np.array([1.0, 0.0]), 1.0, 1.0, False)
+        return _Sweeps(two_user_graph, SolverConfig(alpha=0.9)), history, current
+
+    def test_candidate_returned_only_when_prediction_passes(self, two_user_graph):
+        _, history, current = self.toy(two_user_graph)
+        assert history.candidate(current, 0.9) is None
+        assert history.candidate(current, 0.995) is not None
+
+    def test_screened_candidate_costs_no_sweep(self, two_user_graph):
+        sweeps, history, current = self.toy(two_user_graph)
+        dg, df = history.dg[0].copy(), history.df[0].copy()
+        plain = _Sweeps(two_user_graph, SolverConfig(alpha=0.9)).evaluate(current.image)
+        accepted = _advance(sweeps, history, current, 0.9)
+        assert sweeps.count == 1
+        assert np.array_equal(accepted.image, plain.image)
+        assert np.array_equal(accepted.residual, plain.residual)
+        # The plain step is pushed onto the rows the history kept.
+        assert history.size == 2
+        assert np.array_equal(history.dg[0], dg)
+        assert np.array_equal(history.df[0], df)
+
+    def test_noisy_path_contracts_within_bound(self, noisy_path):
+        _, config, accelerated, plain = noisy_path
+        assert accelerated.converged and plain.converged
+        assert_contracts(accelerated, config.alpha)
+        assert_within(accelerated, plain, config)
+
+
+# A 20k-user path with weights uniform in [0.2, 0.8], 250 iterates at
 # alpha = 0.99: long enough vectors for OpenBLAS to split a product
-# between threads, and enough iterates that candidates are both accepted
-# and rejected. Prints the counts and the result's bytes as hex digests.
+# between threads, and enough iterates that candidates are accepted,
+# screened out and, from iterate 216 on, evaluated and refused. Prints the
+# counts and the result's bytes as hex digests.
 _THREADED_SOLVE = """
 import hashlib
 import numpy as np
@@ -132,7 +197,7 @@ items = users + np.tile([0, 1], n)
 weights = np.random.default_rng(7).uniform(0.2, 0.8, users.size)
 graph = RatingGraph([f"u{i}" for i in range(n)],
                     [f"m{j}" for j in range(n + 1)], users, items, weights)
-result = solve(graph, SolverConfig(alpha=0.99, max_iterations=20))
+result = solve(graph, SolverConfig(alpha=0.99, max_iterations=250))
 print(result.iterations, result.sweeps,
       hashlib.sha256(result.bias.tobytes()).hexdigest(),
       hashlib.sha256(result.rating.tobytes()).hexdigest())
@@ -162,12 +227,12 @@ class TestDeterminism:
     def test_bit_identical_at_any_blas_thread_count(self):
         serial = _solve_with_blas_threads(1)
         iterations, sweeps = int(serial[0]), int(serial[1])
-        assert iterations < sweeps < 2 * iterations  # accepted and rejected
+        assert iterations < sweeps < 2 * iterations  # accepted and refused
         assert _solve_with_blas_threads(2) == serial
 
-    def test_bit_identical_across_threads_with_rejections(self, slow_path):
-        graph, config, serial, _ = slow_path
-        assert serial.sweeps > serial.iterations  # a candidate was rejected
+    def test_bit_identical_across_threads_with_rejections(self, refusing_path):
+        graph, config, serial = refusing_path
+        assert serial.sweeps > serial.iterations  # an evaluated candidate was refused
         for threads in (2, 3):
             parallel = solve(graph, config, threads=threads)
             assert np.array_equal(serial.bias, parallel.bias)
@@ -208,9 +273,9 @@ class TestDegenerateHistory:
         sweeps = _Sweeps(graph, SolverConfig(alpha=0.9))
         point = sweeps.evaluate(np.zeros(graph.num_users))
         history = _History(graph.num_users)
-        assert history.candidate(point) is None
+        assert history.candidate(point, 0.9) is None
         history.push(point, point)  # a singular, all-zero Gram matrix
-        assert history.candidate(point) is None
+        assert history.candidate(point, 0.9) is None
 
     def test_non_finite_weights_fall_back_to_plain_steps(self, monkeypatch):
         # Least-squares weights that come out NaN are refused like a
