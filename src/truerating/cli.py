@@ -44,7 +44,9 @@ from .ingest import (
     MOVIELENS_FORMAT,
     _NUMBER,
     DelimitedFormat,
+    IngestError,
     _check_plain_ids,
+    _match_ids,
     ingest_ground_truth,
     ingest_ratings,
     write_ratings_csv,
@@ -175,17 +177,30 @@ def _parse_scale(text: str, flag: str) -> RatingScale:
 
 
 def _user_values(
-    path: str, graph: RatingGraph, what: str, missing: float = np.nan
+    path: str, graph: RatingGraph, what: str, lo: float, hi: float,
+    missing: float = np.nan,
 ) -> np.ndarray:
     """Read a ``user_id,value`` file as a per-user vector, `missing` where
-    the file gives a user no value."""
+    the file gives a user no value; raise `IngestError` at the first row
+    whose user is absent from the graph or whose value lies outside
+    [`lo`, `hi`]."""
     table = ingest_ground_truth(path)
-    unknown = sorted(table.keys() - set(graph.user_ids))
-    if unknown:
-        raise ValueError(
-            f"{what} file names users absent from the graph: {unknown[:5]}"
+    rows, given = _match_ids(graph.user_ids, table)
+    absent = np.ones(len(table), bool)
+    absent[rows[given]] = False
+    bad = absent | (table.scores < lo) | (table.scores > hi)
+    if bad.any():
+        row = int(np.argmax(bad))
+        user, value = list(table)[row], table.scores[row].item()
+        raise IngestError(
+            path,
+            int(table.lines[row]),
+            f"user {user!r} is absent from the graph" if absent[row]
+            else f"{what} {value} for user {user!r} outside [{lo}, {hi}]",
         )
-    return np.array([table.get(u, missing) for u in graph.user_ids], np.float64)
+    values = np.full(graph.num_users, missing)
+    values[given] = table.scores[rows[given]]
+    return values
 
 
 def _alpha_overrides(
@@ -193,14 +208,8 @@ def _alpha_overrides(
 ) -> dict[int, float] | None:
     if path is None:
         return None
-    values = _user_values(path, graph, "alpha override")
+    values = _user_values(path, graph, "alpha override", 0, alpha)
     given = np.flatnonzero(~np.isnan(values))
-    bad = given[(values[given] < 0.0) | (values[given] > alpha)]
-    if bad.size:
-        raise ValueError(
-            f"alpha override {values[bad[0]]} for user "
-            f"{graph.user_ids[bad[0]]!r} outside [0, {alpha}]"
-        )
     return dict(zip(given.tolist(), values[given].tolist()))
 
 
@@ -242,10 +251,9 @@ def cmd_solve(args, out) -> tuple[int, dict]:
     _check_plain_ids(graph.user_ids + graph.item_ids)
     overrides = _alpha_overrides(args.alpha_overrides, graph, base.alpha)
     config = replace(base, alpha_overrides=overrides)
-    initial = (
-        None if args.seed_bias is None
-        else _user_values(args.seed_bias, graph, "seed bias", missing=0.0)
-    )
+    initial = None
+    if args.seed_bias is not None:
+        initial = _user_values(args.seed_bias, graph, "seed bias", -1, 1, 0.0)
 
     result = solve(graph, config, initial_bias=initial)
 

@@ -7,8 +7,8 @@ effect measures (per-bin absolute and relative deviation of true ratings
 from plain item means, binned by rating count), and histograms of the bias
 and rating distributions with buckets `BUCKET_WIDTH` wide. Everything here
 is a pure function of immutable inputs. Rating vectors are aligned with the
-graph's `item_ids`; ground truth is a plain mapping of external id to
-score, as `ingest_ground_truth` returns.
+graph's `item_ids`; ground truth is any mapping of external id to score,
+such as the `IdTable` that `ingest_ground_truth` returns.
 
 Accuracy metrics run on dense float64 arrays that hold the common items'
 scores in ascending external-id order; ids are read only to find those
@@ -19,7 +19,10 @@ bit however the graph numbered its items.
 
 `align_truth` does the id work once for a graph and its ground truth: the
 common items and their order, the truth values and ranks, the degree bins
-and the plain item means. `build_report` scores any number of rating
+and the plain item means. It makes no Python object per item: the graph's
+ids and the truth's are packed into keys that sort as the ids do, and one
+sort of both key columns together puts each common id's two keys side by
+side, in ascending id order. `build_report` scores any number of rating
 vectors against that alignment. Per-bin means are taken over contiguous
 slices of a stable sort by bin, which adds each bin's items in the same
 order a boolean mask would select them.
@@ -28,12 +31,13 @@ order a boolean mask would select them.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import RatingGraph, degree_bins
+from .ingest import IdTable, _match_ids
 
 __all__ = [
     "histogram",
@@ -47,14 +51,13 @@ __all__ = [
 BUCKET_WIDTH = 0.05
 
 
-def _take(scores: Mapping[str, float], keys: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(scores.__getitem__, keys), np.float64, len(keys))
-
-
 def _ranks(scores: np.ndarray) -> np.ndarray:
     # Position in descending score order; the stable sort breaks ties by
     # array order, which is ascending id.
-    return np.argsort(np.argsort(-scores, kind="stable"))
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    return ranks
 
 
 def _squared(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -193,16 +196,17 @@ def align_truth(
     """Match `truth` to the graph's items once, for any number of
     `build_report` calls on that graph.
 
+    An `IdTable` is matched from its columns; any other mapping is first
+    made one. The common items come from one sort of the graph's item keys
+    and the truth's keys together (`ingest._match_ids`).
     Raises `ValueError` if the truth names none of the graph's items.
     """
-    ids = graph.item_ids
-    common = [j for j, key in enumerate(ids) if key in truth]
-    if not common:
+    truth = IdTable.of(truth)
+    rows, common = _match_ids(graph.item_ids, truth)
+    if not common.size:
         raise ValueError("ground truth shares no items with the graph")
-    common.sort(key=ids.__getitem__)
-    values = _take(truth, [ids[j] for j in common])
+    values = truth.scores[rows[common]]
     bins = degree_bins(graph.item_degrees)
-    common = np.array(common, dtype=np.intp)
     return TruthAlignment(
         graph=graph,
         item_means=graph.item_means(),

@@ -27,8 +27,11 @@ only when a check fails: the `IngestError` carries the file path and the
 is not UTF-8.
 
 `ingest_ground_truth` reads the ``id,value`` tables (ground truth,
-per-user alpha overrides and seed biases) line by line only: they hold
-one row per item or user, so their parse is small next to the log's.
+per-user alpha overrides and seed biases) with the same reader, on two
+fields, and keeps them as columns in an `IdTable`: its ids become `str`
+only when a caller iterates it or looks an id up. `_match_ids` matches a
+table to a graph's ids by one sort of both key columns together, each
+id's bytes packed so that the keys sort as Python sorts the ids.
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
@@ -43,9 +46,8 @@ every byte matches ``f"{v:.9f}"``.
 from __future__ import annotations
 
 import codecs
-import io
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +63,7 @@ __all__ = [
     "MOVIELENS_FORMAT",
     "ingest_ratings",
     "ingest_ground_truth",
+    "IdTable",
     "write_ratings_csv",
     "write_scores_csv",
 ]
@@ -124,14 +127,6 @@ def _text(path: str | Path) -> bytes:
             raise IngestError(path, line, f"not UTF-8: {exc.reason}") from None
         start = stop
     return data
-
-
-def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    """The 1-based number and text of each non-blank line, decoded singly."""
-    for lineno, line in enumerate(io.BytesIO(_text(path)), start=1):
-        line = line.decode().rstrip("\n")
-        if line.strip():
-            yield lineno, line
 
 
 # The ASCII bytes that `str.strip` removes, but for the line break.
@@ -248,13 +243,13 @@ def _values(column: np.ndarray) -> np.ndarray:
 
 
 def _columns(
-    path: str | Path, fmt: DelimitedFormat
+    path: str | Path, fmt: DelimitedFormat, nfields: int = 3
 ) -> tuple[list[np.ndarray], np.ndarray, int | None, bool]:
-    """The first three fields of each record of `path`, trimmed of ASCII
-    whitespace, as columns; which lines are records; the field count of
-    the first line with fewer than three, where the columns stop (None if
-    none); and whether a canonical CSV header opens the file, which makes
-    the lines after it records split on ``,``."""
+    """The first `nfields` fields of each record of `path`, trimmed of
+    ASCII whitespace, as columns; which lines are records; the field count
+    of the first line with fewer than `nfields`, where the columns stop
+    (None if none); and whether a canonical CSV header opens a rating file
+    (`nfields` 3), which makes the lines after it records split on ``,``."""
     data = _text(path)
     text = np.frombuffer(data, np.uint8)
     # One scan finds the line breaks, the ASCII whitespace and the NULs.
@@ -278,9 +273,10 @@ def _columns(
             kept[i] = bool(data[solid[0][i]:solid[1][i]].decode().strip())
     del solid
     starts, ends = starts[kept], ends[kept]
-    canonical = starts.size > 0 and tuple(
-        _CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode())
-    ) == CANONICAL_HEADER
+    canonical = nfields == len(CANONICAL_HEADER) and starts.size > 0 and (
+        tuple(_CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode()))
+        == CANONICAL_HEADER
+    )
     sep = (_CANONICAL_FORMAT if canonical else fmt).delimiter.encode()
     if canonical:
         kept[np.argmax(kept)] = False
@@ -288,10 +284,10 @@ def _columns(
 
     cuts = _matches(text, sep)
     # Line i's first delimiter is cuts[first[i]]. Rows stop at the first
-    # line with fewer than three fields.
+    # line with fewer than `nfields` fields.
     first = np.searchsorted(cuts, starts)
     count = np.searchsorted(cuts, ends) - first
-    short = np.flatnonzero(count < 2)
+    short = np.flatnonzero(count < nfields - 1)
     fields = None
     if short.size:
         fields = int(count[short[0]]) + 1
@@ -307,9 +303,9 @@ def _columns(
     limit = max(2 * text.size, 1 << 20)
     del text, data, nuls
     columns = []
-    for k in range(3):
+    for k in range(nfields):
         stop = cuts[first + k]
-        if k == 2:
+        if k == nfields - 1:
             stop = np.minimum(stop, ends)
         if spaced:
             _trim(padded, starts, stop)
@@ -412,47 +408,202 @@ def ingest_ratings(
     raise IngestError(path, lines[fail], message)
 
 
+# Each byte of a gathered field moved one up, so that the zeros that pad
+# a field sort before any byte in it; 0xFF, the stand-in for a NUL, is 1.
+# Without a NUL, zeros pad only, and the bytes sort as they are.
+_ORDER = np.array([0, *range(2, 256), 1], np.uint8)
+
+
+def _texts(column: np.ndarray) -> list[str]:
+    """The text of each field of a gathered column, decoded by numpy if
+    every field is ASCII."""
+    if column.dtype.kind == "S":
+        with suppress(UnicodeDecodeError):
+            return column.astype(str).tolist()
+    return [field.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
+            for field in column.tolist()]
+
+
+def _id_column(ids: Sequence[str]) -> np.ndarray:
+    """`ids` as `_gather` lays out fields: UTF-8, NULs as 0xFF."""
+    text = np.frombuffer(
+        ("\x00".join(ids) + "\x00").encode("utf-8", "surrogatepass"), np.uint8
+    )
+    stops = np.flatnonzero(text == 0)
+    starts = np.append(0, stops[:-1] + 1)
+    if stops.size != len(ids):
+        # Some id holds a NUL, so the NULs do not mark where the ids end.
+        encoded = [i.encode("utf-8", "surrogatepass") for i in ids]
+        text = np.frombuffer(b"".join(encoded), np.uint8)
+        lengths = np.fromiter(map(len, encoded), np.int64, len(ids))
+        stops = np.cumsum(lengths)
+        starts = stops - lengths
+    padded = np.zeros(text.size + int((stops - starts).max(initial=0)) + 1, np.uint8)
+    padded[:text.size] = text
+    padded[np.flatnonzero(text == 0)] = 0xFF
+    return _gather(padded, starts, stops, max(2 * text.size, 1 << 20))
+
+
+def _sort_keys(*columns: np.ndarray) -> np.ndarray:
+    """The fields of gathered `columns`, one column after another, as keys
+    that are equal where the ids are and sort as Python sorts the ids:
+    the `_ORDER` bytes of each field as one big-endian word up to 8 bytes,
+    or as an `S` string beyond; the UTF-8 `bytes` of each id if that
+    string column would be large."""
+    total = sum(c.size for c in columns)
+    width = max(8, *(c.dtype.itemsize for c in columns))
+    if any(c.dtype.kind == "O" for c in columns) or width * total > max(
+        2 * sum(c.nbytes for c in columns), 1 << 20
+    ):
+        return np.array([f.replace(b"\xff", b"\x00") for c in columns
+                         for f in c.tolist()], object)
+    cells = np.zeros((total, width), np.uint8)
+    start = 0
+    for c in columns:
+        size = c.dtype.itemsize
+        cells[start:start + c.size, :size] = c.view(np.uint8).reshape(-1, size)
+        start += c.size
+    if (cells == 0xFF).any():
+        cells = _ORDER[cells]
+    if width == 8:
+        return cells.view(">u8").ravel().astype(np.uint64)
+    return cells.view(f"S{width}").ravel()
+
+
+class IdTable(Mapping[str, float]):
+    """An ``id,value`` table: a mapping of id to value in file order, held
+    as columns. `ingest_ground_truth` makes one; `IdTable.of` turns any
+    mapping into one. Its ids are made `str` only when it is first
+    iterated or an id is looked up."""
+
+    __slots__ = ("column", "scores", "lines", "_by_id")
+
+    def __init__(
+        self, column: np.ndarray, scores: np.ndarray, lines: np.ndarray | None = None
+    ) -> None:
+        #: The ids, as `_gather` lays out fields.
+        self.column = column
+        #: The values, as float64.
+        self.scores = scores
+        #: The 1-based line of each row in its file, if read from one.
+        self.lines = lines
+        self._by_id: dict[str, float] | None = None
+
+    @classmethod
+    def of(cls, table: Mapping[str, float]) -> IdTable:
+        """`table` if it is an `IdTable`, else its ids and values as one."""
+        if isinstance(table, IdTable):
+            return table
+        ids = list(table)
+        scores = np.fromiter(map(table.__getitem__, ids), np.float64, len(ids))
+        return cls(_id_column(ids), scores)
+
+    def _mapping(self) -> dict[str, float]:
+        if self._by_id is None:
+            self._by_id = dict(zip(_texts(self.column), self.scores.tolist()))
+        return self._by_id
+
+    def __getitem__(self, key: str) -> float:
+        return self._mapping()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    def __repr__(self) -> str:
+        return f"IdTable({self._mapping()!r})"
+
+
+def _match_ids(ids: Sequence[str], table: IdTable) -> tuple[np.ndarray, np.ndarray]:
+    """Match `table` to distinct `ids` by one sort of both key columns
+    together: each id's table row, -1 where the table has none, and the
+    indices of the ids the table holds, in ascending id order."""
+    keys = _sort_keys(_id_column(ids), table.column)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    # Equal keys come in pairs, one from each side, in either order.
+    pair = np.flatnonzero(ordered[1:] == ordered[:-1])
+    low, high = order[pair], order[pair + 1]
+    mine = np.minimum(low, high)
+    rows = np.full(len(ids), -1)
+    rows[mine] = np.maximum(low, high) - len(ids)
+    return rows, mine
+
+
+def _numeric(text: str) -> bool:
+    """Whether `float` reads `text`."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _table_error(key: str, raw: str, scale: RatingScale | None) -> str:
+    """Why `ingest_ground_truth` refuses the row with id `key` and value
+    field `raw`: `float` refuses the field, the id is empty, the value is
+    not finite or outside `scale`; else the id repeats an earlier row's."""
+    if not _numeric(raw):
+        return f"bad value {raw!r}"
+    if not key:
+        return "empty id"
+    if not math.isfinite(float(raw)):
+        return f"non-finite value {raw!r}"
+    if scale is not None:
+        try:
+            scale.normalize(float(raw))
+        except ValueError as exc:
+            return str(exc)
+    return f"duplicate id {key!r}"
+
+
 def ingest_ground_truth(
     path: str | Path,
     *,
     scale: RatingScale | None = None,
-) -> dict[str, float]:
-    """Parse ``id,value`` reference scores into ``{id: value}``, in file
-    order, line by line: the table, or an `IngestError` at the first bad
-    line.
+) -> IdTable:
+    """Parse ``id,value`` reference scores into an `IdTable`, ids in file
+    order, or raise an `IngestError` at the first bad line.
 
     A first non-blank line whose value field is not numeric is treated as
     a header.
     `scale` (when given) maps raw values onto [0, 1]; duplicated ids are an
     error.
     """
-    values: dict[str, float] = {}
-    for index, (lineno, line) in enumerate(_lines(path)):
-        fields = line.split(",", 2)
-        if len(fields) < 2:
-            raise IngestError(
-                path, lineno, f"expected at least 2 fields, got {len(fields)}"
-            )
-        key, raw = fields[0].strip(), fields[1].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            if index == 0:
-                continue
-            raise IngestError(path, lineno, f"bad value {raw!r}") from None
-        if not key:
-            raise IngestError(path, lineno, "empty id")
-        if not math.isfinite(value):
-            raise IngestError(path, lineno, f"non-finite value {raw!r}")
+    (column, raw), kept, fields, _ = _columns(path, _CANONICAL_FORMAT, 2)
+    lines = np.flatnonzero(kept) + 1
+    if raw.size and not _numeric(_decoded(raw[0])):
+        column, raw, lines = column[1:], raw[1:], lines[1:]
+    if column.dtype.kind == "O" or (
+        (column.view(np.uint8) >= 0x80) & (column.view(np.uint8) != 0xFF)
+    ).any():
+        # Outside ASCII, `str.strip` may remove more than the reader trims.
+        column = _id_column(list(map(_decoded, column.tolist())))
+    values = _values(raw)
+    bad = ~np.isfinite(values) | (column == b"")
+    if scale is not None:
+        bad |= (values < scale.min_raw) | (values > scale.max_raw)
+    keys = _sort_keys(column)
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        # A stable sort puts each id's first row first among its equals.
+        order = np.argsort(keys, kind="stable")
+        bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    del keys, ordered
+    fail = int(np.argmax(bad)) if bad.any() else values.size
+    if fail == values.size and fields is None:
         if scale is not None:
-            try:
-                value = scale.normalize(value)
-            except ValueError as exc:
-                raise IngestError(path, lineno, str(exc)) from None
-        if key in values:
-            raise IngestError(path, lineno, f"duplicate id {key!r}")
-        values[key] = value
-    return values
+            # `RatingScale.normalize`'s float operations, so the bits match.
+            values = (values - scale.min_raw) / scale.span
+        return IdTable(column, values, lines[:values.size])
+    if fail == values.size:
+        message = f"expected at least 2 fields, got {fields}"
+    else:
+        key = _texts(column[fail:fail + 1])[0]
+        message = _table_error(key, _decoded(raw[fail]), scale)
+    raise IngestError(path, int(lines[fail]), message)
 
 
 def _unwritable(key: str) -> str | None:

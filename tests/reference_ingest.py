@@ -6,11 +6,15 @@ replaced.
 Tests compare the package against it: for any file the two must return
 bit-identical graphs and truth values, or raise the same `IngestError`
 (path, line and message); for any input the writers must write the same
-bytes.
+bytes. Both share the package's `_text`, which reads a file's bytes, drops
+a BOM, turns every ``\r\n`` or ``\r`` into ``\n`` and checks UTF-8; the
+lines are then split and decoded here, one at a time.
 """
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +26,19 @@ from truerating.ingest import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
     _check_plain_ids,
-    _lines,
+    _text,
 )
 
 _SCORE_ROW = "{},{:.9f}\n"
 _RATING_ROW = "{},{},{:.9f}\n"
+
+
+def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
+    """The 1-based number and text of each non-blank line, decoded singly."""
+    for lineno, line in enumerate(io.BytesIO(_text(path)), start=1):
+        line = line.decode().rstrip("\n")
+        if line.strip():
+            yield lineno, line
 
 
 def ingest_ratings(

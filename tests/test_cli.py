@@ -396,7 +396,10 @@ class TestSolveCommand:
             "--seed-bias", seeds, "--out", out,
         )
         assert code == 1
-        assert "initial bias values must lie in [-1, 1]" in capsys.readouterr().err
+        assert (
+            f"error: {seeds}:2: seed bias 1.5 for user 'u1' outside [-1, 1]"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_warm_start_from_own_bias(self, tmp_path):
@@ -497,7 +500,8 @@ class TestSolveCommand:
         )
         assert code == 1
         assert (
-            "error: alpha override 0.9 for user 'u2' outside [0, 0.5]"
+            f"error: {overrides}:2: alpha override 0.9 for user 'u2' "
+            "outside [0, 0.5]"
             in capsys.readouterr().err
         )
         assert not (out / "manifest.json").exists()
@@ -514,7 +518,10 @@ class TestSolveCommand:
             flag, values, "--out", out,
         )
         assert code == 1
-        assert "names users absent from the graph" in capsys.readouterr().err
+        assert (
+            f"error: {values}:3: user 'ghost' is absent from the graph"
+            in capsys.readouterr().err
+        )
         assert not (out / "manifest.json").exists()
 
     def test_seed_bias_file_reaches_named_users(self, tmp_path, two_user_file):

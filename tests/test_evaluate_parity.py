@@ -7,6 +7,7 @@ its overall MSE and rank error must also equal the reference's two-map
 """
 
 import json
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -16,9 +17,16 @@ from hypothesis import given, settings, strategies as st
 import reference_evaluate as reference
 from truerating import RatingGraph, align_truth, build_report
 
-# Unicode ids, so code-point order matters; hypothesis lists come in any
+# Unicode ids, so code-point order matters, NULs among them; ids wider than
+# the 8 bytes one sort key word packs; and ids that are prefixes of others,
+# with or without a NUL after the prefix. Hypothesis lists come in any
 # order, so ascending-id order usually differs from first appearance.
-ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=3)
+PREFIX_IDS = ["a", "a\x00", "a\x00b", "ab", "\x00", "\x00\x00"]
+ids = st.one_of(
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=3),
+    st.text(st.characters(codec="utf-8"), min_size=9, max_size=12),
+    st.sampled_from(PREFIX_IDS),
+)
 # A few repeated values make tied scores common; -0.0 ties with 0.0.
 scores = st.one_of(
     st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
@@ -151,6 +159,34 @@ class TestMatchesReference:
         assert report.to_dict() == reference.build_report(
             graph, [0.5, 0.5, 0.5], truth, label="tied"
         ).to_dict()
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param([], id="prefixes"),
+        pytest.param(["z" * 40, "\u00fc" * 9], id="wide"),
+        # A 2 MiB id makes the graph's id column `bytes` objects.
+        pytest.param(["w" * (1 << 21)], id="very-wide"),
+    ])
+    def test_prefix_and_wide_ids(self, extra):
+        item_ids = ["ab", "a\x00b", "a", "a\x00", "\x00", *extra, "b"]
+        n = len(item_ids)
+        graph = RatingGraph(["u"], item_ids, np.zeros(n, np.int64),
+                            np.arange(n), np.full(n, 0.5))
+        truth = {key: 0.1 * k for k, key in enumerate(reversed(item_ids))}
+        del truth["a"]
+        truth.update({"a\x00\x00": 0.2, "ghost": 0.3})
+        rating = np.linspace(0.0, 1.0, n)
+        aligned = align_truth(graph, MappingProxyType(truth))
+        assert [item_ids[j] for j in aligned.common] == sorted(
+            set(item_ids) & set(truth)
+        )
+        assert aligned.truth.tolist() == [
+            truth[item_ids[j]] for j in aligned.common
+        ]
+        for given in (truth, MappingProxyType(truth), aligned):
+            assert outcome(build_report, graph, rating, given,
+                           label="m") == outcome(
+                reference.build_report, graph, rating, truth, label="m"
+            )
 
     def test_squares_round_as_python_pow(self):
         # A difference whose square `x * x` and the C library's `pow` round

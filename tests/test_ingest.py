@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from truerating import (
     MOVIELENS_FORMAT,
     DelimitedFormat,
+    IdTable,
     IngestError,
     RatingGraph,
     RatingScale,
@@ -198,6 +199,13 @@ class TestGroundTruth:
         path = write(tmp_path / "t.csv", "m1,0.4\nm2,oops\n")
         with pytest.raises(IngestError, match=r"t\.csv:2"):
             ingest_ground_truth(path)
+
+    def test_table_of_any_mapping_keeps_its_ids(self):
+        ids = [" padded ", "\u00fc\u3000", "nul\x00", "\ud800", "x" * 20]
+        given = {key: float(k) for k, key in enumerate(ids)}
+        table = IdTable.of(given)
+        assert list(table.items()) == list(given.items())
+        assert IdTable.of(table) is table
 
     def test_unmatched_items_retained_and_flagged(self, tmp_path):
         path = write(tmp_path / "t.csv", "m1,0.4\nghost,0.9\n")

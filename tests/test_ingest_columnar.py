@@ -6,6 +6,7 @@ the same `IngestError` (path, line and message).
 """
 
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
 )
-from truerating.ingest import _BLOCK_ROWS, _decoded, _lines
+from truerating.ingest import _BLOCK_ROWS, _decoded, _text
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
 PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
 # Near misses: not whitespace, so `str.strip` keeps them.
 NEAR_MISSES = ["\x00"]
-# Every break `_lines` splits on, and characters `str.splitlines` would
-# also split on but a rating file must not.
+# Every break the reference's `_lines` splits on, and characters
+# `str.splitlines` would also split on but a rating file must not.
 BREAKS = ["\n", "\r\n", "\r"]
 NOT_BREAKS = ["\x0b", "\x0c", "\x1c", "\u2028"]
 # Bytes that are not UTF-8, as the surrogates that `write` turns back into
@@ -39,6 +40,14 @@ WIDE = 1 << 19
 ODD_VALUES = ["-0", "1_000", "٣", "２", "1e400", "infinity", "-NaN", "nan",
               "inf", "6", "-1", "99", "1.0000000001", "4.000000001"]
 BAD_VALUES = ["abc", "", "1__0", "0x10", "1e", "--1", "1,5"]
+# Ids of rating records: users, then items.
+USER_IDS = ["u1", "u2", "ü", "a b"]
+ITEM_IDS = ["m1", "m2", "m3", "x"]
+# Ids of truth records: item ids, ids outside ASCII, ids wider than the 8
+# bytes that one sort key word packs, and ids that are prefixes of others
+# ("a" and "ab", and with `NEAR_MISSES` "a\x00", "a\x00b").
+TRUTH_IDS = [*ITEM_IDS, "ü", "a b", "\u3042\u3044", "item.0000000007",
+             "m\u00e9lange-0001", "a", "ab", "a\x00b"]
 
 padding = st.sampled_from(PADDING)
 
@@ -82,9 +91,9 @@ def records(draw, sep, nfields, lo, hi, near=()):
     kind = draw(st.sampled_from(["full"] * 12 + ["short", "blank", "empty", "odd"]))
     if kind == "blank":
         return draw(padding)
+    pools = (USER_IDS, ITEM_IDS) if nfields == 3 else (TRUTH_IDS,)
     keys = [draw(padded(draw(near_missed(draw(st.sampled_from(ids)), near))))
-            for ids in (["u1", "u2", "ü", "a b"], ["m1", "m2", "m3", "x"])]
-    keys = keys[3 - nfields:]
+            for ids in pools]
     if kind == "empty":
         keys[draw(st.integers(0, len(keys) - 1))] = draw(padding)
     fields = [*keys, draw(values(lo, hi, near))]
@@ -145,6 +154,9 @@ rating_files = st.one_of(
     st.tuples(files("\x00", 3, 1.0, 5.0, None, wide=True),
               st.just(dict(fmt=DelimitedFormat("\x00"), scale=RatingScale(1, 5)))),
 )
+# More good truth rows than one value block holds: a bad row after them
+# falls in a later block.
+GOOD_ROWS = "".join(f"g{k},0.5\n" for k in range(_BLOCK_ROWS + 1))
 # (file text, ingest_ground_truth keywords); a header may open the file.
 truth_files = st.one_of(
     st.tuples(files(",", 2, 0.0, 100.0, None),
@@ -153,6 +165,8 @@ truth_files = st.one_of(
     st.tuples(files(",", 2, -5.0, 5.0, None), st.just({})),
     st.tuples(files(",", 2, 1.0, 5.0, "item,score"),
               st.just(dict(scale=RatingScale(1, 5)))),
+    st.tuples(files(",", 2, 0.0, 1.0, None).map(GOOD_ROWS.__add__),
+              st.just({})),
 )
 
 
@@ -162,7 +176,7 @@ def outcome(parse, path, **kwargs):
         result = parse(path, **kwargs)
     except IngestError as exc:
         return ("error", exc.path, exc.line, str(exc))
-    if isinstance(result, dict):
+    if isinstance(result, Mapping):
         return ("truth", [(k, np.float64(v).tobytes())
                           for k, v in result.items()])
     return ("graph", {
@@ -284,12 +298,26 @@ class TestMatchesReference:
             reference.ingest_ground_truth, path
         )
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("w" * WIDE + ",0.5\nm1,0.25\n", id="wide-id"),
+        pytest.param("w" * WIDE + ",0.5\nm1,0.25\n" + "w" * WIDE + ",0.1\n",
+                     id="wide-id-repeated"),
+        pytest.param("m1,0.25\n \u00fc" + "w" * WIDE + "\u3000,0.5\n\u00fc"
+                     + "w" * WIDE + ",1\n", id="wide-id-padded-repeated"),
+    ])
+    def test_wide_truth_ids(self, tmp_path, text):
+        # Ids far wider than the rest are read as `bytes` objects.
+        path = write(tmp_path / "t.csv", text)
+        assert outcome(ingest_ground_truth, path) == outcome(
+            reference.ingest_ground_truth, path
+        )
+
     def test_only_listed_breaks_split_lines(self, tmp_path):
         # A form feed inside a line leaves it one record; the reference's
         # `_lines` must agree, or the two parsers would number lines apart.
         text = "u1::m1::5\x0c\nu2::m1::3\u2028\n"
         path = write(tmp_path / "r.dat", text)
-        assert [n for n, _ in _lines(path)] == [1, 2]
+        assert [n for n, _ in reference._lines(path)] == [1, 2]
         assert ingest_ratings(path, scale=RatingScale(1, 5)).num_edges == 2
 
 
@@ -424,25 +452,37 @@ ONE_READ_CASES = [
 ]
 
 
-def no_rescan(path):
-    raise AssertionError(f"{path} was read line by line")
+def counted_reads(monkeypatch) -> list:
+    """The paths the package reads from now on, one entry per read."""
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return _text(path)
+
+    monkeypatch.setattr("truerating.ingest._text", counted)
+    return reads
 
 
 class TestFastPath:
     def test_valid_files_are_not_rescanned(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("truerating.ingest._lines", no_rescan)
+        reads = counted_reads(monkeypatch)
         ratings = write(tmp_path / "r.dat", "u1::m1::5\r\nu2::m1::3::9\n\nu1::m2::1")
         assert ingest_ratings(ratings, scale=RatingScale(1, 5)).num_edges == 3
+        truth = write(tmp_path / "t.csv", "\ufeffitem_id,score\r\nm1,0.5\r\n")
+        assert ingest_ground_truth(truth) == {"m1": 0.5}
+        assert reads == [ratings, truth]
 
     @pytest.mark.parametrize("text, kwargs, expected", ONE_READ_CASES)
     def test_read_once(self, tmp_path, monkeypatch, text, kwargs, expected):
-        # No rating file, valid or bad, goes through `_lines`.
+        # Every rating file, valid or bad, is read once.
         path = write(tmp_path / "r.dat", text)
         kwargs = dict(kwargs, scale=RatingScale(1, 5))
         want = outcome(reference.ingest_ratings, path, **kwargs)
         assert want[0 if expected == "graph" else 2] == expected
-        monkeypatch.setattr("truerating.ingest._lines", no_rescan)
+        reads = counted_reads(monkeypatch)
         assert outcome(ingest_ratings, path, **kwargs) == want
+        assert reads == [path]
 
 
 class TestBadValue:
