@@ -72,6 +72,17 @@ def degree_bins(degrees: np.ndarray) -> np.ndarray:
     return np.searchsorted(_BIN_UPPER, degrees, side="left") + 1
 
 
+def _distinct(ids: Sequence[str], kind: str) -> tuple[str, ...]:
+    """`ids` as a tuple of `str`, each made one by `str` unless all are;
+    raises `ValueError` if two are equal."""
+    ids = tuple(ids)
+    if not set(map(type, ids)) <= {str}:
+        ids = tuple(str(i) for i in ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {kind} ids")
+    return ids
+
+
 class RatingGraph:
     """Immutable bipartite rating graph.
 
@@ -105,12 +116,8 @@ class RatingGraph:
         edge_item: np.ndarray,
         edge_weight: np.ndarray,
     ) -> None:
-        user_ids = tuple(str(u) for u in user_ids)
-        item_ids = tuple(str(i) for i in item_ids)
-        if len(set(user_ids)) != len(user_ids):
-            raise ValueError("duplicate user ids")
-        if len(set(item_ids)) != len(item_ids):
-            raise ValueError("duplicate item ids")
+        user_ids = _distinct(user_ids, "user")
+        item_ids = _distinct(item_ids, "item")
 
         u = np.asarray(edge_user, dtype=np.int64)
         v = np.asarray(edge_item, dtype=np.int64)

@@ -14,17 +14,32 @@ without extra flags.
 A rating file has one reader, for any UTF-8 file. It reads the file
 once as bytes: line breaks, delimiters and runs of ASCII whitespace are
 found by numpy scans, each field is trimmed and gathered into a
-fixed-width ``S`` column, ids are numbered with `np.unique`, values are
-converted by ``astype(np.float64)`` a block of rows at a time, and every
-check (field count, empty ids, finite and in-scale values, weights in
-[0, 1], duplicates) is a reduction over whole columns. Only a file that
-is not plain ASCII needs text: its distinct ids are decoded and stripped
-by `str.strip`, ids equal after that are merged, and a value block numpy
-refuses is read by `float`, once per distinct field; conversion stops
-after the first block that holds a bad value. Rows are mapped to lines
-only when a check fails: the `IngestError` carries the file path and the
-1-based line number of the first bad record, or of the first byte that
-is not UTF-8.
+fixed-width ``S`` column, ids are numbered, values are converted a block
+of rows at a time, and every check (field count, empty ids, finite and
+in-scale values, weights in [0, 1], duplicates) is a reduction over
+whole columns.
+
+A column whose fields are all at most 8 bytes wide is gathered as one
+little-endian word per field, by one unaligned load each, and is an
+``S8`` column of those words. Its ids are keyed by the words: a column of
+decimal ids, ASCII digits with no leading ``0`` (but ``"0"``) whose
+largest is below `_ID_SPAN` times the row count, is numbered by value
+through a table of each value's first row, with no sort; a leading zero
+would make ``"007"`` and ``"7"`` one value, so it sends the column to
+`np.unique`, as do any other ids. A block of plain decimals, ASCII digits
+with at most one ``.``, is converted by digit arithmetic within the
+words and one division: an integer below 10**8 by a power of ten of at
+most 10**8, both exact doubles, so the correctly rounded quotient is
+what `float` gives, bit for bit (`_plain_decimals`). Any other block is
+read by ``astype(np.float64)``.
+
+Only a file that is not plain ASCII needs text: its distinct ids are
+decoded and stripped by `str.strip`, ids equal after that are merged,
+and a value block numpy refuses is read by `float`, once per distinct
+field; conversion stops after the first block that holds a bad value.
+Rows are mapped to lines only when a check fails: the `IngestError`
+carries the file path and the 1-based line number of the first bad
+record, or of the first byte that is not UTF-8.
 
 `ingest_ground_truth` reads the ``id,value`` tables (ground truth,
 per-user alpha overrides and seed biases) with the same reader, on two
@@ -168,14 +183,43 @@ def _matches(text: np.ndarray, sep: bytes) -> np.ndarray:
     return np.append(cuts, text.size)
 
 
+# A field of up to 8 bytes is read as one little-endian word: its first
+# byte lowest, then zeros past its end.
+_WORD = 8
+# The byte 1 in each byte of a word.
+_ONES = 0x0101010101010101
+
+
+def _padded(text: np.ndarray, nuls: np.ndarray, longest: int) -> np.ndarray:
+    """`text` followed by zeros, so that each field's window of its
+    `longest` bytes, or its word, stays inside; the NULs at `nuls` become
+    0xFF. `S` columns drop trailing NULs; UTF-8 never holds 0xFF, so it
+    stands in for them."""
+    padded = np.zeros(text.size + max(longest, _WORD) + 1, np.uint8)
+    padded[:text.size] = text
+    padded[:text.size][nuls] = 0xFF
+    return padded
+
+
 def _gather(
     padded: np.ndarray, starts: np.ndarray, stops: np.ndarray, limit: int
 ) -> np.ndarray:
     """The fields at [starts, stops) of `padded` as one fixed-width `S`
-    column, or as `bytes` objects if that column would take more than
-    `limit` bytes."""
+    column: one `S8` word each if none is wider than 8 bytes, else as wide
+    as the widest, or as `bytes` objects if that column would take more
+    than `limit` bytes."""
     lengths = stops - starts
-    width = max(int(lengths.max(initial=0)), 1)
+    width = int(lengths.max(initial=0))
+    if width <= _WORD:
+        # One unaligned load per field from a byte-strided view of words;
+        # the bytes past the field go out at the top and zeros come back.
+        words = np.ndarray((padded.size - _WORD + 1,), "<u8", padded,
+                           strides=(1,))[starts]
+        past = np.subtract(_WORD, lengths, out=lengths).view(np.uint64)
+        past <<= 3
+        words <<= past
+        words >>= past
+        return words.view(f"S{_WORD}")
     if width * lengths.size > limit:
         blob = padded.tobytes()
         fields = [blob[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
@@ -185,22 +229,88 @@ def _gather(
     return cells.view(f"S{width}").ravel()
 
 
+def _byte_count(flags: np.ndarray) -> np.ndarray:
+    """How many bytes of each word are 1, in words of 0 and 1 bytes."""
+    return (flags * _ONES) >> 56
+
+
+def _digit_values(digits: np.ndarray) -> np.ndarray:
+    """The integer that each word's 8 bytes spell as decimal digits, the
+    first in its low byte, each byte 0 to 9: pairs, then fours, then
+    eights of digits are combined by multiplies within the word."""
+    pairs = digits * 10 + (digits >> 8)
+    low = 0x000000FF000000FF
+    return ((pairs & low) * (100 + (1000000 << 32))
+            + ((pairs >> 16) & low) * (1 + (10000 << 32))) >> 32
+
+
 def _decoded(field: bytes) -> str:
     """A gathered field's text as `str.strip` leaves it."""
     return field.replace(b"\xff", b"\x00").decode().strip()
 
 
+def _ascii_texts(column: np.ndarray) -> list[str] | None:
+    """The text of each field of an `S` column, or None if one is not
+    ASCII: the fields without their padding zeros, each ended by 0x80,
+    which ASCII lacks, are decoded at once and split."""
+    raw = column.view(np.uint8).reshape(column.size, column.itemsize)
+    if raw.max(initial=0) >= 0x80:
+        return None
+    cells = np.full((column.size, column.itemsize + 1), 0x80, np.uint8)
+    cells[:, :-1] = raw
+    return cells[cells != 0].tobytes().decode("latin-1").split("\x80")[:-1]
+
+
+#: A column of decimal ids is numbered by value if its largest id is
+#: below this many times its row count, so the table stays small.
+_ID_SPAN = 4
+
+
+def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
+    """The integer that each field of an `S8` column spells, if every
+    field is ASCII digits with no leading ``0`` (but ``"0"`` itself), so
+    that distinct fields spell distinct integers; else None."""
+    raw = column.view(np.uint8)
+    present = raw != 0
+    digit = raw - 0x30 < 10
+    if not (np.array_equal(digit, present) and digit.view("<u8").all()):
+        return None
+    words = column.view("<u8")
+    if (((words & 0xFF) == 0x30) & present[1::_WORD]).any():
+        return None
+    # The digits moved to the top of the word, zeros below them.
+    shift = (_WORD - _byte_count(present.view("<u8"))) * 8
+    return _digit_values((words & 0x0F * _ONES) << shift).view(np.int64)
+
+
+def _by_value(column: np.ndarray, values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """`_dense_ids` of a column whose rows spell the integers `values`,
+    equal where the fields are, by a table as long as the largest."""
+    # Each value's first row; those rows in row order are the distinct ids
+    # in first-appearance order.
+    first = np.full(int(values.max()) + 1, values.size)
+    np.minimum.at(first, values, np.arange(values.size))
+    opens = np.zeros(values.size, bool)
+    opens[first[first < values.size]] = True
+    rows = np.flatnonzero(opens)
+    del opens
+    first[values[rows]] = np.arange(rows.size)
+    return _ascii_texts(column[rows]), first[values]
+
+
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Distinct ids of a column of fields in first-appearance order, and
-    each row's dense index. Ids of up to 8 bytes are sorted as one
-    zero-padded `uint64` each, longer ones as bytes. Only the distinct ids
-    are decoded; those not in ASCII are stripped, and merged if equal."""
+    each row's dense index. Ids of up to 8 bytes are keyed by their word:
+    a column of decimal ids below `_ID_SPAN` times the row count is
+    numbered by value with no sort, any other sorted by `np.unique`, as
+    are wider ids, as bytes. Only the distinct ids are decoded; those not
+    in ASCII are stripped, and merged if equal."""
     keys = column
-    width = column.dtype.itemsize
-    if column.dtype.kind == "S" and width <= 8:
-        cells = np.zeros((column.size, 8), np.uint8)
-        cells[:, :width] = column.view(np.uint8).reshape(-1, width)
-        keys = cells.view(np.uint64).ravel()
+    if column.dtype == f"S{_WORD}":
+        keys = column.view("<u8")
+        values = _decimal_ids(column)
+        if values is not None and values.max(initial=0) < _ID_SPAN * values.size:
+            return _by_value(column, values)
     # `return_index` would force a stable sort, several times slower.
     distinct, inverse = np.unique(keys, return_inverse=True)
     first = np.full(distinct.size, keys.size)
@@ -211,23 +321,67 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     ids = column[first[order]]
-    if ids.dtype.kind == "S":
-        with suppress(UnicodeDecodeError):
-            return ids.astype(str).tolist(), rank[inverse]
+    texts = _ascii_texts(ids) if ids.dtype.kind == "S" else None
+    if texts is not None:
+        return texts, rank[inverse]
     index: dict[str, int] = {}
     merged = [index.setdefault(_decoded(i), len(index)) for i in ids.tolist()]
     return list(index), np.array(merged, np.int64)[rank[inverse]]
+
+
+# 10**k, exact, for the k by which `_plain_decimals` divides.
+_POWERS_OF_TEN = np.array([10**k for k in range(_WORD + 1)], np.float64)
+
+
+def _plain_decimals(column: np.ndarray) -> np.ndarray | None:
+    """Each field of an `S8` column as `float` reads it, if every field is
+    a plain decimal: ASCII digits with at most one ``.``, and at least one
+    digit; else None.
+
+    The digits, without the point and with zeros after them to fill 8
+    bytes, spell an integer m below 10**8 that is 10**k times the
+    decimal's value, for some k of at most 8. Both m and 10**k are below
+    2**53, so exact doubles, and IEEE division rounds m / 10**k correctly,
+    as `float` rounds the decimal: every bit agrees (Clinger, "How to Read
+    Floating Point Numbers Accurately", 1990)."""
+    raw = column.view(np.uint8)
+    present = raw != 0
+    point = raw == 0x2E
+    digit = raw - 0x30 < 10
+    points = point.view("<u8")
+    if not (
+        np.array_equal(digit | point, present)
+        and digit.view("<u8").all()
+        and not (points & (points - 1)).any()
+    ):
+        return None
+    # The bytes below the point, or all of them if there is none. The
+    # digits after the point move down a byte over it.
+    below = points - 1
+    digits = column.view("<u8") & 0x0F * _ONES
+    merged = (digits & below) | ((digits >> 8) & ~below)
+    # k is 8 less the digits before the point, or less all the digits.
+    k = _WORD - _byte_count(present.view("<u8") & below)
+    return _digit_values(merged).astype(np.float64) / _POWERS_OF_TEN[k]
 
 
 def _values(column: np.ndarray) -> np.ndarray:
     """Each field of `column` as `float` reads its stripped text, or NaN
     where `float` refuses it, up to the first block of `_BLOCK_ROWS` rows
     that holds a NaN; every row after that block is NaN too, as no row
-    there can be the first bad one. numpy reads ASCII as `float` does; a
-    block it refuses goes to `float` once per distinct field."""
+    there can be the first bad one. A block of plain decimals of up to 8
+    bytes is converted from its words; numpy reads any other ASCII as
+    `float` does, and a block it refuses goes to `float` once per distinct
+    field."""
     values = np.full(column.size, np.nan)
+    words = column.dtype == f"S{_WORD}"
     for start in range(0, column.size, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
+        if words:
+            plain = _plain_decimals(column[block])
+            if plain is not None:
+                values[block] = plain
+                continue
         with suppress(ValueError):
             values[block] = column[block].astype(np.float64)
             continue
@@ -294,23 +448,20 @@ def _columns(
         starts, ends, first = (a[:short[0]] for a in (starts, ends, first))
     del count, short
 
-    # A field is no longer than its line, so padding the text by the
-    # longest line lets every field's window stay inside it. `S` columns
-    # drop trailing NULs; UTF-8 never holds 0xFF, so it stands in for them.
-    padded = np.zeros(text.size + int((ends - starts).max(initial=0)) + 1, np.uint8)
-    padded[:text.size] = text
-    padded[nuls] = 0xFF
+    # A field is no longer than its line.
+    padded = _padded(text, nuls, int((ends - starts).max(initial=0)))
     limit = max(2 * text.size, 1 << 20)
     del text, data, nuls
     columns = []
     for k in range(nfields):
+        if k:
+            starts = cuts[first + k - 1] + len(sep)
         stop = cuts[first + k]
         if k == nfields - 1:
             stop = np.minimum(stop, ends)
         if spaced:
             _trim(padded, starts, stop)
         columns.append(_gather(padded, starts, stop, limit))
-        starts = cuts[first + k] + len(sep)
     return columns, kept, fields, canonical
 
 
@@ -415,11 +566,11 @@ _ORDER = np.array([0, *range(2, 256), 1], np.uint8)
 
 
 def _texts(column: np.ndarray) -> list[str]:
-    """The text of each field of a gathered column, decoded by numpy if
+    """The text of each field of a gathered column, decoded at once if
     every field is ASCII."""
-    if column.dtype.kind == "S":
-        with suppress(UnicodeDecodeError):
-            return column.astype(str).tolist()
+    texts = _ascii_texts(column) if column.dtype.kind == "S" else None
+    if texts is not None:
+        return texts
     return [field.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
             for field in column.tolist()]
 
@@ -438,9 +589,7 @@ def _id_column(ids: Sequence[str]) -> np.ndarray:
         lengths = np.fromiter(map(len, encoded), np.int64, len(ids))
         stops = np.cumsum(lengths)
         starts = stops - lengths
-    padded = np.zeros(text.size + int((stops - starts).max(initial=0)) + 1, np.uint8)
-    padded[:text.size] = text
-    padded[np.flatnonzero(text == 0)] = 0xFF
+    padded = _padded(text, text == 0, int((stops - starts).max(initial=0)))
     return _gather(padded, starts, stops, max(2 * text.size, 1 << 20))
 
 

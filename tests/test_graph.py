@@ -127,6 +127,21 @@ class TestRatingGraphConstruction:
         with pytest.raises(ValueError, match=message):
             RatingGraph(users, items, np.array(u), np.array(v), np.array(w))
 
+    def test_ids_that_are_not_all_str_are_converted(self):
+        # Ids that are all `str` are kept as given; any others are made
+        # `str` by `str`, and ids equal after that are repeats.
+        users = ["u1", "u2"]
+        g = RatingGraph(users, [np.str_("m1"), 7], np.array([0, 1]),
+                        np.array([0, 1]), np.array([0.5, 0.5]))
+        assert g.user_ids == ("u1", "u2") and g.user_ids[0] is users[0]
+        assert g.item_ids == ("m1", "7")
+        assert {type(i) for i in g.user_ids + g.item_ids} == {str}
+        edges = np.array([0, 1]), np.array([0, 0]), np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="duplicate user ids"):
+            RatingGraph([7, "7"], ["m1"], *edges)
+        with pytest.raises(ValueError, match="duplicate item ids"):
+            RatingGraph(["u1"], [np.str_("m1"), "m1"], edges[1], edges[0], edges[2])
+
     def test_empty_graph(self):
         g = RatingGraph.from_edges([])
         assert g.num_users == 0 and g.num_items == 0 and g.num_edges == 0

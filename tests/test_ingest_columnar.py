@@ -5,6 +5,8 @@ whose every array and id list is bit-identical to the reference's, or raise
 the same `IngestError` (path, line and message).
 """
 
+import math
+import re
 import tracemalloc
 from collections.abc import Mapping
 
@@ -20,7 +22,15 @@ from truerating import (
     ingest_ground_truth,
     ingest_ratings,
 )
-from truerating.ingest import _BLOCK_ROWS, _decoded, _text
+from truerating.ingest import (
+    _BLOCK_ROWS,
+    _decoded,
+    _dense_ids,
+    _id_column,
+    _plain_decimals,
+    _text,
+    _values,
+)
 
 # Whitespace that `str.strip` removes, some of it outside ASCII.
 PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
@@ -37,12 +47,18 @@ INVALID = ["\udcff", "\udcc3", "\udce2\udc86"]
 # than twice the file.
 WIDE = 1 << 19
 # Values `float` accepts in unusual spellings, and values it rejects.
+# Plain decimals of up to 8 bytes are converted from their words, so a
+# point at either end, leading zeros, all 8 bytes and 9 bytes are odd too.
 ODD_VALUES = ["-0", "1_000", "٣", "２", "1e400", "infinity", "-NaN", "nan",
-              "inf", "6", "-1", "99", "1.0000000001", "4.000000001"]
+              "inf", "6", "-1", "99", "1.0000000001", "4.000000001",
+              "5.", ".5", "00.50", "12345678", "1234567.8"]
 BAD_VALUES = ["abc", "", "1__0", "0x10", "1e", "--1", "1,5"]
+# Decimal ids: a column of them may be numbered by value, unless one has
+# a leading zero, is wider than a word or too large for the row count.
+DECIMAL_IDS = ["0", "7", "007", "10", "12345678", "123456789"]
 # Ids of rating records: users, then items.
-USER_IDS = ["u1", "u2", "ü", "a b"]
-ITEM_IDS = ["m1", "m2", "m3", "x"]
+USER_IDS = ["u1", "u2", "ü", "a b", *DECIMAL_IDS]
+ITEM_IDS = ["m1", "m2", "m3", "x", *DECIMAL_IDS]
 # Ids of truth records: item ids, ids outside ASCII, ids wider than the 8
 # bytes that one sort key word packs, and ids that are prefixes of others
 # ("a" and "ab", and with `NEAR_MISSES` "a\x00", "a\x00b").
@@ -504,6 +520,97 @@ class TestBadValue:
         monkeypatch.setattr("truerating.ingest._decoded", counted)
         assert outcome(ingest_ratings, path, **kwargs) == want
         assert len(calls) <= _BLOCK_ROWS
+
+
+def as_float(field):
+    """`float` of `field`, or NaN where `float` refuses it."""
+    try:
+        return float(field)
+    except ValueError:
+        return math.nan
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@st.composite
+def plain_decimals(draw):
+    """ASCII digits with at most one ".", and at least one digit, in at
+    most 8 bytes."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=8))
+    if len(digits) < 8 and draw(st.booleans()):
+        at = draw(st.integers(0, len(digits)))
+        return digits[:at] + "." + digits[at:]
+    return digits
+
+
+class TestWordValues:
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.lists(st.text("0123456789.", max_size=8), min_size=1,
+                           max_size=20))
+    def test_digits_and_points_read_as_float_reads_them(self, fields):
+        # Any string of up to 8 bytes from [0-9.]: the value `float` gives,
+        # bit for bit, or NaN where `float` refuses it. A block of plain
+        # decimals is converted from its words; any other by numpy.
+        got = _values(_id_column(fields))
+        assert bits(got) == bits(map(as_float, fields))
+        plain = all(re.fullmatch(r"[0-9]*\.?[0-9]*", f) and f.strip(".")
+                    for f in fields)
+        words = _plain_decimals(_id_column(fields))
+        assert (words is not None) == plain
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.lists(plain_decimals(), min_size=1, max_size=20))
+    def test_plain_decimals_are_converted_from_words(self, fields):
+        words = _plain_decimals(_id_column(fields))
+        assert words is not None
+        assert bits(words) == bits(map(float, fields))
+
+
+# Decimal ids with gaps, "0", leading zeros and the odd 9-byte one; none
+# is large, as numbering by value takes a table as long as the largest.
+decimal_ids = st.lists(
+    st.one_of(st.integers(0, 999).map(str),
+              st.sampled_from(["0", "00", "007", "7", "000000007", "123456789"])),
+    min_size=1, max_size=30,
+)
+
+
+class TestDecimalIds:
+    def test_leading_zeros_keep_ids_apart(self, tmp_path):
+        # "7", "007" and "0" are three ids, as the reference reads them.
+        path = write(tmp_path / "r.dat", "7::1::5\n007::1::3\n0::2::4.50\n")
+        kwargs = dict(scale=RatingScale(1, 5))
+        assert ingest_ratings(path, **kwargs).user_ids == ("7", "007", "0")
+        assert outcome(ingest_ratings, path, **kwargs) == outcome(
+            reference.ingest_ratings, path, **kwargs
+        )
+
+    def test_large_ids_take_the_sort(self, monkeypatch):
+        # The largest id is over `_ID_SPAN` times the row count, so the
+        # column is sorted; it gives what numbering by value gives.
+        column = _id_column(["3", "100", "3", "0"])
+        with monkeypatch.context() as patch:
+            patch.setattr("truerating.ingest._by_value", None)
+            ids, index = _dense_ids(column)
+        assert ids == ["3", "100", "0"] and index.tolist() == [0, 1, 0, 2]
+        monkeypatch.setattr("truerating.ingest._ID_SPAN", 1 << 30)
+        by_value = _dense_ids(column)
+        assert by_value[0] == ids and np.array_equal(by_value[1], index)
+
+    @parity
+    @given(ids=decimal_ids)
+    def test_numbering_by_value_matches_sort(self, monkeypatch, ids):
+        # With the gate shut every column is sorted; wide open, every
+        # column of plain decimal ids is numbered by value.
+        column = _id_column(ids)
+        want = list(dict.fromkeys(ids))
+        for span in (0, 1 << 30):
+            monkeypatch.setattr("truerating.ingest._ID_SPAN", span)
+            got, index = _dense_ids(column)
+            assert got == want
+            assert index.tolist() == [want.index(i) for i in ids]
 
 
 def traced_ingest(path):
