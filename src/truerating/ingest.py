@@ -12,12 +12,11 @@ Two on-disk layouts are supported:
 without extra flags.
 
 A rating file has one reader, for any UTF-8 file. It reads the file
-once as bytes: line breaks, delimiters and runs of ASCII whitespace are
-found by numpy scans, each field is trimmed and gathered into a
-fixed-width ``S`` column, ids are numbered, values are converted a block
-of rows at a time, and every check (field count, empty ids, finite and
-in-scale values, weights in [0, 1], duplicates) is a reduction over
-whole columns.
+once as bytes: line breaks, delimiters and whitespace are found by numpy
+scans, each field is trimmed and gathered into a fixed-width ``S``
+column, ids are numbered, values are converted a block of rows at a
+time, and every check (field count, empty ids, finite and in-scale
+values, weights in [0, 1], duplicates) is a reduction over whole columns.
 
 A column whose fields are all at most 8 bytes wide is gathered as one
 little-endian word per field, by one unaligned load each, and is an
@@ -33,9 +32,9 @@ most 10**8, both exact doubles, so the correctly rounded quotient is
 what `float` gives, bit for bit (`_plain_decimals`). Any other block is
 read by ``astype(np.float64)``.
 
-Only a file that is not plain ASCII needs text: its distinct ids are
-decoded and stripped by `str.strip`, ids equal after that are merged,
-and a value block numpy refuses is read by `float`, once per distinct
+A file with whitespace, or not ASCII, has its lines and fields trimmed of
+exactly what `str.strip` removes (`_trim`). Only the distinct ids become
+text, and a value block numpy refuses goes to `float` once per distinct
 field; conversion stops after the first block that holds a bad value.
 Rows are mapped to lines only when a check fails: the `IngestError`
 carries the file path and the 1-based line number of the first bad
@@ -144,19 +143,47 @@ def _text(path: str | Path) -> bytes:
     return data
 
 
-# The ASCII bytes that `str.strip` removes, but for the line break.
-_SPACE = np.array([b < 0x80 and b != 0x0A and chr(b).isspace() for b in range(256)])
+# What `str.strip` removes but the line break, which ends a line before its
+# fields are cut; a test checks it against Python's Unicode database. The
+# ASCII bytes are `_SPACE`; the UTF-8 of the rest is keyed big-endian by
+# length, and `_WIDE_EDGE` marks the bytes that begin (row 0) or end one.
+_STRIPPED = (
+    "\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_SPACE = np.array([b < 0x80 and chr(b) in _STRIPPED for b in range(256)])
+_WIDE = [c.encode() for c in _STRIPPED if not c.isascii()]
+_WIDE_KEYS = {n: [int.from_bytes(w, "big") for w in _WIDE if len(w) == n] for n in (2, 3)}
+_WIDE_EDGE = np.array([[b in {w[k] for w in _WIDE} for b in range(256)] for k in (0, -1)])
 
 
-def _trim(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
-    """Move each span [start, stop) of `text` past the ASCII whitespace at
-    its ends, in place, by a byte a pass on the spans that still have some."""
+def _trim(text: np.ndarray, starts: np.ndarray, stops: np.ndarray, wide: bool) -> None:
+    """Move each span [start, stop) of `text` past the characters that
+    `str.strip` removes at its ends, in place, by a character a pass on the
+    spans that still have one. If `wide`, a span whose edge byte is in
+    `_WIDE_EDGE` has the 3 bytes from or before its edge, clipped to
+    `text`, matched against `_WIDE_KEYS`; spans never cut a character, so
+    only a 2-byte one can be clipped, and its lead begins no 3-byte key."""
     for end, inside, step in ((starts, 0, 1), (stops, -1, -1)):
         at = np.arange(starts.size)
         while at.size:
             at = at[starts[at] < stops[at]]
-            at = at[_SPACE[text[end[at] + inside]]]
+            edge = text[end[at] + inside]
+            if wide:
+                high = at[edge >= 0x80]
+                high = high[_WIDE_EDGE[inside][text[end[high] + inside]]]
+                key = np.zeros(high.size, np.int64)
+                for j in (0, 1, 2) if step > 0 else (-3, -2, -1):
+                    key = key << 8 | text.take(end[high] + j, mode="clip")
+                # No key of 2 bytes begins or ends one of 3.
+                two = key >> 8 if step > 0 else key & 0xFFFF
+                widths = 3 * np.isin(key, _WIDE_KEYS[3]) + 2 * np.isin(two, _WIDE_KEYS[2])
+                high = high[widths > 0]
+                end[high] += step * widths[widths > 0]
+            at = at[_SPACE[edge]]
             end[at] += step
+            if wide:
+                at = np.concatenate((at, high))
 
 
 def _matches(text: np.ndarray, sep: bytes) -> np.ndarray:
@@ -244,21 +271,19 @@ def _digit_values(digits: np.ndarray) -> np.ndarray:
             + ((pairs >> 16) & low) * (1 + (10000 << 32))) >> 32
 
 
-def _decoded(field: bytes) -> str:
-    """A gathered field's text as `str.strip` leaves it."""
-    return field.replace(b"\xff", b"\x00").decode().strip()
-
-
-def _ascii_texts(column: np.ndarray) -> list[str] | None:
-    """The text of each field of an `S` column, or None if one is not
-    ASCII: the fields without their padding zeros, each ended by 0x80,
-    which ASCII lacks, are decoded at once and split."""
-    raw = column.view(np.uint8).reshape(column.size, column.itemsize)
-    if raw.max(initial=0) >= 0x80:
-        return None
-    cells = np.full((column.size, column.itemsize + 1), 0x80, np.uint8)
-    cells[:, :-1] = raw
-    return cells[cells != 0].tobytes().decode("latin-1").split("\x80")[:-1]
+def _texts(column: np.ndarray) -> list[str]:
+    """The text of each field of a gathered column: decoded at once, each
+    ended by a line break, unless one holds a line break (only an id made
+    in Python can) or they are `bytes` objects."""
+    if column.dtype.kind == "S":
+        cells = np.full((column.size, column.itemsize + 1), 0x0A, np.uint8)
+        cells[:, :-1] = column.view(np.uint8).reshape(column.size, column.itemsize)
+        text = cells[cells != 0].tobytes()
+        if text.count(b"\n") == column.size:
+            text = text.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
+            return text.split("\n")[:-1]
+    return [field.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
+            for field in column.tolist()]
 
 
 #: A column of decimal ids is numbered by value if its largest id is
@@ -295,7 +320,7 @@ def _by_value(column: np.ndarray, values: np.ndarray) -> tuple[list[str], np.nda
     rows = np.flatnonzero(opens)
     del opens
     first[values[rows]] = np.arange(rows.size)
-    return _ascii_texts(column[rows]), first[values]
+    return _texts(column[rows]), first[values]
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -303,8 +328,8 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     each row's dense index. Ids of up to 8 bytes are keyed by their word:
     a column of decimal ids below `_ID_SPAN` times the row count is
     numbered by value with no sort, any other sorted by `np.unique`, as
-    are wider ids, as bytes. Only the distinct ids are decoded; those not
-    in ASCII are stripped, and merged if equal."""
+    are wider ids, as bytes. Only the distinct ids are decoded; trimmed
+    fields are equal ids only where their bytes are equal."""
     keys = column
     if column.dtype == f"S{_WORD}":
         keys = column.view("<u8")
@@ -320,13 +345,7 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    ids = column[first[order]]
-    texts = _ascii_texts(ids) if ids.dtype.kind == "S" else None
-    if texts is not None:
-        return texts, rank[inverse]
-    index: dict[str, int] = {}
-    merged = [index.setdefault(_decoded(i), len(index)) for i in ids.tolist()]
-    return list(index), np.array(merged, np.int64)[rank[inverse]]
+    return _texts(column[first[order]]), rank[inverse]
 
 
 # 10**k, exact, for the k by which `_plain_decimals` divides.
@@ -366,13 +385,12 @@ def _plain_decimals(column: np.ndarray) -> np.ndarray | None:
 
 
 def _values(column: np.ndarray) -> np.ndarray:
-    """Each field of `column` as `float` reads its stripped text, or NaN
-    where `float` refuses it, up to the first block of `_BLOCK_ROWS` rows
-    that holds a NaN; every row after that block is NaN too, as no row
-    there can be the first bad one. A block of plain decimals of up to 8
-    bytes is converted from its words; numpy reads any other ASCII as
-    `float` does, and a block it refuses goes to `float` once per distinct
-    field."""
+    """Each field of `column` as `float` reads it, or NaN where `float`
+    refuses it, up to the first block of `_BLOCK_ROWS` rows that holds a
+    NaN; every row after that block is NaN too, as no row there can be the
+    first bad one. A block of plain decimals of up to 8 bytes is converted
+    from its words; numpy reads any other ASCII as `float` does, and a
+    block it refuses goes to `float` once per distinct field."""
     values = np.full(column.size, np.nan)
     words = column.dtype == f"S{_WORD}"
     for start in range(0, column.size, _BLOCK_ROWS):
@@ -387,9 +405,9 @@ def _values(column: np.ndarray) -> np.ndarray:
             continue
         distinct, inverse = np.unique(column[block], return_inverse=True)
         parsed = np.full(distinct.size, np.nan)
-        for k, field in enumerate(distinct.tolist()):
+        for k, text in enumerate(_texts(distinct)):
             with suppress(ValueError):
-                parsed[k] = float(_decoded(field))
+                parsed[k] = float(text)
         values[block] = parsed[inverse]
         if np.isnan(parsed).any():
             break
@@ -399,32 +417,28 @@ def _values(column: np.ndarray) -> np.ndarray:
 def _columns(
     path: str | Path, fmt: DelimitedFormat, nfields: int = 3
 ) -> tuple[list[np.ndarray], np.ndarray, int | None, bool]:
-    """The first `nfields` fields of each record of `path`, trimmed of
-    ASCII whitespace, as columns; which lines are records; the field count
+    """The first `nfields` fields of each record of `path`, trimmed as by
+    `str.strip`, as columns; which lines are records; the field count
     of the first line with fewer than `nfields`, where the columns stop
     (None if none); and whether a canonical CSV header opens a rating file
     (`nfields` 3), which makes the lines after it records split on ``,``."""
     data = _text(path)
     text = np.frombuffer(data, np.uint8)
     # One scan finds the line breaks, the ASCII whitespace and the NULs.
+    # Only a file with whitespace or outside ASCII is trimmed.
     low = np.flatnonzero(text <= 0x20)
     kind = text[low]
-    breaks, nuls, spaced = low[kind == 0x0A], low[kind == 0], _SPACE[kind].any()
+    breaks, nuls, wide = low[kind == 0x0A], low[kind == 0], not data.isascii()
+    trimmed = wide or _SPACE[kind].any()
     del low, kind
     starts = np.concatenate(([0], breaks + 1))
     ends = np.append(breaks, text.size)
     del breaks
-    # A line is blank if trimming leaves nothing, or if what it leaves
-    # begins and ends outside ASCII and its text strips to nothing.
+    # A line is blank if trimming leaves nothing.
     solid = starts.copy(), ends.copy()
-    if spaced:
-        _trim(text, *solid)
+    if trimmed:
+        _trim(text, *solid, wide)
     kept = solid[1] > solid[0]
-    if not data.isascii():
-        maybe = kept & (text.take(solid[0], mode="clip") >= 0x80)
-        maybe &= text.take(solid[1] - 1, mode="clip") >= 0x80
-        for i in np.flatnonzero(maybe).tolist():
-            kept[i] = bool(data[solid[0][i]:solid[1][i]].decode().strip())
     del solid
     starts, ends = starts[kept], ends[kept]
     canonical = nfields == len(CANONICAL_HEADER) and starts.size > 0 and (
@@ -459,8 +473,8 @@ def _columns(
         stop = cuts[first + k]
         if k == nfields - 1:
             stop = np.minimum(stop, ends)
-        if spaced:
-            _trim(padded, starts, stop)
+        if trimmed:
+            _trim(padded, starts, stop, wide)
         columns.append(_gather(padded, starts, stop, limit))
     return columns, kept, fields, canonical
 
@@ -555,7 +569,7 @@ def ingest_ratings(
     elif not user_ids[u[fail]] or not item_ids[v[fail]]:
         message = "empty user or item id"
     else:
-        message = _value_error(_decoded(raw[fail]), scale)
+        message = _value_error(_texts(raw[fail:fail + 1])[0], scale)
     raise IngestError(path, lines[fail], message)
 
 
@@ -563,16 +577,6 @@ def ingest_ratings(
 # a field sort before any byte in it; 0xFF, the stand-in for a NUL, is 1.
 # Without a NUL, zeros pad only, and the bytes sort as they are.
 _ORDER = np.array([0, *range(2, 256), 1], np.uint8)
-
-
-def _texts(column: np.ndarray) -> list[str]:
-    """The text of each field of a gathered column, decoded at once if
-    every field is ASCII."""
-    texts = _ascii_texts(column) if column.dtype.kind == "S" else None
-    if texts is not None:
-        return texts
-    return [field.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
-            for field in column.tolist()]
 
 
 def _id_column(ids: Sequence[str]) -> np.ndarray:
@@ -723,13 +727,8 @@ def ingest_ground_truth(
     """
     (column, raw), kept, fields, _ = _columns(path, _CANONICAL_FORMAT, 2)
     lines = np.flatnonzero(kept) + 1
-    if raw.size and not _numeric(_decoded(raw[0])):
+    if raw.size and not _numeric(_texts(raw[:1])[0]):
         column, raw, lines = column[1:], raw[1:], lines[1:]
-    if column.dtype.kind == "O" or (
-        (column.view(np.uint8) >= 0x80) & (column.view(np.uint8) != 0xFF)
-    ).any():
-        # Outside ASCII, `str.strip` may remove more than the reader trims.
-        column = _id_column(list(map(_decoded, column.tolist())))
     values = _values(raw)
     bad = ~np.isfinite(values) | (column == b"")
     if scale is not None:
@@ -751,7 +750,7 @@ def ingest_ground_truth(
         message = f"expected at least 2 fields, got {fields}"
     else:
         key = _texts(column[fail:fail + 1])[0]
-        message = _table_error(key, _decoded(raw[fail]), scale)
+        message = _table_error(key, _texts(raw[fail:fail + 1])[0], scale)
     raise IngestError(path, int(lines[fail]), message)
 
 

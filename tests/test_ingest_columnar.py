@@ -7,6 +7,7 @@ the same `IngestError` (path, line and message).
 
 import math
 import re
+import sys
 import tracemalloc
 from collections.abc import Mapping
 
@@ -24,7 +25,7 @@ from truerating import (
 )
 from truerating.ingest import (
     _BLOCK_ROWS,
-    _decoded,
+    _STRIPPED,
     _dense_ids,
     _id_column,
     _plain_decimals,
@@ -32,10 +33,14 @@ from truerating.ingest import (
     _values,
 )
 
-# Whitespace that `str.strip` removes, some of it outside ASCII.
-PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85"]
-# Near misses: not whitespace, so `str.strip` keeps them.
-NEAR_MISSES = ["\x00"]
+# Whitespace that `str.strip` removes, some of it outside ASCII, which
+# begins with each lead byte such whitespace has (C2, E1, E2, E3).
+PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000", "\x1c", "\x85", "\u1680",
+           "\u205f", "\u2029"]
+# Near misses: not whitespace, so `str.strip` keeps them. Those outside
+# ASCII share a lead byte with whitespace, or end in its last bytes
+# ("\u4000" in 80 80, as "\u3000" does).
+NEAR_MISSES = ["\x00", "\u3001", "\u4000", "\u00a1", "\u200b", "\u180e", "\ufeff"]
 # Every break the reference's `_lines` splits on, and characters
 # `str.splitlines` would also split on but a rating file must not.
 BREAKS = ["\n", "\r\n", "\r"]
@@ -501,10 +506,21 @@ class TestFastPath:
         assert reads == [path]
 
 
+class TestStripped:
+    def test_table_is_the_unicode_database(self):
+        # A Python with a newer Unicode database fails here, rather than
+        # reading fields apart from `str.strip`.
+        assert _STRIPPED == "".join(
+            chr(c) for c in range(sys.maxunicode + 1)
+            if chr(c).isspace() and chr(c) != "\n"
+        )
+
+
 class TestBadValue:
     def test_python_reads_one_block_of_values(self, tmp_path, monkeypatch):
         # 49,999 distinct values, then one that neither numpy nor `float`
-        # reads: only the last block's distinct values go to Python.
+        # reads: only the last block's distinct values go to Python's
+        # `float`, counted through the module's name for it.
         lines = [f"u{k}::m{k % 7}::{1 + k / 12_500:.6f}" for k in range(50_000)]
         lines[-1] = "u49999::m0::x"
         path = write(tmp_path / "r.dat", "\n".join(lines) + "\n")
@@ -513,11 +529,11 @@ class TestBadValue:
         assert want[:3] == ("error", str(path), 50_000)
         calls = []
 
-        def counted(field):
-            calls.append(field)
-            return _decoded(field)
+        def counted(text):
+            calls.append(text)
+            return float(text)
 
-        monkeypatch.setattr("truerating.ingest._decoded", counted)
+        monkeypatch.setattr("truerating.ingest.float", counted, raising=False)
         assert outcome(ingest_ratings, path, **kwargs) == want
         assert len(calls) <= _BLOCK_ROWS
 
@@ -665,12 +681,13 @@ class TestMemory:
         pytest.param(lambda line: line.replace("::", ":: ", 1), id="padded-field"),
     ])
     def test_peak_on_non_ascii_or_padded_log(self, tmp_path, log_lines, change):
-        # The same log with its first line changed so that its ids are
-        # decoded as text, or its fields trimmed. On CPython 3.11 / numpy
-        # 2.4 the reader peaks at 5.0x the graph's arrays on either; the
-        # line parser it replaced peaked at 4.1x, and the numpy
-        # `StringDType` cut before that at 7.8x with the non-ASCII id and
-        # 6.1x with the padded field. The bound of 6x sits below the latter.
+        # The same log with its first line changed so that its lines and
+        # fields are trimmed, as in any file with whitespace or outside
+        # ASCII. On CPython 3.11 / numpy 2.4 the reader peaks at 5.3x the
+        # graph's arrays on either; the line parser it replaced peaked at
+        # 4.1x, and the numpy `StringDType` cut before that at 7.8x with the
+        # non-ASCII id and 6.1x with the padded field. The bound of 6x sits
+        # below the latter.
         log_lines[0] = change(log_lines[0])
         path = tmp_path / "ratings.dat"
         path.write_text("".join(line + "\n" for line in log_lines),
