@@ -116,9 +116,20 @@ class RatingGraph:
         edge_item: np.ndarray,
         edge_weight: np.ndarray,
     ) -> None:
-        user_ids = _distinct(user_ids, "user")
-        item_ids = _distinct(item_ids, "item")
+        self._build(_distinct(user_ids, "user"), _distinct(item_ids, "item"),
+                    edge_user, edge_item, edge_weight)
 
+    def _build(
+        self,
+        user_ids: tuple[str, ...],
+        item_ids: tuple[str, ...],
+        edge_user: np.ndarray,
+        edge_item: np.ndarray,
+        edge_weight: np.ndarray,
+    ) -> None:
+        """`__init__` after its id checks: the ids are distinct `str`s.
+        `ingest_ratings` calls it directly, as its ids are distinct by
+        construction."""
         u = np.asarray(edge_user, dtype=np.int64)
         v = np.asarray(edge_item, dtype=np.int64)
         w = np.asarray(edge_weight, dtype=np.float64)

@@ -12,10 +12,15 @@ Two on-disk layouts are supported:
 without extra flags.
 
 A rating file has one reader, for any UTF-8 file. It reads the file
-once as bytes: line breaks, delimiters and whitespace are found by numpy
-scans, each field is trimmed and gathered into a fixed-width ``S``
-column, ids are numbered, values are converted a block of rows at a
-time, and every check (field count, empty ids, finite and in-scale
+once as bytes and cuts it a block of about `_BLOCK_BYTES` at a time, each
+ended by a line break: in each block, line breaks, delimiters and
+whitespace are found by numpy scans, and each field is trimmed and
+gathered into a fixed-width ``S`` column. A block whose lines all hold
+the same number of delimiter matches reshapes them into one row per
+line, checked by two whole-column compares; any other block finds each
+line's matches by `np.searchsorted` (`_bounds`). The blocks' columns are
+joined, then ids are numbered once, values are converted a block of rows
+at a time, and every check (field count, empty ids, finite and in-scale
 values, weights in [0, 1], duplicates) is a reduction over whole columns.
 
 A column whose fields are all at most 8 bytes wide is gathered as one
@@ -122,24 +127,38 @@ MOVIELENS_FORMAT = DelimitedFormat("::")
 _CANONICAL_FORMAT = DelimitedFormat(",")
 
 
+#: Bytes of a file that the reader takes at a time, cut after a line
+#: break: `_text` decodes, and `_columns` cuts, one such block at a time,
+#: so that their temporaries stay small.
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(data: bytes) -> Iterator[tuple[int, int]]:
+    """The [start, stop) of each block of `data`: `_BLOCK_BYTES`, then on
+    to the end of that line."""
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        yield start, stop
+        start = stop
+
+
 def _text(path: str | Path) -> bytes:
     """The bytes of the file at `path` without a BOM, every ``\\r\\n`` or
     ``\\r`` turned into ``\\n``; raises `IngestError` at the line of the
-    first byte that is not UTF-8. The check decodes about 1 MiB at a time,
-    cut after a line break, so that the text it makes stays small."""
+    first byte that is not UTF-8. The check decodes a block at a time, so
+    that the text it makes stays small."""
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    start = len(data) if data.isascii() else 0
-    while start < len(data):
-        stop = data.find(b"\n", start + (1 << 20)) + 1 or len(data)
-        try:
-            data[start:stop].decode()
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, start + exc.start) + 1
-            raise IngestError(path, line, f"not UTF-8: {exc.reason}") from None
-        start = stop
+    if not data.isascii():
+        for start, stop in _blocks(data):
+            try:
+                data[start:stop].decode()
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, start + exc.start) + 1
+                raise IngestError(path, line, f"not UTF-8: {exc.reason}") from None
     return data
 
 
@@ -188,11 +207,10 @@ def _trim(text: np.ndarray, starts: np.ndarray, stops: np.ndarray, wide: bool) -
 
 def _matches(text: np.ndarray, sep: bytes) -> np.ndarray:
     """Where `str.split` cuts `text` on `sep`: the leftmost matches that do
-    not overlap, then the end of `text`, which bounds the last field of a
-    line with no match after it. A match holding a line break would join
-    two lines, so a `sep` with one never matches."""
+    not overlap. A match holding a line break would join two lines, so a
+    `sep` with one never matches."""
     if b"\n" in sep:
-        return np.array([text.size])
+        return np.zeros(0, np.int64)
     span = max(text.size - len(sep) + 1, 0)
     hit = text[:span] == sep[0]
     for j in range(1, len(sep)):
@@ -207,7 +225,7 @@ def _matches(text: np.ndarray, sep: bytes) -> np.ndarray:
                 kept.append(cut)
                 after = cut + len(sep)
         cuts = np.array(kept, np.int64)
-    return np.append(cuts, text.size)
+    return cuts
 
 
 # A field of up to 8 bytes is read as one little-endian word: its first
@@ -222,8 +240,9 @@ def _padded(text: np.ndarray, nuls: np.ndarray, longest: int) -> np.ndarray:
     `longest` bytes, or its word, stays inside; the NULs at `nuls` become
     0xFF. `S` columns drop trailing NULs; UTF-8 never holds 0xFF, so it
     stands in for them."""
-    padded = np.zeros(text.size + max(longest, _WORD) + 1, np.uint8)
+    padded = np.empty(text.size + max(longest, _WORD) + 1, np.uint8)
     padded[:text.size] = text
+    padded[text.size:] = 0
     padded[:text.size][nuls] = 0xFF
     return padded
 
@@ -414,6 +433,58 @@ def _values(column: np.ndarray) -> np.ndarray:
     return values
 
 
+def _bounds(
+    block: np.ndarray, sep: bytes, starts: np.ndarray, ends: np.ndarray, nfields: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int | None]:
+    """The [begin, stop) of each of the first `nfields` fields of the
+    lines [starts, ends) of `block`, cut where `str.split` cuts on `sep`,
+    up to the first line with fewer fields; and that line's field count
+    (None if none)."""
+    cuts = _matches(block, sep)
+    fields = None
+    # If every line holds the same k matches, the matches within the
+    # lines fill a grid of a row of k per line, in order. Each row's first
+    # match at or after its line's start and its last before its line's
+    # end put its k matches in its line, so no line holds more or fewer.
+    lo, hi = np.searchsorted(cuts, (starts[0], ends[-1]))
+    k, rest = divmod(int(hi - lo), starts.size)
+    grid = cuts[lo:hi].reshape(-1, k) if not rest and k >= nfields - 1 else None
+    if grid is not None and (grid[:, 0] >= starts).all() and (grid[:, -1] < ends).all():
+        at = [grid[:, j] if j < k else ends for j in range(nfields)]
+    else:
+        # Line i's first match is cuts[first[i]]; the end of `block` bounds
+        # the last field of a line with no match after it. Rows stop at the
+        # first line with fewer than `nfields` fields.
+        cuts = np.append(cuts, block.size)
+        first = np.searchsorted(cuts, starts)
+        count = np.searchsorted(cuts, ends) - first
+        short = np.flatnonzero(count < nfields - 1)
+        if short.size:
+            fields = int(count[short[0]]) + 1
+            starts, ends, first = (a[:short[0]] for a in (starts, ends, first))
+        at = [cuts[first + j] for j in range(nfields)]
+    # All taken before `_trim` moves any in place.
+    begins = [starts, *(a + len(sep) for a in at[:-1])]
+    stops = [*at[:-1], np.minimum(at[-1], ends)]
+    return list(zip(begins, stops)), fields
+
+
+def _joined(parts: list[np.ndarray], limit: int) -> np.ndarray:
+    """The columns `parts` of one field, gathered a block at a time, as
+    one, laid out as `_gather` lays out the whole: `S8` words if every
+    part is, else an `S` column as wide as the widest field, or `bytes`
+    objects if a part is or that column would take more than `limit`
+    bytes."""
+    rows = sum(part.size for part in parts)
+    width = max((part.itemsize for part in parts if part.dtype.kind == "S"),
+                default=_WORD)
+    if any(part.dtype.kind == "O" for part in parts) or (
+        width > _WORD and width * rows > limit
+    ):
+        return np.concatenate(parts, dtype=object)
+    return np.concatenate(parts) if parts else np.zeros(0, f"S{_WORD}")
+
+
 def _columns(
     path: str | Path, fmt: DelimitedFormat, nfields: int = 3
 ) -> tuple[list[np.ndarray], np.ndarray, int | None, bool]:
@@ -421,62 +492,68 @@ def _columns(
     `str.strip`, as columns; which lines are records; the field count
     of the first line with fewer than `nfields`, where the columns stop
     (None if none); and whether a canonical CSV header opens a rating file
-    (`nfields` 3), which makes the lines after it records split on ``,``."""
+    (`nfields` 3), which makes the lines after it records split on ``,``.
+
+    The file is read once, then cut a block of `_BLOCK_BYTES` at a time,
+    each ended by a line break, into columns that are joined at the end.
+    A block whose lines all hold the same number of delimiters, at least
+    `nfields` - 1, is cut by one reshape of its matches (`_bounds`). The
+    first short line ends the read at its block; `kept` covers the lines
+    up to it."""
     data = _text(path)
     text = np.frombuffer(data, np.uint8)
-    # One scan finds the line breaks, the ASCII whitespace and the NULs.
-    # Only a file with whitespace or outside ASCII is trimmed.
-    low = np.flatnonzero(text <= 0x20)
-    kind = text[low]
-    breaks, nuls, wide = low[kind == 0x0A], low[kind == 0], not data.isascii()
-    trimmed = wide or _SPACE[kind].any()
-    del low, kind
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, text.size)
-    del breaks
-    # A line is blank if trimming leaves nothing.
-    solid = starts.copy(), ends.copy()
-    if trimmed:
-        _trim(text, *solid, wide)
-    kept = solid[1] > solid[0]
-    del solid
-    starts, ends = starts[kept], ends[kept]
-    canonical = nfields == len(CANONICAL_HEADER) and starts.size > 0 and (
-        tuple(_CANONICAL_FORMAT.split(data[starts[0]:ends[0]].decode()))
-        == CANONICAL_HEADER
-    )
-    sep = (_CANONICAL_FORMAT if canonical else fmt).delimiter.encode()
-    if canonical:
-        kept[np.argmax(kept)] = False
-        starts, ends = starts[1:], ends[1:]
-
-    cuts = _matches(text, sep)
-    # Line i's first delimiter is cuts[first[i]]. Rows stop at the first
-    # line with fewer than `nfields` fields.
-    first = np.searchsorted(cuts, starts)
-    count = np.searchsorted(cuts, ends) - first
-    short = np.flatnonzero(count < nfields - 1)
-    fields = None
-    if short.size:
-        fields = int(count[short[0]]) + 1
-        starts, ends, first = (a[:short[0]] for a in (starts, ends, first))
-    del count, short
-
-    # A field is no longer than its line.
-    padded = _padded(text, nuls, int((ends - starts).max(initial=0)))
     limit = max(2 * text.size, 1 << 20)
-    del text, data, nuls
-    columns = []
-    for k in range(nfields):
-        if k:
-            starts = cuts[first + k - 1] + len(sep)
-        stop = cuts[first + k]
-        if k == nfields - 1:
-            stop = np.minimum(stop, ends)
+    wide = not data.isascii()
+    canonical, sep = None, b""
+    parts: list[list[np.ndarray]] = [[] for _ in range(nfields)]
+    kept, fields = [np.zeros(0, bool)], None
+    for at, stop in _blocks(data):
+        block = text[at:stop]
+        # One scan finds the line breaks, the ASCII whitespace and the NULs.
+        # Only a block with whitespace, or of a file outside ASCII, is
+        # trimmed.
+        low = np.flatnonzero(block <= 0x20)
+        kind = block[low]
+        breaks, nuls = low[kind == 0x0A], low[kind == 0]
+        trimmed = wide or _SPACE[kind].any()
+        del low, kind
+        # Every block but the last ends with a line break, and the line
+        # after it opens the next block.
+        ends = breaks if stop < text.size else np.append(breaks, block.size)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        # A line is blank if trimming leaves nothing.
+        keep = ends > starts
         if trimmed:
-            _trim(padded, starts, stop, wide)
-        columns.append(_gather(padded, starts, stop, limit))
-    return columns, kept, fields, canonical
+            solid = starts.copy(), ends.copy()
+            _trim(block, *solid, wide)
+            keep = solid[1] > solid[0]
+            del solid
+        kept.append(keep)
+        if not keep.all():
+            starts, ends = starts[keep], ends[keep]
+        if canonical is None and starts.size:
+            # The file's first line that is not blank may be the header.
+            head = data[at + starts[0]:at + ends[0]].decode()
+            canonical = nfields == len(CANONICAL_HEADER) and (
+                tuple(_CANONICAL_FORMAT.split(head)) == CANONICAL_HEADER
+            )
+            sep = (_CANONICAL_FORMAT if canonical else fmt).delimiter.encode()
+            if canonical:
+                keep[np.argmax(keep)] = False
+                starts, ends = starts[1:], ends[1:]
+        if not starts.size:
+            continue
+        # A field is no longer than its line.
+        padded = _padded(block, nuls, int((ends - starts).max()))
+        bounds, fields = _bounds(block, sep, starts, ends, nfields)
+        for part, (begin, end) in zip(parts, bounds):
+            if trimmed:
+                _trim(padded, begin, end, wide)
+            part.append(_gather(padded, begin, end, limit))
+        if fields is not None:
+            break
+    columns = [_joined(part, limit) for part in parts]
+    return columns, np.concatenate(kept), fields, bool(canonical)
 
 
 def _first_rows(u: np.ndarray, v: np.ndarray, n_items: int) -> np.ndarray:
@@ -544,8 +621,12 @@ def ingest_ratings(
         if duplicate_policy == "keep_first":
             first = _first_rows(u, v, len(item_ids))
             u, v, weight = u[first], v[first], weight[first]
+        # The constructor's id checks are skipped: `_dense_ids` decodes
+        # distinct keys, and decoding is one-to-one, so the ids are distinct.
+        graph = RatingGraph.__new__(RatingGraph)
         try:
-            return RatingGraph(user_ids, item_ids, u, v, weight)
+            graph._build(tuple(user_ids), tuple(item_ids), u, v, weight)
+            return graph
         except ValueError:
             # Under strict, the constructor's sorted-neighbour check is the
             # one duplicate check of a file of valid records.

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import truerating.graph as graph_module
 from truerating import (
     NUM_BINS,
     RatingGraph,
     RatingScale,
     degree_bins,
+    ingest_ratings,
 )
 
 
@@ -141,6 +143,29 @@ class TestRatingGraphConstruction:
             RatingGraph([7, "7"], ["m1"], *edges)
         with pytest.raises(ValueError, match="duplicate item ids"):
             RatingGraph(["u1"], [np.str_("m1"), "m1"], edges[1], edges[0], edges[2])
+
+    def test_ingest_skips_the_id_checks_the_constructor_keeps(
+        self, tmp_path, monkeypatch
+    ):
+        # `ingest_ratings` numbers distinct ids, so it does not check them
+        # again; a graph built directly still has its ids checked.
+        checked = []
+        distinct = graph_module._distinct
+
+        def counted(ids, kind):
+            checked.append(kind)
+            return distinct(ids, kind)
+
+        monkeypatch.setattr(graph_module, "_distinct", counted)
+        path = tmp_path / "r.dat"
+        path.write_text("u1::m1::5\nu2::m1::3\nu2::m2::4\n", encoding="utf-8")
+        graph = ingest_ratings(path, scale=RatingScale(1, 5))
+        assert (graph.user_ids, graph.item_ids) == (("u1", "u2"), ("m1", "m2"))
+        assert checked == []
+        with pytest.raises(ValueError, match="duplicate user ids"):
+            RatingGraph(["u1", "u1"], ["m1"], np.array([0, 1]), np.array([0, 0]),
+                        np.array([0.5, 0.5]))
+        assert checked == ["user"]
 
     def test_empty_graph(self):
         g = RatingGraph.from_edges([])
