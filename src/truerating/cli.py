@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -421,6 +422,18 @@ def cmd_oracle_check(args, out) -> tuple[int, dict]:
     return code, {"status": status, "epsilon": epsilon}
 
 
+def _finite_float(text: str) -> float:
+    """The ``type=`` of every float flag: refuses text that is not a
+    number, and infinities and NaN, which no parameter accepts."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage errors exit 1; the default of 2 would collide with the
     # "stopped without converging" status.
@@ -453,7 +466,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_stopping_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=1e-6,
+    parser.add_argument("--epsilon", type=_finite_float, default=1e-6,
                         help="L1 stopping threshold on bias change")
     parser.add_argument(
         "--max-iters",
@@ -475,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute per-user bias and true ratings")
     _add_input_flags(p)
-    p.add_argument("--alpha", type=float, default=0.99, help="damping factor")
+    p.add_argument("--alpha", type=_finite_float, default=0.99,
+                   help="damping factor")
     p.add_argument(
         "--alpha-overrides",
         metavar="FILE",
@@ -504,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--alpha",
-        type=float,
+        type=_finite_float,
         action="append",
         help="damping factor; repeat for several methods (default 0.99)",
     )
@@ -514,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted synthetic instance")
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
+    p.add_argument("--density", type=_finite_float, required=True)
     p.add_argument("--bias-range", default="-0.25:0.25", metavar="LO:HI")
     p.add_argument("--quality-range", default="0.25:0.75", metavar="LO:HI")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=_finite_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -528,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         "linear solution",
     )
     _add_input_flags(p)
-    p.add_argument("--alpha", type=float, default=0.99)
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--alpha", type=_finite_float, default=0.99)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-8,
                    help="max allowed L-infinity difference")
     p.set_defaults(func=cmd_oracle_check)
 

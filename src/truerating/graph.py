@@ -3,10 +3,15 @@
 Users rate items at most once and every edge weight lives on [0, 1]. The
 graph keeps its edges once, in user-major order: each user's outgoing
 ratings are one contiguous slice, ascending by item, and each item's
-incoming ratings appear in ascending user order. `np.bincount` adds its
-weights in array order, so per-user and per-item sums both run in
-O(edges) over the same arrays, each in ascending neighbor order. Graphs
-are immutable after construction and safe to share across threads.
+incoming ratings appear in ascending user order. Graphs are immutable
+after construction and safe to share across threads.
+
+Summation order: every per-user and per-item mean in the package, in the
+graph, the solver and the oracle, is one `_means` call. It adds each
+node's terms into +0.0 with `np.add.at`, in array order, so over the
+canonical edge list an item's terms add in ascending user order and a
+user's in ascending item order. That is `np.bincount`'s order, so the two
+give the same bits.
 """
 
 from __future__ import annotations
@@ -70,6 +75,15 @@ def degree_bins(degrees: np.ndarray) -> np.ndarray:
     if degrees.size and degrees.min() < 1:
         raise ValueError("all rating counts must be >= 1")
     return np.searchsorted(_BIN_UPPER, degrees, side="left") + 1
+
+
+def _means(keys: np.ndarray, values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Per-key mean of `values`: each key's terms added into +0.0 in array
+    order, then divided by its entry of `degrees`, whose length sets the
+    result's. Always float64, also without terms."""
+    sums = np.zeros(len(degrees))
+    np.add.at(sums, keys, values)
+    return np.divide(sums, degrees, out=sums)
 
 
 def _distinct(ids: Sequence[str], kind: str) -> tuple[str, ...]:
@@ -228,16 +242,12 @@ class RatingGraph:
             yield self.user_ids[u], self.item_ids[v], float(w)
 
     def item_means(self) -> np.ndarray:
-        """Plain per-item mean rating, each item's ratings added in
-        ascending user order.
+        """Plain per-item mean rating, in the module's summation order.
 
-        This is the summation order the solver uses, so a fully-trusted run
-        (all damping factors zero) reproduces these values bit-exactly.
+        The solver sums in that order too, so a fully-trusted run (all
+        damping factors zero) reproduces these values bit-exactly.
         """
-        sums = np.bincount(
-            self.edge_item, weights=self.edge_weight, minlength=self.num_items
-        )
-        return sums / self.item_degrees
+        return _means(self.edge_item, self.edge_weight, self.item_degrees)
 
     def __repr__(self) -> str:
         return (

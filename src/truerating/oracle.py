@@ -13,8 +13,9 @@ y = Du^1/2 bias it becomes (I - alpha S) y = Du^1/2 m, where
 S = Du^-1/2 C Do^-1 C^T Du^-1/2 is symmetric with eigenvalues in [0, 1]:
 the system is positive definite with condition number at most
 1/(1 - alpha). Conjugate gradients (Hestenes & Stiefel 1952) solve it in two
-``bincount`` passes over the edges per step, at any size the solver runs
-at. It cross-checks the solver and shares no code with it.
+passes over the edges per step, at any size the solver runs at; each pass
+is a per-node mean in the order the `graph` module docstring states. It
+cross-checks the solver and shares no solver code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .graph import RatingGraph
+from .graph import RatingGraph, _means
 
 __all__ = ["solve_linear", "residual_linf"]
 
@@ -43,16 +44,6 @@ def _step_cap(alpha: float, num_users: int) -> int:
     return 2 * min(num_users, bound) + 10
 
 
-def _user_mean(graph: RatingGraph, values: np.ndarray) -> np.ndarray:
-    sums = np.bincount(graph.edge_user, weights=values, minlength=graph.num_users)
-    return sums / graph.user_degrees
-
-
-def _item_mean(graph: RatingGraph, values: np.ndarray) -> np.ndarray:
-    sums = np.bincount(graph.edge_item, weights=values, minlength=graph.num_items)
-    return sums / graph.item_degrees
-
-
 def solve_linear(graph: RatingGraph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve the clamp-free fixed-point equations by conjugate gradients.
 
@@ -66,14 +57,15 @@ def solve_linear(graph: RatingGraph, alpha: float) -> tuple[np.ndarray, np.ndarr
     if graph.num_users == 0 or graph.num_items == 0:
         raise ValueError("empty graph has no linear system")
     u, v, w = graph.edge_user, graph.edge_item, graph.edge_weight
-    root_du = np.sqrt(graph.user_degrees)
+    du, do = graph.user_degrees, graph.item_degrees
+    root_du = np.sqrt(du)
 
     def matvec(y: np.ndarray) -> np.ndarray:
-        item = _item_mean(graph, (y / root_du)[u])
-        return y - alpha * root_du * _user_mean(graph, item[v])
+        item = _means(v, (y / root_du)[u], do)
+        return y - alpha * root_du * _means(u, item[v], du)
 
     y = np.zeros(graph.num_users)
-    resid = root_du * _user_mean(graph, w - _item_mean(graph, w)[v])
+    resid = root_du * _means(u, w - graph.item_means()[v], du)
     direction = resid.copy()
     norm2 = float(resid @ resid)
     stop2 = RELATIVE_RESIDUAL**2 * norm2
@@ -90,7 +82,7 @@ def solve_linear(graph: RatingGraph, alpha: float) -> tuple[np.ndarray, np.ndarr
     if norm2 > stop2:
         raise ValueError(f"conjugate gradients did not converge within {cap} steps")
     bias = y / root_du
-    return bias, _item_mean(graph, w - alpha * bias[u])
+    return bias, _means(v, w - alpha * bias[u], do)
 
 
 def residual_linf(
@@ -98,6 +90,6 @@ def residual_linf(
 ) -> float:
     """Max-norm residual of both fixed-point equations at (bias, rating)."""
     u, v, w = graph.edge_user, graph.edge_item, graph.edge_weight
-    bias_eq = bias - _user_mean(graph, w - rating[v])
-    rating_eq = rating - _item_mean(graph, w - alpha * bias[u])
+    bias_eq = bias - _means(u, w - rating[v], graph.user_degrees)
+    rating_eq = rating - _means(v, w - alpha * bias[u], graph.item_degrees)
     return float(max(np.abs(bias_eq).max(initial=0.0), np.abs(rating_eq).max(initial=0.0)))

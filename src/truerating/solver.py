@@ -33,13 +33,12 @@ history. So an accepted iterate costs one sweep, or two when a candidate
 was evaluated and then refused.
 
 Each sweep reads the graph's one user-major edge list. Each half is one
-`np.bincount` over all edges followed by a divide by the degrees: the
-rating half keyed by item, the bias half keyed by user.
+`graph._means` over all edges: the rating half keyed by item, the bias
+half keyed by user.
 
-Determinism: `np.bincount` adds its weights in array order, so every
-rating accumulates its terms in ascending user order and every bias in
-ascending item order, and the Anderson step's products over users are
-`np.einsum` loops, which never call BLAS. So repeated runs are
+Determinism: every rating and every bias is summed in the order the
+`graph` module docstring states, and the Anderson step's products over
+users are `np.einsum` loops, which never call BLAS. So repeated runs are
 bit-identical on one machine at any BLAS thread count. Identity across
 machines is unverified: einsum's SIMD loops may add in another order on
 another CPU.
@@ -53,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import RatingGraph
+from .graph import RatingGraph, _means
 
 #: Number of past steps the Anderson candidate combines.
 DEPTH = 3
@@ -70,16 +69,22 @@ __all__ = [
 ]
 
 
+def _check_alpha_epsilon(alpha: float, epsilon: float) -> None:
+    """Raise `ValueError` unless 0 < alpha < 1 and epsilon is positive and
+    finite."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def iterations_needed(alpha: float, epsilon: float) -> int:
     """Iterations guaranteeing the bias-delta bound 2*alpha**t < epsilon.
 
     Computed as ceil(log(2/epsilon) / log(1/alpha)), floored at zero (an
     epsilon of 2 or more is satisfied before the first iteration).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_alpha_epsilon(alpha, epsilon)
     if epsilon >= 2.0:
         return 0
     return max(0, math.ceil(math.log(2.0 / epsilon) / math.log(1.0 / alpha)))
@@ -102,10 +107,7 @@ class SolverConfig:
     alpha_overrides: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_alpha_epsilon(self.alpha, self.epsilon)
         if self.max_iterations is None:
             object.__setattr__(
                 self, "max_iterations", iterations_needed(self.alpha, self.epsilon)
@@ -197,6 +199,7 @@ class _Sweeps:
         self.alpha = _per_user_alpha(
             graph, config.alpha, config.alpha_overrides or {}
         )
+        # Float copies: an int64 divisor would be converted on every sweep.
         self.item_deg = graph.item_degrees.astype(np.float64)
         self.user_deg = graph.user_degrees.astype(np.float64)
 
@@ -210,20 +213,14 @@ class _Sweeps:
             adjusted.min() < 0.0 or adjusted.max() > 1.0
         )
         np.clip(adjusted, 0.0, 1.0, out=adjusted)
-        sums = np.bincount(g.edge_item, weights=adjusted, minlength=g.num_items)
-        # Without edges `bincount` returns int64, which cannot take the
-        # quotient in place.
-        sums = sums.astype(np.float64, copy=False)
-        return np.divide(sums, self.item_deg, out=sums), clamped
+        return _means(g.edge_item, adjusted, self.item_deg), clamped
 
     def bias_step(self, rating: np.ndarray) -> np.ndarray:
         """bias_i = mean over i's raw ratings of (w - rating_j)."""
         g = self.graph
         deviation = rating[g.edge_item]
         np.subtract(g.edge_weight, deviation, out=deviation)
-        sums = np.bincount(g.edge_user, weights=deviation, minlength=g.num_users)
-        sums = sums.astype(np.float64, copy=False)
-        return np.divide(sums, self.user_deg, out=sums)
+        return _means(g.edge_user, deviation, self.user_deg)
 
     def evaluate(self, bias: np.ndarray) -> _Iterate:
         """One sweep: R and T at `bias`, and the residual T(bias) - bias."""

@@ -14,6 +14,7 @@ the iterative solver and the linear oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ def generate_planted(
         raise ValueError(
             f"quality range must be ordered within [0, 1], got {quality_range}"
         )
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     if noise_sigma == 0.0 and (q_hi + b_hi > 1.0 or q_lo + b_lo < 0.0):
         raise ValueError(
             "infeasible ranges: with zero noise, quality + bias must stay "

@@ -49,6 +49,15 @@ FLAGS_CHECKED_BEFORE_INGEST = [
 ]
 
 
+#: (command, flag): every flag that takes a float.
+FLOAT_FLAGS = [
+    ("solve", "--alpha"), ("solve", "--epsilon"),
+    ("eval", "--alpha"), ("eval", "--epsilon"),
+    ("synth", "--density"), ("synth", "--noise-sigma"),
+    ("oracle-check", "--alpha"), ("oracle-check", "--tolerance"),
+]
+
+
 def solve_file_flags(tmp_path) -> list:
     """``solve``'s file flags but --ratings, each naming a small valid
     file for the two-user graph."""
@@ -828,6 +837,42 @@ class TestOracleCheckCommand:
 
 
 class TestParsing:
+    def test_float_flags_listed(self):
+        parser = cli.build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        typed = {
+            (command, max(action.option_strings, key=len))
+            for command, sub in commands.choices.items()
+            for action in sub._actions
+            if action.type in (float, cli._finite_float)
+        }
+        assert typed == set(FLOAT_FLAGS)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "command, flag", FLOAT_FLAGS, ids=[f"{c}{f}" for c, f in FLOAT_FLAGS]
+    )
+    def test_non_finite_float_flag_refused(
+        self, tmp_path, two_user_file, capsys, command, flag, value
+    ):
+        out = tmp_path / "run"
+        argv = command_argv(command, tmp_path, two_user_file)
+        # "--flag=-inf", since a lone "-inf" would parse as an option.
+        assert run(*argv, f"{flag}={value}", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number, got {value!r}" in err
+        assert not out.exists()
+
+    def test_float_flag_not_a_number(self, tmp_path, two_user_file, capsys):
+        code = run("solve", "--ratings", two_user_file, "--epsilon", "tiny",
+                   "--out", tmp_path / "x")
+        assert code == 1
+        assert "argument --epsilon: expected a finite number, got 'tiny'" in (
+            capsys.readouterr().err
+        )
+
     def test_version(self, capsys):
         assert run("--version") == 0
         assert "truerating" in capsys.readouterr().out

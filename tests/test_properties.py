@@ -23,6 +23,8 @@ from truerating import (
     build_report,
 )
 
+from truerating.graph import _means
+
 from conftest import debiased, make_random_graph, report_over
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -30,6 +32,41 @@ signed_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 damping = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 graph_seeds = st.integers(min_value=0, max_value=10_000)
 item_keys = st.sampled_from([f"m{i}" for i in range(8)])
+
+
+#: Mean terms: ordinary floats, and the signed zeros and subnormals at
+#: which two summation kernels could first part.
+mean_terms = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+)
+
+
+class TestMeansProperties:
+    @given(
+        terms=st.lists(st.tuples(st.integers(0, 7), mean_terms), max_size=40),
+        extra=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_equals_bincount_bit_for_bit(self, terms, extra, data):
+        # Keys repeat and come unsorted; `extra` lengthens the result past
+        # the largest key, so some entries have no terms.
+        keys = np.array([k for k, _ in terms], dtype=np.int64)
+        values = np.array([w for _, w in terms], dtype=np.float64)
+        length = (int(keys.max()) + 1 if keys.size else 0) + extra
+        counts = data.draw(st.lists(st.integers(1, 50), min_size=length,
+                                    max_size=length))
+        dtype = data.draw(st.sampled_from([np.int64, np.float64]))
+        degrees = np.array(counts, dtype=dtype)
+        expected = np.bincount(keys, values, length) / degrees
+        got = _means(keys, values, degrees)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_float64_without_terms(self):
+        got = _means(np.array([], np.int64), np.array([]), np.array([2, 3]))
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.zeros(2).tobytes()
 
 
 class TestDebiasWeightProperties:

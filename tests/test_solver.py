@@ -67,6 +67,22 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             SolverConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        # An infinite epsilon would allow zero iterations, and neither
+        # value can be written to a strict-JSON manifest.
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SolverConfig(epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            iterations_needed(0.5, epsilon)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            SolverConfig(alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            iterations_needed(alpha, 1e-6)
+
     def test_zero_max_iterations_allowed(self):
         assert SolverConfig(max_iterations=0).max_iterations == 0
         with pytest.raises(ValueError):

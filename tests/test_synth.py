@@ -64,6 +64,13 @@ class TestGeneratePlanted:
         with pytest.raises(ValueError, match="at least one"):
             generate_planted(0, 5, 1.0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_non_finite_noise_sigma_refused(self, sigma):
+        # NaN fails no ordered comparison, so it would skip the zero-noise
+        # range check and surface later as an edge weight error.
+        with pytest.raises(ValueError, match="noise sigma must be finite"):
+            generate_planted(5, 5, 1.0, noise_sigma=sigma)
+
 
 class TestPlantedRecovery:
     def test_complete_noiseless_recovery_up_to_shift(self):
