@@ -48,6 +48,7 @@ from .ingest import (
     IngestError,
     _check_plain_ids,
     _match_ids,
+    _texts,
     ingest_ground_truth,
     ingest_ratings,
     write_ratings_csv,
@@ -192,7 +193,7 @@ def _user_values(
     bad = absent | (table.scores < lo) | (table.scores > hi)
     if bad.any():
         row = int(np.argmax(bad))
-        user, value = list(table)[row], table.scores[row].item()
+        user, value = _texts(table.column[row:row + 1])[0], table.scores[row].item()
         raise IngestError(
             path,
             int(table.lines[row]),

@@ -23,19 +23,24 @@ joined, then ids are numbered once, values are converted a block of rows
 at a time, and every check (field count, empty ids, finite and in-scale
 values, weights in [0, 1], duplicates) is a reduction over whole columns.
 
+Ids and (user, item) pairs are numbered by one rule, `_first_rows`:
+from an integer code per row, a table as long as the largest code holds
+each code's first row, and the rows where a code first appears, in row
+order, number the codes by first appearance, with no sort.
+
 A column whose fields are all at most 8 bytes wide is gathered as one
 little-endian word per field, by one unaligned load each, and is an
-``S8`` column of those words. Its ids are keyed by the words: a column of
-decimal ids, ASCII digits with no leading ``0`` (but ``"0"``) whose
-largest is below `_ID_SPAN` times the row count, is numbered by value
-through a table of each value's first row, with no sort; a leading zero
-would make ``"007"`` and ``"7"`` one value, so it sends the column to
-`np.unique`, as do any other ids. A block of plain decimals, ASCII digits
-with at most one ``.``, is converted by digit arithmetic within the
-words and one division: an integer below 10**8 by a power of ten of at
-most 10**8, both exact doubles, so the correctly rounded quotient is
-what `float` gives, bit for bit (`_plain_decimals`). Any other block is
-read by ``astype(np.float64)``.
+``S8`` column of those words. A column of decimal ids, ASCII digits with
+no leading ``0`` (but ``"0"``) whose largest is below `_ID_SPAN` times
+the row count, is coded by value; a leading zero would make ``"007"``
+and ``"7"`` one value, so it sends the column to `np.unique`, whose rank
+of each word, or of each wider id's bytes, codes any other ids, as it
+codes the pairs. A block of plain decimals, ASCII digits with at most
+one ``.``, is converted by digit arithmetic within the words and one
+division: an integer below 10**8 by a power of ten of at most 10**8,
+both exact doubles, so the correctly rounded quotient is what `float`
+gives, bit for bit (`_plain_decimals`). Any other block is read by
+``astype(np.float64)``.
 
 A file with whitespace, or not ASCII, has its lines and fields trimmed of
 exactly what `str.strip` removes (`_trim`). Only the distinct ids become
@@ -327,44 +332,36 @@ def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
     return _digit_values((words & 0x0F * _ONES) << shift).view(np.int64)
 
 
-def _by_value(column: np.ndarray, values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """`_dense_ids` of a column whose rows spell the integers `values`,
-    equal where the fields are, by a table as long as the largest."""
-    # Each value's first row; those rows in row order are the distinct ids
-    # in first-appearance order.
-    first = np.full(int(values.max()) + 1, values.size)
-    np.minimum.at(first, values, np.arange(values.size))
-    opens = np.zeros(values.size, bool)
-    opens[first[first < values.size]] = True
+def _first_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows where each of the non-negative integer `codes` first
+    appears, ascending, and each row's dense index: its code's rank by
+    first appearance. A table as long as the largest code holds each
+    code's first row, so no sort is needed."""
+    first = np.full(int(codes.max(initial=-1)) + 1, codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    # The first rows in row order are the codes in first-appearance order.
+    opens = np.zeros(codes.size, bool)
+    opens[first[first < codes.size]] = True
     rows = np.flatnonzero(opens)
     del opens
-    first[values[rows]] = np.arange(rows.size)
-    return _texts(column[rows]), first[values]
+    first[codes[rows]] = np.arange(rows.size)
+    return rows, first[codes]
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Distinct ids of a column of fields in first-appearance order, and
-    each row's dense index. Ids of up to 8 bytes are keyed by their word:
-    a column of decimal ids below `_ID_SPAN` times the row count is
-    numbered by value with no sort, any other sorted by `np.unique`, as
-    are wider ids, as bytes. Only the distinct ids are decoded; trimmed
-    fields are equal ids only where their bytes are equal."""
-    keys = column
-    if column.dtype == f"S{_WORD}":
-        keys = column.view("<u8")
-        values = _decimal_ids(column)
-        if values is not None and values.max(initial=0) < _ID_SPAN * values.size:
-            return _by_value(column, values)
-    # `return_index` would force a stable sort, several times slower.
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    first = np.full(distinct.size, keys.size)
-    del distinct, keys
-    np.minimum.at(first, inverse, np.arange(inverse.size))
-    # Rank the distinct ids by first appearance.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return _texts(column[first[order]]), rank[inverse]
+    each row's dense index, by `_first_rows` of a code per row: a decimal
+    id's value, in a column of them below `_ID_SPAN` times the row count,
+    else its rank by `np.unique`, of its word if 8 bytes or narrower, else
+    of its bytes. Only the distinct ids are decoded; trimmed fields are
+    equal ids only where their bytes are equal."""
+    words = column.dtype == f"S{_WORD}"
+    codes = _decimal_ids(column) if words else None
+    if codes is None or codes.max(initial=0) >= _ID_SPAN * codes.size:
+        _, codes = np.unique(column.view("<u8") if words else column,
+                             return_inverse=True)
+    rows, index = _first_rows(codes)
+    return _texts(column[rows]), index
 
 
 # 10**k, exact, for the k by which `_plain_decimals` divides.
@@ -556,30 +553,22 @@ def _columns(
     return columns, np.concatenate(kept), fields, bool(canonical)
 
 
-def _first_rows(u: np.ndarray, v: np.ndarray, n_items: int) -> np.ndarray:
-    """The rows where each (user, item) pair first appears, ascending."""
-    _, first = np.unique(u * n_items + v, return_index=True)
-    first.sort()
-    return first
-
-
-def _value_error(raw: str, scale: RatingScale | None) -> str:
-    """Why `ingest_ratings` refuses the value field `raw`: `float` refuses
-    it, or its value is not finite, outside `scale`, or, with no scale,
-    outside [0, 1]."""
+def _value_error(raw: str, scale: RatingScale | None, what: str) -> str | None:
+    """Why a reader refuses the value field `raw`, a `what`: `float`
+    refuses it, or its value is not finite or outside `scale`; None if
+    neither."""
     try:
         value = float(raw)
     except ValueError:
-        return f"bad rating value {raw!r}"
+        return f"bad {what} {raw!r}"
     if not math.isfinite(value):
-        return f"non-finite rating value {raw!r}"
-    if scale is None:
-        return f"normalized weight {value} outside [0, 1]"
-    try:
-        scale.normalize(value)
-    except ValueError as exc:
-        return str(exc)
-    raise ValueError(f"{value!r} lies inside {scale}")
+        return f"non-finite {what} {raw!r}"
+    if scale is not None:
+        try:
+            scale.normalize(value)
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 def ingest_ratings(
@@ -619,8 +608,9 @@ def ingest_ratings(
         # match; with no scale they leave every value as it is.
         weight = (weight - lo) / (hi - lo)
         if duplicate_policy == "keep_first":
-            first = _first_rows(u, v, len(item_ids))
-            u, v, weight = u[first], v[first], weight[first]
+            _, pairs = np.unique(u * len(item_ids) + v, return_inverse=True)
+            rows, _ = _first_rows(pairs)
+            u, v, weight = u[rows], v[rows], weight[rows]
         # The constructor's id checks are skipped: `_dense_ids` decodes
         # distinct keys, and decoding is one-to-one, so the ids are distinct.
         graph = RatingGraph.__new__(RatingGraph)
@@ -633,25 +623,30 @@ def ingest_ratings(
             pass
 
     # Rows map to lines only here: the first bad record, or a repeat before it.
-    lines = (np.flatnonzero(kept) + 1).tolist()
-    first = _first_rows(u[:fail], v[:fail], len(item_ids))
-    if duplicate_policy == "strict" and first.size < fail:
-        # `first` holds rows 0, 1, ... up to the first repeat.
-        later = int(np.argmax(np.append(first, fail) != np.arange(first.size + 1)))
-        earlier = int(np.argmax((u == u[later]) & (v == v[later])))
-        raise IngestError(
-            path,
-            lines[later],
-            f"duplicate rating for user {user_ids[u[later]]!r} and item "
-            f"{item_ids[v[later]]!r} (first seen at line {lines[earlier]})",
-        )
+    lines = np.flatnonzero(kept) + 1
+    if duplicate_policy == "strict":
+        _, pairs = np.unique(u[:fail] * len(item_ids) + v[:fail], return_inverse=True)
+        rows, index = _first_rows(pairs)
+        if rows.size < fail:
+            # The first row whose pair has an earlier first row.
+            later = int(np.argmax(rows[index] != np.arange(fail)))
+            earlier = rows[index[later]]
+            raise IngestError(
+                path,
+                int(lines[later]),
+                f"duplicate rating for user {user_ids[u[later]]!r} and item "
+                f"{item_ids[v[later]]!r} (first seen at line {int(lines[earlier])})",
+            )
     if fail == u.size:
         message = f"expected at least 3 fields, got {fields}"
     elif not user_ids[u[fail]] or not item_ids[v[fail]]:
         message = "empty user or item id"
     else:
-        message = _value_error(_texts(raw[fail:fail + 1])[0], scale)
-    raise IngestError(path, lines[fail], message)
+        text = _texts(raw[fail:fail + 1])[0]
+        message = _value_error(text, scale, "rating value") or (
+            f"normalized weight {float(text)} outside [0, 1]"
+        )
+    raise IngestError(path, int(lines[fail]), message)
 
 
 # Each byte of a gathered field moved one up, so that the zeros that pad
@@ -775,24 +770,6 @@ def _numeric(text: str) -> bool:
     return True
 
 
-def _table_error(key: str, raw: str, scale: RatingScale | None) -> str:
-    """Why `ingest_ground_truth` refuses the row with id `key` and value
-    field `raw`: `float` refuses the field, the id is empty, the value is
-    not finite or outside `scale`; else the id repeats an earlier row's."""
-    if not _numeric(raw):
-        return f"bad value {raw!r}"
-    if not key:
-        return "empty id"
-    if not math.isfinite(float(raw)):
-        return f"non-finite value {raw!r}"
-    if scale is not None:
-        try:
-            scale.normalize(float(raw))
-        except ValueError as exc:
-            return str(exc)
-    return f"duplicate id {key!r}"
-
-
 def ingest_ground_truth(
     path: str | Path,
     *,
@@ -830,8 +807,12 @@ def ingest_ground_truth(
     if fail == values.size:
         message = f"expected at least 2 fields, got {fields}"
     else:
-        key = _texts(column[fail:fail + 1])[0]
-        message = _table_error(key, _texts(raw[fail:fail + 1])[0], scale)
+        key, text = (_texts(c[fail:fail + 1])[0] for c in (column, raw))
+        # A bad value, an empty id, a non-finite or out-of-scale value, a repeat.
+        message = (
+            "empty id" if not key and _numeric(text)
+            else _value_error(text, scale, "value") or f"duplicate id {key!r}"
+        )
     raise IngestError(path, int(lines[fail]), message)
 
 

@@ -411,6 +411,27 @@ class TestSolveCommand:
         )
         assert not out.exists()
 
+    def test_bad_seed_bias_row_decodes_only_its_user(
+        self, tmp_path, two_user_file, capsys, monkeypatch
+    ):
+        # The message names the row's user from that row alone: the table
+        # is never turned into a dict of every id.
+        def unused(table):
+            raise AssertionError("every id decoded")
+
+        monkeypatch.setattr(ingest.IdTable, "_mapping", unused)
+        seeds = tmp_path / "seeds.csv"
+        seeds.write_text("user_id,bias\nu1,0.5\nu2,-1.5\n", encoding="utf-8")
+        code = run(
+            "solve", "--ratings", two_user_file,
+            "--seed-bias", seeds, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert (
+            f"error: {seeds}:3: seed bias -1.5 for user 'u2' outside [-1, 1]"
+            in capsys.readouterr().err
+        )
+
     def test_warm_start_from_own_bias(self, tmp_path):
         # Seeded with a converged run's bias.csv, a solve needs fewer
         # iterates and stops within the iteration error of both runs,
