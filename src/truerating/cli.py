@@ -16,8 +16,9 @@ Exit codes: 0 success, 2 stopped at max iterations without converging,
 3 oracle check inapplicable because the returned iterate clamps (its
 ratings clipped a weight), 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
-outputs on one machine, at any BLAS thread count; identity across machines
-is unverified, since numpy's SIMD loops may differ between CPUs. A run
+outputs on one machine, at any BLAS thread count, and at each of numpy's
+x86 CPU dispatch levels for one numpy build (a test runs each); other
+numpy versions and other architectures are unverified. A run
 writes its outputs, and last a manifest that records how to reproduce it,
 under temporary names, and renames them all into place together once the
 manifest is written.
@@ -187,9 +188,9 @@ def _user_values(
     whose user is absent from the graph or whose value lies outside
     [`lo`, `hi`]."""
     table = ingest_ground_truth(path)
-    rows, given = _match_ids(graph.user_ids, table)
+    given, rows = _match_ids(graph.user_ids, table)
     absent = np.ones(len(table), bool)
-    absent[rows[given]] = False
+    absent[rows] = False
     bad = absent | (table.scores < lo) | (table.scores > hi)
     if bad.any():
         row = int(np.argmax(bad))
@@ -201,7 +202,7 @@ def _user_values(
             else f"{what} {value} for user {user!r} outside [{lo}, {hi}]",
         )
     values = np.full(graph.num_users, missing)
-    values[given] = table.scores[rows[given]]
+    values[given] = table.scores[rows]
     return values
 
 

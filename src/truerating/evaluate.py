@@ -202,10 +202,10 @@ def align_truth(
     Raises `ValueError` if the truth names none of the graph's items.
     """
     truth = IdTable.of(truth)
-    rows, common = _match_ids(graph.item_ids, truth)
+    common, rows = _match_ids(graph.item_ids, truth)
     if not common.size:
         raise ValueError("ground truth shares no items with the graph")
-    values = truth.scores[rows[common]]
+    values = truth.scores[rows]
     bins = degree_bins(graph.item_degrees)
     return TruthAlignment(
         graph=graph,

@@ -166,12 +166,14 @@ class RatingGraph:
         if n_items and item_deg.min() == 0:
             raise ValueError("isolated item (zero incoming ratings)")
 
-        # Canonical order: by user, then by item. Makes serialization and
-        # accumulation order deterministic regardless of input order. With
-        # no isolated ids, num_users and num_items are each at most
-        # num_edges, so the key stays below num_edges**2 and fits in int64
-        # for any edge list that fits in memory. Keys are unique unless a
-        # pair repeats, and repeats sort next to each other.
+        # Canonical order: by user, then by item index. It fixes the order
+        # of serialization and of every sum for the given indices, but the
+        # indices come from the caller: a file's readers number ids by
+        # first appearance, so reordering a file's lines can move a sum's
+        # rounding. With no isolated ids, num_users and num_items are each
+        # at most num_edges, so the key stays below num_edges**2 and fits
+        # in int64 for any edge list that fits in memory. Keys are unique
+        # unless a pair repeats, and repeats sort next to each other.
         order = np.argsort(u * n_items + v)
         u, v, w = u[order], v[order], w[order]
         if u.size > 1:

@@ -15,7 +15,9 @@ A rating file has one reader, for any UTF-8 file. It reads the file
 once as bytes and cuts it a block of about `_BLOCK_BYTES` at a time, each
 ended by a line break: in each block, line breaks, delimiters and
 whitespace are found by numpy scans, and each field is trimmed and
-gathered into a fixed-width ``S`` column. A block whose lines all hold
+gathered into a fixed-width ``S`` column of its bytes as they are, or,
+if it holds a NUL (which an ``S`` column drops at its end), into a column
+of `bytes` objects. A block whose lines all hold
 the same number of delimiter matches reshapes them into one row per
 line, checked by two whole-column compares; any other block finds each
 line's matches by `np.searchsorted` (`_bounds`). The blocks' columns are
@@ -55,7 +57,8 @@ per-user alpha overrides and seed biases) with the same reader, on two
 fields, and keeps them as columns in an `IdTable`: its ids become `str`
 only when a caller iterates it or looks an id up. `_match_ids` matches a
 table to a graph's ids by one sort of both key columns together, each
-id's bytes packed so that the keys sort as Python sorts the ids.
+id's bytes packed so that the keys sort as Python sorts the ids; where
+only equal ids matter, `_keys` gives each field's word or the field.
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
@@ -240,27 +243,28 @@ _WORD = 8
 _ONES = 0x0101010101010101
 
 
-def _padded(text: np.ndarray, nuls: np.ndarray, longest: int) -> np.ndarray:
+def _padded(text: np.ndarray, longest: int) -> np.ndarray:
     """`text` followed by zeros, so that each field's window of its
-    `longest` bytes, or its word, stays inside; the NULs at `nuls` become
-    0xFF. `S` columns drop trailing NULs; UTF-8 never holds 0xFF, so it
-    stands in for them."""
+    `longest` bytes, or its word, stays inside."""
     padded = np.empty(text.size + max(longest, _WORD) + 1, np.uint8)
     padded[:text.size] = text
     padded[text.size:] = 0
-    padded[:text.size][nuls] = 0xFF
     return padded
 
 
 def _gather(
     padded: np.ndarray, starts: np.ndarray, stops: np.ndarray, limit: int
 ) -> np.ndarray:
-    """The fields at [starts, stops) of `padded` as one fixed-width `S`
-    column: one `S8` word each if none is wider than 8 bytes, else as wide
-    as the widest, or as `bytes` objects if that column would take more
-    than `limit` bytes."""
+    """The fields at [starts, stops) of `padded` as `bytes` objects if a
+    column as wide as the widest would take more than `limit` bytes, else
+    as one fixed-width `S` column: one `S8` word each if none is wider
+    than 8 bytes, else as wide as the widest."""
     lengths = stops - starts
     width = int(lengths.max(initial=0))
+    if width * lengths.size > limit:
+        blob = padded.tobytes()
+        fields = [blob[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+        return np.array(fields, object)
     if width <= _WORD:
         # One unaligned load per field from a byte-strided view of words;
         # the bytes past the field go out at the top and zeros come back.
@@ -271,10 +275,6 @@ def _gather(
         words <<= past
         words >>= past
         return words.view(f"S{_WORD}")
-    if width * lengths.size > limit:
-        blob = padded.tobytes()
-        fields = [blob[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
-        return np.array(fields, object)
     cells = sliding_window_view(padded, width)[starts]
     cells[np.arange(width) >= lengths[:, None]] = 0
     return cells.view(f"S{width}").ravel()
@@ -304,10 +304,9 @@ def _texts(column: np.ndarray) -> list[str]:
         cells[:, :-1] = column.view(np.uint8).reshape(column.size, column.itemsize)
         text = cells[cells != 0].tobytes()
         if text.count(b"\n") == column.size:
-            text = text.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
+            text = text.decode("utf-8", "surrogatepass")
             return text.split("\n")[:-1]
-    return [field.replace(b"\xff", b"\x00").decode("utf-8", "surrogatepass")
-            for field in column.tolist()]
+    return [field.decode("utf-8", "surrogatepass") for field in column.tolist()]
 
 
 #: A column of decimal ids is numbered by value if its largest id is
@@ -332,6 +331,12 @@ def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
     return _digit_values((words & 0x0F * _ONES) << shift).view(np.int64)
 
 
+def _keys(column: np.ndarray) -> np.ndarray:
+    """Keys equal where the fields of a gathered `column` are: each
+    field's word in an `S8` column, else the field itself."""
+    return column.view("<u8") if column.dtype == f"S{_WORD}" else column
+
+
 def _first_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows where each of the non-negative integer `codes` first
     appears, ascending, and each row's dense index: its code's rank by
@@ -352,14 +357,12 @@ def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Distinct ids of a column of fields in first-appearance order, and
     each row's dense index, by `_first_rows` of a code per row: a decimal
     id's value, in a column of them below `_ID_SPAN` times the row count,
-    else its rank by `np.unique`, of its word if 8 bytes or narrower, else
-    of its bytes. Only the distinct ids are decoded; trimmed fields are
-    equal ids only where their bytes are equal."""
-    words = column.dtype == f"S{_WORD}"
-    codes = _decimal_ids(column) if words else None
+    else the rank of its `_keys` by `np.unique`. Only the distinct ids are
+    decoded; trimmed fields are equal ids only where their bytes are
+    equal."""
+    codes = _decimal_ids(column) if column.dtype == f"S{_WORD}" else None
     if codes is None or codes.max(initial=0) >= _ID_SPAN * codes.size:
-        _, codes = np.unique(column.view("<u8") if words else column,
-                             return_inverse=True)
+        _, codes = np.unique(_keys(column), return_inverse=True)
     rows, index = _first_rows(codes)
     return _texts(column[rows]), index
 
@@ -508,7 +511,7 @@ def _columns(
         block = text[at:stop]
         # One scan finds the line breaks, the ASCII whitespace and the NULs.
         # Only a block with whitespace, or of a file outside ASCII, is
-        # trimmed.
+        # trimmed; a field with a NUL is gathered as a `bytes` object.
         low = np.flatnonzero(block <= 0x20)
         kind = block[low]
         breaks, nuls = low[kind == 0x0A], low[kind == 0]
@@ -541,12 +544,14 @@ def _columns(
         if not starts.size:
             continue
         # A field is no longer than its line.
-        padded = _padded(block, nuls, int((ends - starts).max()))
+        padded = _padded(block, int((ends - starts).max()))
         bounds, fields = _bounds(block, sep, starts, ends, nfields)
         for part, (begin, end) in zip(parts, bounds):
             if trimmed:
                 _trim(padded, begin, end, wide)
-            part.append(_gather(padded, begin, end, limit))
+            held = nuls.size and (np.searchsorted(nuls, begin)
+                                  < np.searchsorted(nuls, end)).any()
+            part.append(_gather(padded, begin, end, 0 if held else limit))
         if fields is not None:
             break
     columns = [_joined(part, limit) for part in parts]
@@ -649,54 +654,38 @@ def ingest_ratings(
     raise IngestError(path, int(lines[fail]), message)
 
 
-# Each byte of a gathered field moved one up, so that the zeros that pad
-# a field sort before any byte in it; 0xFF, the stand-in for a NUL, is 1.
-# Without a NUL, zeros pad only, and the bytes sort as they are.
-_ORDER = np.array([0, *range(2, 256), 1], np.uint8)
-
-
 def _id_column(ids: Sequence[str]) -> np.ndarray:
-    """`ids` as `_gather` lays out fields: UTF-8, NULs as 0xFF."""
+    """`ids` as `_gather` lays out fields: UTF-8, as `bytes` objects if
+    any holds a NUL."""
+    # Each id ended by a NUL.
     text = np.frombuffer(
-        ("\x00".join(ids) + "\x00").encode("utf-8", "surrogatepass"), np.uint8
+        "\x00".join([*ids, ""]).encode("utf-8", "surrogatepass"), np.uint8
     )
     stops = np.flatnonzero(text == 0)
-    starts = np.append(0, stops[:-1] + 1)
     if stops.size != len(ids):
-        # Some id holds a NUL, so the NULs do not mark where the ids end.
-        encoded = [i.encode("utf-8", "surrogatepass") for i in ids]
-        text = np.frombuffer(b"".join(encoded), np.uint8)
-        lengths = np.fromiter(map(len, encoded), np.int64, len(ids))
-        stops = np.cumsum(lengths)
-        starts = stops - lengths
-    padded = _padded(text, text == 0, int((stops - starts).max(initial=0)))
+        return np.array([i.encode("utf-8", "surrogatepass") for i in ids], object)
+    starts = np.append(0, stops + 1)[:-1]
+    padded = _padded(text, int((stops - starts).max(initial=0)))
     return _gather(padded, starts, stops, max(2 * text.size, 1 << 20))
 
 
 def _sort_keys(*columns: np.ndarray) -> np.ndarray:
     """The fields of gathered `columns`, one column after another, as keys
     that are equal where the ids are and sort as Python sorts the ids:
-    the `_ORDER` bytes of each field as one big-endian word up to 8 bytes,
-    or as an `S` string beyond; the UTF-8 `bytes` of each id if that
-    string column would be large."""
+    the bytes of each field as one big-endian word up to 8 bytes, or as
+    an `S` string beyond; the UTF-8 `bytes` of each id if that string
+    column would be large. `S` columns hold no NUL, so the zeros that pad
+    a field sort before any byte in it."""
     total = sum(c.size for c in columns)
-    width = max(8, *(c.dtype.itemsize for c in columns))
+    width = max(_WORD, *(c.dtype.itemsize for c in columns))
     if any(c.dtype.kind == "O" for c in columns) or width * total > max(
         2 * sum(c.nbytes for c in columns), 1 << 20
     ):
-        return np.array([f.replace(b"\xff", b"\x00") for c in columns
-                         for f in c.tolist()], object)
-    cells = np.zeros((total, width), np.uint8)
-    start = 0
-    for c in columns:
-        size = c.dtype.itemsize
-        cells[start:start + c.size, :size] = c.view(np.uint8).reshape(-1, size)
-        start += c.size
-    if (cells == 0xFF).any():
-        cells = _ORDER[cells]
-    if width == 8:
-        return cells.view(">u8").ravel().astype(np.uint64)
-    return cells.view(f"S{width}").ravel()
+        return np.array([f for c in columns for f in c.tolist()], object)
+    keys = np.concatenate([c.astype(f"S{width}") for c in columns])
+    if width == _WORD:
+        return keys.view(">u8").astype(np.uint64)
+    return keys
 
 
 class IdTable(Mapping[str, float]):
@@ -747,18 +736,15 @@ class IdTable(Mapping[str, float]):
 
 def _match_ids(ids: Sequence[str], table: IdTable) -> tuple[np.ndarray, np.ndarray]:
     """Match `table` to distinct `ids` by one sort of both key columns
-    together: each id's table row, -1 where the table has none, and the
-    indices of the ids the table holds, in ascending id order."""
+    together: the indices of the ids the table holds, in ascending id
+    order, and each one's table row."""
     keys = _sort_keys(_id_column(ids), table.column)
     order = np.argsort(keys)
     ordered = keys[order]
     # Equal keys come in pairs, one from each side, in either order.
     pair = np.flatnonzero(ordered[1:] == ordered[:-1])
     low, high = order[pair], order[pair + 1]
-    mine = np.minimum(low, high)
-    rows = np.full(len(ids), -1)
-    rows[mine] = np.maximum(low, high) - len(ids)
-    return rows, mine
+    return np.minimum(low, high), np.maximum(low, high) - len(ids)
 
 
 def _numeric(text: str) -> bool:
@@ -791,7 +777,7 @@ def ingest_ground_truth(
     bad = ~np.isfinite(values) | (column == b"")
     if scale is not None:
         bad |= (values < scale.min_raw) | (values > scale.max_raw)
-    keys = _sort_keys(column)
+    keys = _keys(column)
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():
         # A stable sort puts each id's first row first among its equals.

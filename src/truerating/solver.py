@@ -39,9 +39,9 @@ half keyed by user.
 Determinism: every rating and every bias is summed in the order the
 `graph` module docstring states, and the Anderson step's products over
 users are `np.einsum` loops, which never call BLAS. So repeated runs are
-bit-identical on one machine at any BLAS thread count. Identity across
-machines is unverified: einsum's SIMD loops may add in another order on
-another CPU.
+bit-identical on one machine at any BLAS thread count, and at each of
+numpy's x86 CPU dispatch levels for one numpy build, as a test checks;
+other numpy versions and other architectures are unverified.
 """
 
 from __future__ import annotations

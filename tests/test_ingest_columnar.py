@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_ingest as reference
 from truerating import (
+    MOVIELENS_FORMAT,
     DelimitedFormat,
     IngestError,
     RatingScale,
@@ -26,6 +27,7 @@ from truerating import (
 from truerating.ingest import (
     _BLOCK_ROWS,
     _STRIPPED,
+    _columns,
     _dense_ids,
     _first_rows,
     _id_column,
@@ -472,6 +474,30 @@ ONE_READ_CASES = [
     pytest.param("u1::m1::5\nu2::m1::3\n", dict(fmt=DelimitedFormat("5\nu")), 1,
                  id="delimiter-with-break"),
 ]
+
+
+NUL_DELIMITED = next(c for c in ONE_READ_CASES if c.id == "nul-delimiter").values
+
+
+class TestNulLayout:
+    @pytest.mark.parametrize("text, fmt, nfields, dtypes", [
+        pytest.param("u1\x00::m1::5\nu2::m1::3\n", MOVIELENS_FORMAT, 3,
+                     (object, "S8", "S8"), id="nul-user"),
+        pytest.param("u1::\x00\x00::5\n", MOVIELENS_FORMAT, 3,
+                     ("S8", object, "S8"), id="nul-item"),
+        pytest.param("m1\x00,0.5\nm1,0.25\n", DelimitedFormat(","), 2,
+                     (object, "S8"), id="nul-truth-id"),
+        pytest.param(NUL_DELIMITED[0], NUL_DELIMITED[1]["fmt"], 3,
+                     ("S8", "S8", "S8"), id="nul-delimiter"),
+    ])
+    def test_only_fields_with_a_nul_are_objects(self, tmp_path, text, fmt,
+                                                nfields, dtypes):
+        # An `S` column would drop a NUL at a field's end, so a field that
+        # holds one is gathered as a `bytes` object; a column without one,
+        # in the same file or in a NUL-delimited log, keeps its words.
+        path = write(tmp_path / "r.dat", text)
+        columns, *_ = _columns(path, fmt, nfields)
+        assert [c.dtype for c in columns] == [np.dtype(d) for d in dtypes]
 
 
 def counted_reads(monkeypatch) -> list:
