@@ -18,7 +18,9 @@ ratings clipped a weight), 1 any other error.
 Identical command lines over identical inputs produce byte-identical CSV
 outputs on one machine, at any BLAS thread count, and at each of numpy's
 x86 CPU dispatch levels for one numpy build (a test runs each); other
-numpy versions and other architectures are unverified. A run
+numpy versions and other architectures are unverified. Rows come in
+ascending id order, so reordering a rating file's records changes no
+output but the manifest, save under ``--duplicates keep_first``. A run
 writes its outputs, and last a manifest that records how to reproduce it,
 under temporary names, and renames them all into place together once the
 manifest is written.

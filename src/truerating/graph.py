@@ -11,7 +11,9 @@ graph, the solver and the oracle, is one `_means` call. It adds each
 node's terms into +0.0 with `np.add.at`, in array order, so over the
 canonical edge list an item's terms add in ascending user order and a
 user's in ascending item order. That is `np.bincount`'s order, so the two
-give the same bits.
+give the same bits. `RatingGraph.from_edges` and `ingest_ratings` number
+ids in ascending order, as Python sorts them, so that order depends only
+on the set of ratings; the constructor keeps the caller's numbering.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class RatingGraph:
     Attributes
     ----------
     user_ids / item_ids : tuple[str, ...]
-        Dense index -> external id, in first-appearance order.
+        Dense index -> external id, ascending unless built by the constructor.
     edge_user, edge_item, edge_weight : np.ndarray
         The edge list in canonical (user-major, item-ascending) order, so
         each item's edges also appear in ascending user order.
@@ -142,8 +144,8 @@ class RatingGraph:
         edge_weight: np.ndarray,
     ) -> None:
         """`__init__` after its id checks: the ids are distinct `str`s.
-        `ingest_ratings` calls it directly, as its ids are distinct by
-        construction."""
+        `from_edges` and `ingest_ratings` call it directly, as their ids are
+        distinct by construction."""
         u = np.asarray(edge_user, dtype=np.int64)
         v = np.asarray(edge_item, dtype=np.int64)
         w = np.asarray(edge_weight, dtype=np.float64)
@@ -166,14 +168,12 @@ class RatingGraph:
         if n_items and item_deg.min() == 0:
             raise ValueError("isolated item (zero incoming ratings)")
 
-        # Canonical order: by user, then by item index. It fixes the order
-        # of serialization and of every sum for the given indices, but the
-        # indices come from the caller: a file's readers number ids by
-        # first appearance, so reordering a file's lines can move a sum's
-        # rounding. With no isolated ids, num_users and num_items are each
-        # at most num_edges, so the key stays below num_edges**2 and fits
-        # in int64 for any edge list that fits in memory. Keys are unique
-        # unless a pair repeats, and repeats sort next to each other.
+        # Canonical order: by user, then by item index, so for ids numbered
+        # in ascending order it does not depend on the order of the edges.
+        # With no isolated ids, num_users and num_items are each at most
+        # num_edges, so the key stays below num_edges**2 and fits in int64
+        # for any edge list that fits in memory. Keys are unique unless a
+        # pair repeats, and repeats sort next to each other.
         order = np.argsort(u * n_items + v)
         u, v, w = u[order], v[order], w[order]
         if u.size > 1:
@@ -205,26 +205,19 @@ class RatingGraph:
     def from_edges(cls, edges: Iterable[tuple[str, str, float]]) -> "RatingGraph":
         """Build a graph from (user id, item id, weight) triples.
 
-        Dense indices are assigned in first-appearance order. A repeated
-        (user, item) pair is always an error; the ``keep_first`` policy that
-        drops repeats applies to rating files (`ingest_ratings`).
+        Ids are made `str` and numbered in ascending order. A repeated (user,
+        item) pair is always an error; the ``keep_first`` policy that drops
+        repeats applies to rating files (`ingest_ratings`).
         """
-        user_index: dict[str, int] = {}
-        item_index: dict[str, int] = {}
-        us: list[int] = []
-        vs: list[int] = []
-        ws: list[float] = []
-        for user_id, item_id, weight in edges:
-            us.append(user_index.setdefault(str(user_id), len(user_index)))
-            vs.append(item_index.setdefault(str(item_id), len(item_index)))
-            ws.append(float(weight))
-        return cls(
-            list(user_index),
-            list(item_index),
-            np.array(us, dtype=np.int64),
-            np.array(vs, dtype=np.int64),
-            np.array(ws, dtype=np.float64),
-        )
+        from .ingest import _dense_ids, _id_column  # which imports this module
+
+        triples = list(edges)
+        user_ids, u = _dense_ids(_id_column([str(e[0]) for e in triples]))
+        item_ids, v = _dense_ids(_id_column([str(e[1]) for e in triples]))
+        graph = cls.__new__(cls)
+        graph._build(tuple(user_ids), tuple(item_ids), u, v,
+                     np.array([e[2] for e in triples], dtype=np.float64))
+        return graph
 
     @property
     def num_users(self) -> int:

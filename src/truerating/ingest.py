@@ -25,24 +25,25 @@ joined, then ids are numbered once, values are converted a block of rows
 at a time, and every check (field count, empty ids, finite and in-scale
 values, weights in [0, 1], duplicates) is a reduction over whole columns.
 
-Ids and (user, item) pairs are numbered by one rule, `_first_rows`:
-from an integer code per row, a table as long as the largest code holds
-each code's first row, and the rows where a code first appears, in row
-order, number the codes by first appearance, with no sort.
+Ids are numbered in the order Python sorts them, that of their UTF-8
+bytes (`_dense_ids`), so the graph, its sums and every output depend on
+the set of ratings, not on the order of the lines. Only a (user, item)
+pair's first row matters (`_first_rows`): it is the line ``keep_first``
+keeps, and the one a strict duplicate names.
 
 A column whose fields are all at most 8 bytes wide is gathered as one
 little-endian word per field, by one unaligned load each, and is an
 ``S8`` column of those words. A column of decimal ids, ASCII digits with
 no leading ``0`` (but ``"0"``) whose largest is below `_ID_SPAN` times
-the row count, is coded by value; a leading zero would make ``"007"``
-and ``"7"`` one value, so it sends the column to `np.unique`, whose rank
-of each word, or of each wider id's bytes, codes any other ids, as it
-codes the pairs. A block of plain decimals, ASCII digits with at most
-one ``.``, is converted by digit arithmetic within the words and one
-division: an integer below 10**8 by a power of ten of at most 10**8,
-both exact doubles, so the correctly rounded quotient is what `float`
-gives, bit for bit (`_plain_decimals`). Any other block is read by
-``astype(np.float64)``.
+the row count, is ranked by value, and one sort of its distinct ids puts
+those ranks in string order; a leading zero would make ``"007"`` and
+``"7"`` one value, so it sends the column to `np.unique`, which ranks
+any other ids by their `_sort_keys`. A block of plain decimals, ASCII
+digits with at most one ``.``, is converted by digit arithmetic within
+the words and one division: an integer below 10**8 by a power of ten of
+at most 10**8, both exact doubles, so the correctly rounded quotient is
+what `float` gives, bit for bit (`_plain_decimals`). Any other block is
+read by ``astype(np.float64)``.
 
 A file with whitespace, or not ASCII, has its lines and fields trimmed of
 exactly what `str.strip` removes (`_trim`). Only the distinct ids become
@@ -57,8 +58,8 @@ per-user alpha overrides and seed biases) with the same reader, on two
 fields, and keeps them as columns in an `IdTable`: its ids become `str`
 only when a caller iterates it or looks an id up. `_match_ids` matches a
 table to a graph's ids by one sort of both key columns together, each
-id's bytes packed so that the keys sort as Python sorts the ids; where
-only equal ids matter, `_keys` gives each field's word or the field.
+id's bytes packed so that the keys sort as Python sorts the ids
+(`_sort_keys`).
 
 The CSV writers format in numpy, a fixed number of rows at a time, and
 write each block's bytes at once. Every value is rounded to `FLOAT_DIGITS`
@@ -331,40 +332,36 @@ def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
     return _digit_values((words & 0x0F * _ONES) << shift).view(np.int64)
 
 
-def _keys(column: np.ndarray) -> np.ndarray:
-    """Keys equal where the fields of a gathered `column` are: each
-    field's word in an `S8` column, else the field itself."""
-    return column.view("<u8") if column.dtype == f"S{_WORD}" else column
-
-
-def _first_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows where each of the non-negative integer `codes` first
-    appears, ascending, and each row's dense index: its code's rank by
-    first appearance. A table as long as the largest code holds each
+def _first_rows(codes: np.ndarray) -> np.ndarray:
+    """For each row of the non-negative integer `codes`, the first row
+    that holds its code: a table as long as the largest code holds each
     code's first row, so no sort is needed."""
     first = np.full(int(codes.max(initial=-1)) + 1, codes.size)
     np.minimum.at(first, codes, np.arange(codes.size))
-    # The first rows in row order are the codes in first-appearance order.
-    opens = np.zeros(codes.size, bool)
-    opens[first[first < codes.size]] = True
-    rows = np.flatnonzero(opens)
-    del opens
-    first[codes[rows]] = np.arange(rows.size)
-    return rows, first[codes]
+    return first[codes]
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Distinct ids of a column of fields in first-appearance order, and
-    each row's dense index, by `_first_rows` of a code per row: a decimal
-    id's value, in a column of them below `_ID_SPAN` times the row count,
-    else the rank of its `_keys` by `np.unique`. Only the distinct ids are
-    decoded; trimmed fields are equal ids only where their bytes are
-    equal."""
+    """Distinct ids of a gathered column in ascending order, as Python
+    sorts them, and each row's dense index, its id's rank: by `np.unique`
+    of the `_sort_keys`, or, for decimal ids below `_ID_SPAN` times the row
+    count, by value and then one sort of the distinct ids' keys. Only the
+    distinct ids are decoded; fields are equal ids where their bytes are."""
     codes = _decimal_ids(column) if column.dtype == f"S{_WORD}" else None
-    if codes is None or codes.max(initial=0) >= _ID_SPAN * codes.size:
-        _, codes = np.unique(_keys(column), return_inverse=True)
-    rows, index = _first_rows(codes)
-    return _texts(column[rows]), index
+    by_value = codes is not None and codes.max(initial=0) < _ID_SPAN * len(codes)
+    if not by_value:
+        _, codes = np.unique(_sort_keys(column), return_inverse=True)
+    # A row of each code, in code order; of values, only those present.
+    rows = np.full(int(codes.max(initial=-1)) + 1, -1)
+    rows[codes] = np.arange(codes.size)
+    if by_value:
+        # The values present, in the order of their ids' text.
+        held = np.flatnonzero(rows >= 0)
+        held = held[np.argsort(_sort_keys(column[rows[held]]))]
+        rank = np.empty(rows.size, np.intp)
+        rank[held] = np.arange(held.size)
+        rows, codes = rows[held], rank[codes]
+    return _texts(column[rows]), codes
 
 
 # 10**k, exact, for the k by which `_plain_decimals` divides.
@@ -605,8 +602,8 @@ def ingest_ratings(
     # and so a field `float` refuses, fails both comparisons.
     bad = ~((weight >= lo) & (weight <= hi))
     for ids, index in ((user_ids, u), (item_ids, v)):
-        if "" in ids:
-            bad |= index == ids.index("")
+        if ids and not ids[0]:  # "" sorts first
+            bad |= index == 0
     fail = int(np.argmax(bad)) if bad.any() else u.size
     if fail == u.size and fields is None:
         # The float operations of `RatingScale.normalize`, so the bits
@@ -614,8 +611,8 @@ def ingest_ratings(
         weight = (weight - lo) / (hi - lo)
         if duplicate_policy == "keep_first":
             _, pairs = np.unique(u * len(item_ids) + v, return_inverse=True)
-            rows, _ = _first_rows(pairs)
-            u, v, weight = u[rows], v[rows], weight[rows]
+            first = _first_rows(pairs) == np.arange(u.size)
+            u, v, weight = u[first], v[first], weight[first]
         # The constructor's id checks are skipped: `_dense_ids` decodes
         # distinct keys, and decoding is one-to-one, so the ids are distinct.
         graph = RatingGraph.__new__(RatingGraph)
@@ -631,11 +628,12 @@ def ingest_ratings(
     lines = np.flatnonzero(kept) + 1
     if duplicate_policy == "strict":
         _, pairs = np.unique(u[:fail] * len(item_ids) + v[:fail], return_inverse=True)
-        rows, index = _first_rows(pairs)
-        if rows.size < fail:
+        first = _first_rows(pairs)
+        repeat = first < np.arange(fail)
+        if repeat.any():
             # The first row whose pair has an earlier first row.
-            later = int(np.argmax(rows[index] != np.arange(fail)))
-            earlier = rows[index[later]]
+            later = int(np.argmax(repeat))
+            earlier = first[later]
             raise IngestError(
                 path,
                 int(lines[later]),
@@ -777,7 +775,7 @@ def ingest_ground_truth(
     bad = ~np.isfinite(values) | (column == b"")
     if scale is not None:
         bad |= (values < scale.min_raw) | (values > scale.max_raw)
-    keys = _keys(column)
+    keys = _sort_keys(column)
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():
         # A stable sort puts each id's first row first among its equals.

@@ -27,10 +27,11 @@ plain iteration, which is the same loop with an empty history.
 
 Before a candidate is evaluated, the least-squares fit predicts its
 residual: g minus the same combination of residual differences. If that
-prediction already fails the safeguard's test, the candidate is screened
-out unevaluated and the plain step is taken and pushed onto the kept
-history. So an accepted iterate costs one sweep, or two when a candidate
-was evaluated and then refused.
+prediction already fails the safeguard's test, and so does the half
+step's (half the combination: damping as in DAAREM, Henderson & Varadhan
+2019), the candidate is screened out unevaluated and the plain step is
+taken and pushed onto the kept history. So an accepted iterate costs one
+sweep, or two when a candidate was evaluated and then refused.
 
 Each sweep reads the graph's one user-major edge list. Each half is one
 `graph._means` over all edges: the rating half keyed by item, the bias
@@ -265,10 +266,10 @@ class _History:
         self.gram[:self.size, k] = row
 
     def candidate(self, current: _Iterate, alpha: float) -> np.ndarray | None:
-        """T(x) - gamma @ df, with gamma the least-squares weights that
-        minimise |g - gamma @ dg|. None without history or finite weights,
-        or when the predicted residual g - gamma @ dg fails the safeguard's
-        test: its max norm exceeds alpha times that of g."""
+        """T(x) - s @ df for s = gamma, else gamma / 2, where gamma minimises
+        |g - gamma @ dg|: the first s whose predicted residual g - s @ dg
+        passes the safeguard's test (max norm at most alpha times that of
+        g). None without history or finite weights, or if neither passes."""
         m = self.size
         if not m:
             return None
@@ -282,10 +283,11 @@ class _History:
             return None
         if not np.isfinite(gamma).all():
             return None
-        predicted = current.residual - np.einsum("i,ij->j", gamma, self.dg[:m])
-        if np.abs(predicted).max(initial=0.0) > alpha * current.linf:
-            return None
-        return current.image - np.einsum("i,ij->j", gamma, self.df[:m])
+        for step in (gamma, gamma / 2):
+            predicted = current.residual - np.einsum("i,ij->j", step, self.dg[:m])
+            if np.abs(predicted).max(initial=0.0) <= alpha * current.linf:
+                return current.image - np.einsum("i,ij->j", step, self.df[:m])
+        return None
 
 
 def _advance(

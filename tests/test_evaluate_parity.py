@@ -20,7 +20,7 @@ from truerating import RatingGraph, align_truth, build_report
 # Unicode ids, so code-point order matters, NULs among them; ids wider than
 # the 8 bytes one sort key word packs; and ids that are prefixes of others,
 # with or without a NUL after the prefix. Hypothesis lists come in any
-# order, so ascending-id order usually differs from first appearance.
+# order, so ascending-id order usually differs from the graph's numbering.
 PREFIX_IDS = ["a", "a\x00", "a\x00b", "ab", "\x00", "\x00\x00"]
 ids = st.one_of(
     st.text(st.characters(codec="utf-8"), min_size=1, max_size=3),

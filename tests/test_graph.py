@@ -76,12 +76,13 @@ class TestBins:
 
 
 class TestRatingGraphConstruction:
-    def test_from_edges_first_appearance_order(self):
+    def test_from_edges_ascending_id_order(self):
+        # Ids are numbered as Python sorts them, whatever the triples' order.
         g = RatingGraph.from_edges(
             [("b", "y", 0.1), ("a", "x", 0.2), ("b", "x", 0.3)]
         )
-        assert g.user_ids == ("b", "a")
-        assert g.item_ids == ("y", "x")
+        assert g.user_ids == ("a", "b")
+        assert g.item_ids == ("x", "y")
 
     def test_canonical_edge_order(self):
         g = RatingGraph.from_edges(

@@ -138,13 +138,17 @@ class TestCanonicalCsv:
         g = RatingGraph.from_edges([('x"y', '"q"', 0.5), ("u2", '"q"', 0.25)])
         path = tmp_path / "edges.csv"
         write_ratings_csv(g, path)
-        assert path.read_text().splitlines()[1] == 'x"y,"q",0.500000000'
+        assert path.read_text().splitlines()[1:] == [
+            'u2,"q",0.250000000', 'x"y,"q",0.500000000'
+        ]
         assert list(ingest_ratings(path).edges()) == list(g.edges())
 
     @pytest.mark.parametrize("item, message", UNWRITABLE_IDS)
     def test_comma_in_id_rejected_before_open(self, tmp_path, item, message):
+        # Items are numbered in ascending order, and "z,b" sorts after every
+        # `item`, so the first bad id, the one named, is `item`.
         g = RatingGraph.from_edges(
-            [("u1", "Heat", 0.5), ("u1", item, 1.0), ("u2", "a,b", 0.0)]
+            [("u1", "Heat", 0.5), ("u1", item, 1.0), ("u2", "z,b", 0.0)]
         )
         path = tmp_path / "edges.csv"
         with pytest.raises(ValueError, match=message):

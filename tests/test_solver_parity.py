@@ -74,8 +74,8 @@ def noisy_path():
 
 @pytest.fixture(scope="module")
 def refusing_path():
-    """A noisy path whose solve evaluates and refuses candidates: 410
-    accepted iterates, 601 sweeps."""
+    """A noisy path whose solve evaluates and refuses candidates: 200
+    accepted iterates, 284 sweeps."""
     graph = path_graph(2000, seed=7, noisy=True)
     config = SolverConfig(alpha=0.99, epsilon=1e-6, max_iterations=5000)
     return graph, config, solve(graph, config)
@@ -161,6 +161,23 @@ class TestScreen:
         assert history.candidate(current, 0.9) is None
         assert history.candidate(current, 0.995) is not None
 
+    def test_half_step_when_full_step_fails(self):
+        # One row dg = [0.8, -0.4] against g = [0.4, 0.3] gives gamma 1/4:
+        # the full step predicts [0.2, 0.4], of max norm 0.40, above
+        # 0.9 * 0.4 = 0.36; the half step predicts [0.3, 0.35], which
+        # passes, so the candidate is T(x) - gamma/2 * df.
+        history = _History(2)
+        zero = np.zeros(2)
+        df = np.array([0.5, -1.0])
+        pushed = _Iterate(zero, df, np.array([0.8, -0.4]), 1.2, 0.8, False)
+        history.push(pushed, _Iterate(zero, zero, zero, 0.0, 0.0, False))
+        image = np.array([0.5, -0.5])
+        current = _Iterate(np.zeros(1), image, np.array([0.4, 0.3]), 0.7, 0.4, False)
+        candidate = history.candidate(current, 0.9)
+        assert candidate is not None
+        # gamma is 1/4 but for the fit's relative ridge of 1e-10.
+        np.testing.assert_allclose(candidate, image - 0.125 * df, rtol=1e-9)
+
     def test_screened_candidate_costs_no_sweep(self, two_user_graph):
         sweeps, history, current = self.toy(two_user_graph)
         dg, df = history.dg[0].copy(), history.df[0].copy()
@@ -184,7 +201,7 @@ class TestScreen:
 # A 20k-user path with weights uniform in [0.2, 0.8], 250 iterates at
 # alpha = 0.99: long enough vectors for OpenBLAS to split a product
 # between threads, and enough iterates that candidates are accepted,
-# screened out and, from iterate 216 on, evaluated and refused. Prints the
+# screened out and, from iterate 10 on, evaluated and refused. Prints the
 # counts and the result's bytes as hex digests.
 _THREADED_SOLVE = """
 import hashlib
