@@ -27,9 +27,10 @@ values, weights in [0, 1], duplicates) is a reduction over whole columns.
 
 Ids are numbered in the order Python sorts them, that of their UTF-8
 bytes (`_dense_ids`), so the graph, its sums and every output depend on
-the set of ratings, not on the order of the lines. Only a (user, item)
-pair's first row matters (`_first_rows`): it is the line ``keep_first``
-keeps, and the one a strict duplicate names.
+the set of ratings, not on the order of the lines. `_first_rows` finds
+every repeat, of a (user, item) pair or of an `IdTable`'s id, by one
+sort: a pair's first row is the line ``keep_first`` keeps and the one a
+strict duplicate names, and a table refuses a repeated id.
 
 A column whose fields are all at most 8 bytes wide is gathered as one
 little-endian word per field, by one unaligned load each, and is an
@@ -332,12 +333,19 @@ def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
     return _digit_values((words & 0x0F * _ONES) << shift).view(np.int64)
 
 
-def _first_rows(codes: np.ndarray) -> np.ndarray:
-    """For each row of the non-negative integer `codes`, the first row
-    that holds its code: a table as long as the largest code holds each
-    code's first row, so no sort is needed."""
-    first = np.full(int(codes.max(initial=-1)) + 1, codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """For each row of `keys` (int64 pair codes, `uint64` words, `S` keys
+    or `bytes` objects), the first row that holds an equal key. One sort
+    finds whether a key repeats; only then does `np.unique` number the
+    keys, and a table as long as their count holds each one's first row."""
+    rows = np.arange(keys.size)
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return rows
+    del ordered
+    distinct, codes = np.unique(keys, return_inverse=True)
+    first = np.full(distinct.size, keys.size)
+    np.minimum.at(first, codes, rows)
     return first[codes]
 
 
@@ -466,7 +474,7 @@ def _bounds(
     return list(zip(begins, stops)), fields
 
 
-def _joined(parts: list[np.ndarray], limit: int) -> np.ndarray:
+def _joined(parts: Sequence[np.ndarray], limit: int) -> np.ndarray:
     """The columns `parts` of one field, gathered a block at a time, as
     one, laid out as `_gather` lays out the whole: `S8` words if every
     part is, else an `S` column as wide as the widest field, or `bytes`
@@ -610,8 +618,7 @@ def ingest_ratings(
         # match; with no scale they leave every value as it is.
         weight = (weight - lo) / (hi - lo)
         if duplicate_policy == "keep_first":
-            _, pairs = np.unique(u * len(item_ids) + v, return_inverse=True)
-            first = _first_rows(pairs) == np.arange(u.size)
+            first = _first_rows(u * len(item_ids) + v) == np.arange(u.size)
             u, v, weight = u[first], v[first], weight[first]
         # The constructor's id checks are skipped: `_dense_ids` decodes
         # distinct keys, and decoding is one-to-one, so the ids are distinct.
@@ -627,8 +634,7 @@ def ingest_ratings(
     # Rows map to lines only here: the first bad record, or a repeat before it.
     lines = np.flatnonzero(kept) + 1
     if duplicate_policy == "strict":
-        _, pairs = np.unique(u[:fail] * len(item_ids) + v[:fail], return_inverse=True)
-        first = _first_rows(pairs)
+        first = _first_rows(u[:fail] * len(item_ids) + v[:fail])
         repeat = first < np.arange(fail)
         if repeat.any():
             # The first row whose pair has an earlier first row.
@@ -670,27 +676,19 @@ def _id_column(ids: Sequence[str]) -> np.ndarray:
 def _sort_keys(*columns: np.ndarray) -> np.ndarray:
     """The fields of gathered `columns`, one column after another, as keys
     that are equal where the ids are and sort as Python sorts the ids:
-    the bytes of each field as one big-endian word up to 8 bytes, or as
-    an `S` string beyond; the UTF-8 `bytes` of each id if that string
-    column would be large. `S` columns hold no NUL, so the zeros that pad
-    a field sort before any byte in it."""
-    total = sum(c.size for c in columns)
-    width = max(_WORD, *(c.dtype.itemsize for c in columns))
-    if any(c.dtype.kind == "O" for c in columns) or width * total > max(
-        2 * sum(c.nbytes for c in columns), 1 << 20
-    ):
-        return np.array([f for c in columns for f in c.tolist()], object)
-    keys = np.concatenate([c.astype(f"S{width}") for c in columns])
-    if width == _WORD:
-        return keys.view(">u8").astype(np.uint64)
-    return keys
+    the columns `_joined` as the reader joins its blocks, with `S8` words
+    read as big-endian `uint64`. `S` columns hold no NUL, so the zeros
+    that pad a field sort before any byte in it, and `bytes` objects
+    compare as the ids' UTF-8 does."""
+    keys = _joined(columns, max(2 * sum(c.nbytes for c in columns), 1 << 20))
+    return keys.view(">u8").astype(np.uint64) if keys.dtype == f"S{_WORD}" else keys
 
 
 class IdTable(Mapping[str, float]):
     """An ``id,value`` table: a mapping of id to value in file order, held
-    as columns. `ingest_ground_truth` makes one; `IdTable.of` turns any
-    mapping into one. Its ids are made `str` only when it is first
-    iterated or an id is looked up."""
+    as columns, each id once. `ingest_ground_truth` makes one; `IdTable.of`
+    turns any mapping into one. Its ids are made `str` only when it is
+    first iterated or an id is looked up."""
 
     __slots__ = ("column", "scores", "lines", "_by_id")
 
@@ -704,6 +702,9 @@ class IdTable(Mapping[str, float]):
         #: The 1-based line of each row in its file, if read from one.
         self.lines = lines
         self._by_id: dict[str, float] | None = None
+        repeat = np.flatnonzero(_first_rows(_sort_keys(column)) < np.arange(column.size))
+        if repeat.size:
+            raise ValueError(f"duplicate id {_texts(column[repeat[:1]])[0]!r}")
 
     @classmethod
     def of(cls, table: Mapping[str, float]) -> IdTable:
@@ -735,7 +736,8 @@ class IdTable(Mapping[str, float]):
 def _match_ids(ids: Sequence[str], table: IdTable) -> tuple[np.ndarray, np.ndarray]:
     """Match `table` to distinct `ids` by one sort of both key columns
     together: the indices of the ids the table holds, in ascending id
-    order, and each one's table row."""
+    order, and each one's table row. An `IdTable` holds each id once, so
+    a key is held at most twice: once by `ids`, once by the table."""
     keys = _sort_keys(_id_column(ids), table.column)
     order = np.argsort(keys)
     ordered = keys[order]
@@ -775,19 +777,15 @@ def ingest_ground_truth(
     bad = ~np.isfinite(values) | (column == b"")
     if scale is not None:
         bad |= (values < scale.min_raw) | (values > scale.max_raw)
-    keys = _sort_keys(column)
-    ordered = np.sort(keys)
-    if (ordered[1:] == ordered[:-1]).any():
-        # A stable sort puts each id's first row first among its equals.
-        order = np.argsort(keys, kind="stable")
-        bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-    del keys, ordered
-    fail = int(np.argmax(bad)) if bad.any() else values.size
-    if fail == values.size and fields is None:
+    if not bad.any() and fields is None:
         if scale is not None:
             # `RatingScale.normalize`'s float operations, so the bits match.
             values = (values - scale.min_raw) / scale.span
-        return IdTable(column, values, lines[:values.size])
+        # The constructor's repeat check is the one of a table of valid rows.
+        with suppress(ValueError):
+            return IdTable(column, values, lines[:values.size])
+    bad |= _first_rows(_sort_keys(column)) < np.arange(column.size)
+    fail = int(np.argmax(bad)) if bad.any() else values.size
     if fail == values.size:
         message = f"expected at least 2 fields, got {fields}"
     else:

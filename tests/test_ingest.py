@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from truerating import (
     write_ratings_csv,
     write_scores_csv,
 )
+from truerating.ingest import _id_column
 
 
 def write(path, text):
@@ -210,6 +212,20 @@ class TestGroundTruth:
         table = IdTable.of(given)
         assert list(table.items()) == list(given.items())
         assert IdTable.of(table) is table
+
+    @pytest.mark.parametrize("ids", [
+        ["a", "a"],
+        ["b", "a", "c", "a", "b"],
+        ["item.0000000007", "x", "item.0000000007"],
+        ["n\x00", "n", "n\x00"],
+    ])
+    def test_table_refuses_a_repeated_id(self, ids):
+        # A table holds each id once: with a repeat, `len` would count a
+        # key that iteration yields once, and `align_truth` would pair two
+        # rows of the table with each other. The first repeat is named.
+        repeat = next(key for k, key in enumerate(ids) if key in ids[:k])
+        with pytest.raises(ValueError, match=re.escape(f"duplicate id {repeat!r}")):
+            IdTable(_id_column(ids), np.linspace(0.1, 0.9, len(ids)))
 
     def test_unmatched_items_retained_and_flagged(self, tmp_path):
         path = write(tmp_path / "t.csv", "m1,0.4\nghost,0.9\n")

@@ -32,6 +32,7 @@ from truerating.ingest import (
     _first_rows,
     _id_column,
     _plain_decimals,
+    _sort_keys,
     _text,
     _values,
 )
@@ -667,14 +668,89 @@ class TestDecimalIds:
             assert index.tolist() == [want.index(i) for i in ids]
 
 
+# Ids of each layout `_id_column` gives a column: up to 8 bytes (`S8`
+# words, whose sort keys are `uint64`), 9 bytes and more (wide `S` keys),
+# and holding a NUL (`bytes` objects); and the key kind of each.
+KEY_LAYOUTS = {
+    "words": (["", "a", "ab", "u1", "12345678", "\u00fc", "\u3042\u3044"], "u"),
+    "wide": (["123456789", "a" * 9, "a" * 10, "item.0000000007",
+              "m\u00e9lange-0001"], "S"),
+    "objects": (["a\x00", "\x00a", "a\x00b", "\x00", "nul\x00" * 3], "O"),
+}
+
+
+@st.composite
+def key_columns(draw):
+    """A key column of a layout the package makes, and the values its keys
+    stand for, with or without repeats: int64 (user, item) pair codes,
+    small or near 2**62, or the `_sort_keys` of ids of a `KEY_LAYOUTS`
+    layout, which the test checks."""
+    layout = draw(st.sampled_from(["pairs", *KEY_LAYOUTS]))
+    distinct = draw(st.booleans())
+    if layout == "pairs":
+        pool = st.integers(0, 40) | st.sampled_from([1 << 40, (1 << 62) + 3])
+        codes = draw(st.lists(pool, max_size=60, unique=distinct))
+        return codes, np.array(codes, np.int64), "i"
+    pool, kind = KEY_LAYOUTS[layout]
+    ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20,
+                        unique=distinct))
+    return ids, _sort_keys(_id_column(ids)), kind
+
+
 class TestFirstRows:
-    @given(codes=st.lists(st.integers(0, 40), max_size=60)
-           | st.lists(st.integers(0, 1 << 16), min_size=1, max_size=1))
-    def test_matches_first_appearance(self, codes):
-        # Codes repeat, come unsorted and leave gaps; no rows and a single
-        # row are drawn too.
-        first = _first_rows(np.array(codes, np.int64))
-        assert first.tolist() == [codes.index(c) for c in codes]
+    @given(column=key_columns())
+    def test_matches_first_appearance(self, column):
+        # Keys repeat or not, come unsorted and leave gaps; no rows and a
+        # single row are drawn too.
+        values, keys, kind = column
+        assert keys.dtype.kind == kind
+        first = _first_rows(keys)
+        assert first.tolist() == [values.index(x) for x in values]
+
+    def test_no_numbering_without_a_repeat(self, tmp_path, monkeypatch):
+        # Decimal ids are numbered by value and plain decimal ratings read
+        # from their words, so `keep_first` numbers the pairs, by
+        # `np.unique`, only when a pair repeats.
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        kwargs = dict(scale=RatingScale(1, 5), duplicate_policy="keep_first")
+        for text, numbered in (("1::1::5\n2::1::3\n1::2::4\n", 0),
+                               ("1::1::5\n2::1::3\n1::1::4\n", 1)):
+            path = write(tmp_path / "r.dat", text)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "unique", counted)
+                graph = ingest_ratings(path, **kwargs)
+            assert len(calls) == numbered
+            assert graph.num_edges == 3 - numbered
+
+
+# Ids of every layout, some prefixes of others: ASCII, outside it, and NUL.
+sort_ids = st.text(st.sampled_from(["a", "b", "1", "\x00", "\u00fc", "\u3042"]),
+                   max_size=12)
+
+
+class TestSortKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(st.lists(sort_ids, max_size=12), min_size=2, max_size=2))
+    def test_order_and_equality_as_python(self, columns):
+        # Two columns, each of words, wide `S` keys or `bytes` objects by
+        # its widest id and whether one holds a NUL, keyed together.
+        first, second = columns
+        ids = first + second
+        keys = _sort_keys(_id_column(first), _id_column(second))
+        assert len(keys) == len(ids)
+        order = np.argsort(keys, kind="stable")
+        assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        ordered = keys[order]
+        assert (ordered[1:] == ordered[:-1]).tolist() == [
+            ids[a] == ids[b] for a, b in zip(order.tolist(), order.tolist()[1:])
+        ]
 
 
 # Logs of one layout for `TestBlocks`: (delimiter, fields per record, a
