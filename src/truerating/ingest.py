@@ -335,18 +335,20 @@ def _decimal_ids(column: np.ndarray) -> np.ndarray | None:
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
     """For each row of `keys` (int64 pair codes, `uint64` words, `S` keys
-    or `bytes` objects), the first row that holds an equal key. One sort
-    finds whether a key repeats; only then does `np.unique` number the
-    keys, and a table as long as their count holds each one's first row."""
-    rows = np.arange(keys.size)
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
-        return rows
-    del ordered
-    distinct, codes = np.unique(keys, return_inverse=True)
-    first = np.full(distinct.size, keys.size)
-    np.minimum.at(first, codes, rows)
-    return first[codes]
+    or `bytes` objects), the first row that holds an equal key, found by
+    one argsort whether or not a key repeats."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.append(True, ordered[1:] != ordered[:-1])
+    if starts.all():
+        return np.arange(keys.size)
+    # Every row of a run of equal sorted keys gets the run's least row.
+    run = np.cumsum(starts) - 1
+    least = np.full(run[-1] + 1, keys.size)
+    np.minimum.at(least, run, order)
+    first = np.empty_like(order)
+    first[order] = least[run]
+    return first
 
 
 def _dense_ids(column: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -639,12 +641,11 @@ def ingest_ratings(
         if repeat.any():
             # The first row whose pair has an earlier first row.
             later = int(np.argmax(repeat))
-            earlier = first[later]
             raise IngestError(
                 path,
                 int(lines[later]),
                 f"duplicate rating for user {user_ids[u[later]]!r} and item "
-                f"{item_ids[v[later]]!r} (first seen at line {int(lines[earlier])})",
+                f"{item_ids[v[later]]!r} (first seen at line {int(lines[first[later]])})",
             )
     if fail == u.size:
         message = f"expected at least 3 fields, got {fields}"
@@ -712,8 +713,11 @@ class IdTable(Mapping[str, float]):
         if isinstance(table, IdTable):
             return table
         ids = list(table)
-        scores = np.fromiter(map(table.__getitem__, ids), np.float64, len(ids))
-        return cls(_id_column(ids), scores)
+        # No repeat check: a mapping's keys are distinct `str`, so their UTF-8 is.
+        held = cls.__new__(cls)
+        held.column, held.lines, held._by_id = _id_column(ids), None, None
+        held.scores = np.fromiter(map(table.__getitem__, ids), np.float64, len(ids))
+        return held
 
     def _mapping(self) -> dict[str, float]:
         if self._by_id is None:
@@ -736,12 +740,11 @@ class IdTable(Mapping[str, float]):
 def _match_ids(ids: Sequence[str], table: IdTable) -> tuple[np.ndarray, np.ndarray]:
     """Match `table` to distinct `ids` by one sort of both key columns
     together: the indices of the ids the table holds, in ascending id
-    order, and each one's table row. An `IdTable` holds each id once, so
-    a key is held at most twice: once by `ids`, once by the table."""
+    order, and each one's table row. A table holds each id once, so equal
+    keys come in pairs, one from each side, in either order."""
     keys = _sort_keys(_id_column(ids), table.column)
     order = np.argsort(keys)
     ordered = keys[order]
-    # Equal keys come in pairs, one from each side, in either order.
     pair = np.flatnonzero(ordered[1:] == ordered[:-1])
     low, high = order[pair], order[pair + 1]
     return np.minimum(low, high), np.maximum(low, high) - len(ids)

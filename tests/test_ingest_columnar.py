@@ -707,27 +707,20 @@ class TestFirstRows:
         first = _first_rows(keys)
         assert first.tolist() == [values.index(x) for x in values]
 
-    def test_no_numbering_without_a_repeat(self, tmp_path, monkeypatch):
-        # Decimal ids are numbered by value and plain decimal ratings read
-        # from their words, so `keep_first` numbers the pairs, by
-        # `np.unique`, only when a pair repeats.
+    @pytest.mark.parametrize("codes", [[5, 1 << 40, 0, 7], [5, 0, 5, 7, 0]])
+    def test_one_sort_with_or_without_a_repeat(self, monkeypatch, codes):
+        # One argsort finds the first rows; a repeat adds no second sort
+        # and no numbering by `np.unique`.
         calls = []
-        unique = np.unique
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return unique(*args, **kwargs)
-
-        kwargs = dict(scale=RatingScale(1, 5), duplicate_policy="keep_first")
-        for text, numbered in (("1::1::5\n2::1::3\n1::2::4\n", 0),
-                               ("1::1::5\n2::1::3\n1::1::4\n", 1)):
-            path = write(tmp_path / "r.dat", text)
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "unique", counted)
-                graph = ingest_ratings(path, **kwargs)
-            assert len(calls) == numbered
-            assert graph.num_edges == 3 - numbered
+        with monkeypatch.context() as patch:
+            for name in ("sort", "argsort", "unique"):
+                def counted(*args, _name=name, _sort=getattr(np, name), **kwargs):
+                    calls.append(_name)
+                    return _sort(*args, **kwargs)
+                patch.setattr(np, name, counted)
+            first = _first_rows(np.array(codes, np.int64))
+        assert calls == ["argsort"]
+        assert first.tolist() == [codes.index(x) for x in codes]
 
 
 # Ids of every layout, some prefixes of others: ASCII, outside it, and NUL.
